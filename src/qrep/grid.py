@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "Grid",
@@ -31,6 +30,7 @@ __all__ = [
     "dual_grid",
     "log_grid",
     "inner",
+    "cubic_interpolate",
     "log_resample",
     "norm",
     "require_contained",
@@ -189,26 +189,111 @@ def require_contained(psi: Wavefunction, tol: float = BOUNDARY_DECAY_TOL) -> Non
         )
 
 
+# ---------------------------------------------------------------------------
+# Not-a-knot cubic spline on uniform knots.
+#
+# In the index coordinate v = (t - x_min)/dx the knot slopes m_i (per cell)
+# solve the interior equations
+#     m_{i-1} + 4 m_i + m_{i+1} = 3 (y_{i+1} - y_{i-1}),   0 < i < n-1.
+# Their bi-infinite inverse is the kernel z^|k| / (2 sqrt 3) with
+# z = sqrt(3) - 2, which equals -z times one causal and one anticausal
+# geometric filter; each filter keeps 32 terms, so what it drops is below
+# |z|^32 ~ 5e-19 of its input.  The not-a-knot end conditions (third
+# derivative continuous at the second and the second-to-last knot) then fix
+# the homogeneous part a z^i + b z^(n-1-i) through a 2x2 system.
+# ---------------------------------------------------------------------------
+
+_Z = np.sqrt(3.0) - 2.0
+
+
+def _geometric_filter(y: np.ndarray) -> None:
+    """In place: ``y_i <- sum_{k<32} z^k y_(i-k)``, by five doubling passes."""
+    for k in (1, 2, 4, 8, 16):
+        y[k:] += _Z**k * y[:-k]
+
+
+def _spline_slopes(y: np.ndarray) -> np.ndarray:
+    """Not-a-knot slopes ``m_i = dx * s'(x_i)`` of the spline through ``y``."""
+    n = len(y)
+    m = np.zeros_like(y)
+    m[1:-1] = 3.0 * (y[2:] - y[:-2])
+    _geometric_filter(m)
+    _geometric_filter(m[::-1])
+    m *= -_Z
+    # Not-a-knot: m_0 - m_2 = 2 (2 y_1 - y_0 - y_2) at the left end and
+    # m_(n-1) - m_(n-3) = 2 (y_(n-1) - 2 y_(n-2) + y_(n-3)) at the right; the
+    # residuals are what the homogeneous part must add to the particular one.
+    r_left = 2.0 * (2.0 * y[1] - y[0] - y[2]) - m[0] + m[2]
+    r_right = 2.0 * (y[-1] - 2.0 * y[-2] + y[-3]) - m[-1] + m[-3]
+    # [[A, -A q], [-A q, A]] (a, b) = (r_left, r_right), A = 1 - z^2, q = z^(n-3)
+    q = _Z ** (n - 3)
+    scale = (1.0 - _Z**2) * (1.0 - q * q)
+    a = (r_left + q * r_right) / scale
+    b = (r_right + q * r_left) / scale
+    # z^k < 1e-36 beyond 64 terms, so the homogeneous part lives at the ends.
+    w = _Z ** np.arange(min(n, 64))
+    m[: len(w)] += a * w
+    m[n - len(w) :] += b * w[::-1]
+    return m
+
+
+def cubic_interpolate(grid: Grid, samples: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Cubic spline through ``samples`` on the knots ``grid.points``, evaluated at ``t``.
+
+    The interpolant is the not-a-knot cubic spline on uniform knots, the same
+    function as SciPy's ``CubicSpline(grid.points, samples)`` with its default
+    boundary condition.  Points outside the knots are extrapolated with the
+    cubic of the nearest end cell.  Real and complex samples are accepted.
+    """
+    y = np.asarray(samples)
+    if y.shape != (grid.n,):
+        raise ValueError(f"sample_count: expected {grid.n} samples, got shape {y.shape}")
+    y = y.astype(np.result_type(y.dtype, float), copy=False)
+    # Cell k holds y_k + tau (m_k + tau (c2_k + tau c3_k)), tau in [0, 1].
+    m = _spline_slopes(y)
+    d = np.diff(y)
+    c3 = m[:-1] + m[1:] - 2.0 * d
+    c2 = d - m[:-1] - c3
+    t = np.asarray(t, dtype=float)
+    # Offsets are taken from the nearest knot as ``points`` computes it, so a
+    # query at a knot gives tau = 0 exactly on any grid.
+    j = np.rint((t - grid.x_min) / grid.dx)
+    tau = (t - (grid.x_min + grid.dx * j)) / grid.dx
+    k = np.clip(j - (tau < 0.0), 0, grid.n - 2)
+    tau += j - k
+    k = k.astype(np.intp)
+    out = c3[k]
+    for c in (c2, m, y):
+        out *= tau
+        out += c[k]
+    return out
+
+
 def log_resample(psi: Wavefunction, u_grid: Grid, side: int) -> np.ndarray:
     """Resample onto a logarithmic axis: ``h(u) = sqrt(2) e^(u/2) psi(side*e^u)``.
 
     ``psi`` must be position-labelled and is expected to be one parity
     component; the caller chooses which sign of the axis to read through
-    ``side``.  Values are taken by cubic interpolation of the samples, so the
-    result is accurate to the interpolation error of the underlying lattice.
+    ``side``.  Values come from :func:`cubic_interpolate`, the not-a-knot
+    cubic spline on the uniform position knots (SciPy's ``CubicSpline``
+    default), so the result is accurate to that spline's interpolation error.
+    The window must stay within the samples of the side it reads: its last
+    point may reach ``x_max`` for ``side = +1`` and ``|x_min|`` for
+    ``side = -1``, so no value is extrapolated.
     """
     if psi.label != POSITION:
         raise ValueError("position_label: log_resample expects position-representation samples")
     if side not in (+1, -1):
         raise ValueError(f"side_sign: side must be +1 or -1, got {side}")
     u = u_grid.points
-    x_edge = max(abs(psi.grid.x_min), abs(psi.grid.x_max))
+    x_edge = psi.grid.x_max if side == +1 else -psi.grid.x_min
     if np.exp(u[-1]) > x_edge:
         raise ValueError(
-            f"log_window_support: e^u_max = {np.exp(u[-1]):.4g} exceeds the grid support {x_edge:.4g}"
+            f"log_window_support: e^u_max = {np.exp(u[-1]):.6g} exceeds the last sample "
+            f"{x_edge:.6g} on side {side:+d}"
         )
-    spline = CubicSpline(psi.grid.points, psi.samples)
-    return np.sqrt(2.0) * np.exp(u / 2.0) * spline(side * np.exp(u))
+    values = cubic_interpolate(psi.grid, psi.samples, side * np.exp(u))
+    return np.sqrt(2.0) * np.exp(u / 2.0) * values
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .grid import (
     MOMENTUM,
     POSITION,
     Grid,
     Wavefunction,
+    cubic_interpolate,
     dual_grid,
     fourier_sum,
     inner,
@@ -133,7 +133,10 @@ def interp_transform(psi: Wavefunction, alpha: float) -> Wavefunction:
     ``[FAST_PATH_ALPHA_MARGIN, 1 - FAST_PATH_ALPHA_MARGIN]`` the chirp fast
     path is used (subject to the chirp resolution guard); in the thin bands
     next to the endpoints the closed-form endpoint expression is used
-    instead, which is accurate there to the family's continuity error.
+    instead, which is accurate there to the family's continuity error.  In
+    the band next to alpha = 1, ``psi(lam)`` is read off the position samples
+    by :func:`~qrep.grid.cubic_interpolate`: the not-a-knot cubic spline on
+    uniform knots, the same interpolant as SciPy's ``CubicSpline`` default.
     """
     if psi.label != POSITION:
         raise ValueError("position_label: interp_transform expects position-representation samples")
@@ -149,8 +152,8 @@ def interp_transform(psi: Wavefunction, alpha: float) -> Wavefunction:
         dlam = (1.0 - alpha) * dual_grid(psi.grid).dx
         out_grid = Grid(n, dlam, -(n // 2) * dlam)
         lam = out_grid.points
-        spline = CubicSpline(psi.grid.points, psi.samples)
-        return Wavefunction(out_grid, np.exp(-0.5j * lam**2) * spline(lam), label)
+        values = cubic_interpolate(psi.grid, psi.samples, lam)
+        return Wavefunction(out_grid, np.exp(-0.5j * lam**2) * values, label)
     if alpha < FAST_PATH_ALPHA_MARGIN:
         ft = to_momentum(psi)
         out_grid = ft.grid
@@ -211,6 +214,12 @@ class CorrelationSpectrum:
         return float(np.sum(np.abs(self.even) ** 2 + np.abs(self.odd) ** 2) * dg)
 
 
+def _default_u_window(g: Grid) -> tuple[float, float]:
+    # 0.45 length lies inside the last positive sample only for n >= 32;
+    # smaller grids stop at x_max so that log_resample never extrapolates.
+    return float(np.log(4.0 * g.dx)), float(np.log(min(0.45 * g.length, g.x_max)))
+
+
 def _parity_parts(psi: Wavefunction) -> tuple[np.ndarray, np.ndarray]:
     idx = (-np.arange(psi.grid.n)) % psi.grid.n
     flipped = psi.samples[idx]
@@ -232,7 +241,7 @@ def correlation_transform(
         channel(gamma) = (2 pi)^(-1/2) sum_i h(u_i) e^(-i gamma u_i) du,
         h(u) = sqrt(2) e^(u/2) psi_parity(e^u).
 
-    Defaults: ``u_window = (ln(4 dx), ln(0.9 length/2))`` and
+    Defaults: ``u_window = (ln(4 dx), ln(min(0.45 length, x_max)))`` and
     ``n_gamma = 2 n``.  States with appreciable probability near the origin
     need a lower ``u_min`` than the default; the unseen probability is
     always reported in ``tail_mass``.
@@ -243,7 +252,7 @@ def correlation_transform(
         )
     g = psi.grid
     if u_window is None:
-        u_window = (np.log(4.0 * g.dx), np.log(0.45 * g.length))
+        u_window = _default_u_window(g)
     if n_gamma is None:
         n_gamma = 2 * g.n
     u_min, u_max = float(u_window[0]), float(u_window[1])
@@ -274,9 +283,11 @@ def correlation_inverse(spec: CorrelationSpectrum, g: Grid) -> Wavefunction:
     """Reconstruct position samples from a correlation spectrum.
 
     Inverts the log-variable Fourier transform channel by channel and
-    interpolates back onto ``g``; points outside the covered annulus
-    ``e^u_min <= |x| <= e^u_max`` are set to zero.  Requires the spectrum's
-    ``tail_mass`` to be below ``INVERSE_TAIL_TOL``.
+    interpolates both channels back onto ``g`` with
+    :func:`~qrep.grid.cubic_interpolate`, the not-a-knot cubic spline on the
+    uniform ``u`` knots (SciPy's ``CubicSpline`` default); points outside the
+    covered annulus ``e^u_min <= |x| <= e^u_max`` are set to zero.  Requires
+    the spectrum's ``tail_mass`` to be below ``INVERSE_TAIL_TOL``.
     """
     if spec.tail_mass > INVERSE_TAIL_TOL:
         raise ValueError(
@@ -286,8 +297,6 @@ def correlation_inverse(spec: CorrelationSpectrum, g: Grid) -> Wavefunction:
     h_even = inverse_fourier_sum(spec.even, spec.gamma_grid, spec.u_grid) / _SQRT_2PI
     h_odd = inverse_fourier_sum(spec.odd, spec.gamma_grid, spec.u_grid) / _SQRT_2PI
     u = spec.u_grid.points
-    sp_even = CubicSpline(u, h_even)
-    sp_odd = CubicSpline(u, h_odd)
 
     x = g.points
     out = np.zeros(g.n, dtype=complex)
@@ -295,7 +304,9 @@ def correlation_inverse(spec: CorrelationSpectrum, g: Grid) -> Wavefunction:
     covered = (ax >= np.exp(u[0])) & (ax <= np.exp(u[-1])) & (ax > 0.0)
     lu = np.log(ax[covered])
     sgn = np.sign(x[covered])
-    out[covered] = (sp_even(lu) + sgn * sp_odd(lu)) / np.sqrt(2.0 * ax[covered])
+    even = cubic_interpolate(spec.u_grid, h_even, lu)
+    odd = cubic_interpolate(spec.u_grid, h_odd, lu)
+    out[covered] = (even + sgn * odd) / np.sqrt(2.0 * ax[covered])
     return Wavefunction(g, out, POSITION)
 
 
@@ -338,7 +349,7 @@ def quadrature_oracle(
 
     g = psi.grid
     if u_window is None:
-        u_window = (np.log(4.0 * g.dx), np.log(0.45 * g.length))
+        u_window = _default_u_window(g)
     if n_u is None:
         n_u = 4 * g.n
     ugrid = log_grid(n_u, float(u_window[0]), float(u_window[1]))

@@ -231,3 +231,15 @@ def test_verify_all_exits_zero_slow(tmp_path):
     suites = {rec["suite"] for rec in records}
     assert len(suites) == 8
     assert all(rec["passed"] for rec in records)
+
+
+def test_import_loads_no_scipy():
+    # Importing scipy.interpolate takes longer than the rest of a small CLI
+    # call, and the library needs nothing from SciPy.
+    code = (
+        "import sys, qrep, qrep.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from qrep import (
     GaussianSpec,
     POSITION,
     Wavefunction,
+    Grid,
     dual_grid,
     gaussian,
     hermite,
@@ -15,7 +17,7 @@ from qrep import (
     make_grid,
     norm,
 )
-from qrep.grid import fourier_sum, inverse_fourier_sum
+from qrep.grid import cubic_interpolate, fourier_sum, inverse_fourier_sum
 
 
 def test_make_grid_basic():
@@ -139,6 +141,77 @@ def test_log_resample_rejects_window_beyond_support(g1024):
     u = log_grid(256, -5.0, np.log(30.0))
     with pytest.raises(ValueError, match="log_window_support"):
         log_resample(psi, u, +1)
+
+
+def _window_ending_at(x_end, n=256, u_min=-5.0):
+    du = (np.log(x_end) - u_min) / (n - 1)
+    return Grid(n, du, u_min)
+
+
+@pytest.mark.parametrize("x_end", [20.0, 19.99])
+def test_log_resample_rejects_window_past_last_sample_on_plus_side(g1024, x_end):
+    # On side +1 the last sample is x_max = L/2 - dx = 19.9609375, so a window
+    # ending in (x_max, L/2] would be read by extrapolation.
+    psi = gaussian(g1024, GaussianSpec())
+    u = _window_ending_at(x_end)
+    assert g1024.x_max < np.exp(u.points[-1])
+    with pytest.raises(ValueError, match="log_window_support"):
+        log_resample(psi, u, +1)
+
+
+def test_log_resample_minus_side_reaches_x_min(g1024):
+    psi = gaussian(g1024, GaussianSpec())
+    u = _window_ending_at(19.99)
+    h_minus = log_resample(psi, u, -1)
+    assert np.all(np.isfinite(h_minus))
+
+
+def _spline_queries(g, rng):
+    # every knot, random interior points, and up to one cell past each end
+    x = g.points
+    inside = rng.uniform(x[0], x[-1], size=4096)
+    outside = np.concatenate(
+        [x[0] - g.dx * rng.uniform(0, 1, 32), x[-1] + g.dx * rng.uniform(0, 1, 32)]
+    )
+    return np.concatenate([x, inside, outside, [x[0] - g.dx, x[-1] + g.dx]])
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+@pytest.mark.parametrize("n", [8, 16, 1024, 2**18])
+def test_cubic_interpolate_matches_scipy_not_a_knot(n, complex_data):
+    g = make_grid(n, 40.0)
+    rng = np.random.default_rng(n + complex_data)
+    y = rng.normal(size=n)
+    if complex_data:
+        y = y + 1j * rng.normal(size=n)
+    t = _spline_queries(g, rng)
+    got = cubic_interpolate(g, y, t)
+    ref = CubicSpline(g.points, y)(t)
+    assert got.dtype == ref.dtype
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    at_knots = cubic_interpolate(g, y, g.points)
+    assert np.abs(at_knots - y).max() <= 1e-14 * np.abs(y).max()
+
+
+def test_cubic_interpolate_reproduces_knots_on_offset_grid():
+    # knot offsets are taken from the computed knots, so non-dyadic spacings
+    # and far-off origins reproduce the samples too
+    g = Grid(2**14, 0.013, -20.123)
+    y = np.random.default_rng(5).normal(size=g.n)
+    assert np.abs(cubic_interpolate(g, y, g.points) - y).max() <= 1e-14 * np.abs(y).max()
+
+
+def test_cubic_interpolate_is_exact_on_cubics():
+    # not-a-knot reproduces any cubic, including extrapolation past both ends
+    g = Grid(8, 0.5, -1.75)
+    poly = lambda x: 0.3 - 1.2 * x + 0.7 * x**2 - 0.25j * x**3
+    t = np.linspace(g.x_min - g.dx, g.x_max + g.dx, 101)
+    assert np.abs(cubic_interpolate(g, poly(g.points), t) - poly(t)).max() < 1e-13
+
+
+def test_cubic_interpolate_rejects_wrong_sample_count():
+    with pytest.raises(ValueError, match="sample_count"):
+        cubic_interpolate(make_grid(8, 8.0), np.zeros(7), np.zeros(3))
 
 
 def test_wavefunction_rejects_nonfinite(g1024):

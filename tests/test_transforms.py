@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from qrep import (
+    POSITION,
     GaussianSpec,
     Parity,
+    Wavefunction,
     correlation_inverse,
     correlation_transform,
     dual_grid,
@@ -346,3 +348,12 @@ def test_oracle_rejects_unknown_family(g1024, unit_gaussian):
 def test_oracle_requires_parameters(g1024, unit_gaussian):
     with pytest.raises(ValueError, match="oracle_family"):
         quadrature_oracle(unit_gaussian, "interp", np.array([0.0]))
+
+
+def test_correlation_default_window_stays_inside_small_grid():
+    # on n = 16, ln(0.45 L) would reach past the last positive sample x_max
+    g = make_grid(16, 16.0)
+    psi = Wavefunction(g, np.exp(-g.points**2 / 2.0), POSITION)
+    spec = correlation_transform(psi)
+    assert np.exp(spec.u_grid.points[-1]) <= g.x_max
+    assert np.all(np.isfinite(spec.even)) and np.all(np.isfinite(spec.odd))
