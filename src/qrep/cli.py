@@ -20,11 +20,11 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from .grid import Grid, dual_grid, make_grid, norm
 from .kernels import (
     Parity,
+    _interp_chirp,
+    _rotation_chirp,
     chirp_step_bound,
     correlation_kernel,
     fresnel_delta,
@@ -133,6 +133,7 @@ def _state_spec_from_config(path: str) -> str:
 def cmd_kernel(args) -> int:
     g = make_grid(args.n, args.length)
     fam = args.family
+    chirp = None
     if fam == "plane-wave":
         wf = plane_wave(g, args.p)
     elif fam == "position-in-momentum":
@@ -140,19 +141,13 @@ def cmd_kernel(args) -> int:
     elif fam == "interp":
         if args.alpha is None:
             raise ValueError("kernel_parameter: interp family requires --alpha")
-        if 0.0 < args.alpha < 1.0:
-            chirp_step_bound(args.alpha / (1.0 - args.alpha), g)
         wf = interp_kernel(g, args.alpha, args.lam)
+        chirp = _interp_chirp(args.alpha)
     elif fam == "rotation":
         if args.theta is None:
             raise ValueError("kernel_parameter: rotation family requires --theta")
-        if not (0.0 < args.theta <= np.pi / 2):
-            raise ValueError(
-                f"rotation_theta_range: theta must lie in (0, pi/2], got {args.theta}"
-            )
-        if args.theta < np.pi / 2:
-            chirp_step_bound(1.0 / math.tan(args.theta), g)
         wf = rotation_kernel(g, args.theta, args.lam)
+        chirp = _rotation_chirp(args.theta)
     elif fam == "corr-even":
         wf = correlation_kernel(g, args.gamma, Parity.EVEN)
     elif fam == "corr-odd":
@@ -163,6 +158,9 @@ def cmd_kernel(args) -> int:
         wf = fresnel_delta(g, args.eps)
     else:  # pragma: no cover - argparse choices guard this
         raise ValueError(f"kernel_family: unknown family {fam!r}")
+    # The samplers have checked the parameter range; alpha = 1 is a point mass.
+    if chirp is not None and chirp.b > 0.0:
+        chirp_step_bound(chirp.a / chirp.b, g)
     x = wf.grid.points
     s = wf.samples
     rows = [[float(x[j]), float(s[j].real), float(s[j].imag), float(abs(s[j]))] for j in range(g.n)]

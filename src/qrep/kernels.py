@@ -9,6 +9,7 @@ array, which keeps the modulus exactly constant where it should be constant.
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +63,37 @@ def position_kernel_in_momentum(g: Grid, a: float) -> Wavefunction:
     return Wavefunction(g, np.exp(1j * (-a * g.points)) / _TWO_PI_SQRT, MOMENTUM)
 
 
+# One member of the ``a X + b P`` families.  Its kernel phase is
+# pi/4 - kappa lam^2 - a x^2/(2b) + lam x/b, and mu = 1/(2ab) - kappa is the
+# constant after the Fourier step.  Both are closed forms, each inf at the
+# endpoint whose transform side is never taken (kappa at b = 0, mu at a = 0).
+_Chirp = NamedTuple("_Chirp", [("a", float), ("b", float), ("kappa", float), ("mu", float)])
+
+
+def _interp_chirp(alpha: float) -> _Chirp:
+    a, b = alpha, 1.0 - alpha
+    kappa = a * (2.0 - a) / (2.0 * b) if b > 0.0 else np.inf
+    mu = (1.0 + b - b * b) / (2.0 * a) if a > 0.0 else np.inf
+    return _Chirp(a, b, kappa, mu)
+
+
+def _rotation_chirp(theta: float) -> _Chirp:
+    # cos(pi/2) rounds to 6e-17, not 0; the right angle is the plane wave exactly.
+    if theta == np.pi / 2:
+        return _Chirp(0.0, 1.0, 0.0, np.inf)
+    s, c = np.sin(theta), np.cos(theta)
+    return _Chirp(c, s, (1.0 - s) / (2.0 * c * s), 1.0 / (2.0 * c))
+
+
+def _chirp_kernel(g: Grid, chirp: _Chirp, lam: float) -> Wavefunction:
+    """Sample the unit-modulus chirp eigenfunction of ``chirp`` (``b > 0``)."""
+    a, b, kappa, _ = chirp
+    x = g.points
+    amp = 1.0 / np.sqrt(2.0 * np.pi * b)
+    phase = np.pi / 4.0 - kappa * lam**2 - a * x**2 / (2.0 * b) + lam * x / b
+    return Wavefunction(g, amp * np.exp(1j * phase), POSITION)
+
+
 def interp_kernel(g: Grid, alpha: float, lam: float) -> Wavefunction:
     """Eigenfunction of ``alpha*X + (1-alpha)*P`` with eigenvalue ``lam``.
 
@@ -91,42 +123,21 @@ def interp_kernel(g: Grid, alpha: float, lam: float) -> Wavefunction:
         j = int(np.clip(round((lam - g.x_min) / g.dx), 0, g.n - 1))
         samples[j] = np.exp(0.5j * lam**2) / g.dx
         return Wavefunction(g, samples, POSITION)
-    x = g.points
-    one_m = 1.0 - alpha
-    amp = 1.0 / np.sqrt(2.0 * np.pi * one_m)
-    phase = (
-        np.pi / 4.0
-        - alpha * (2.0 - alpha) * lam**2 / (2.0 * one_m)
-        - alpha * x**2 / (2.0 * one_m)
-        + lam * x / one_m
-    )
-    return Wavefunction(g, amp * np.exp(1j * phase), POSITION)
+    return _chirp_kernel(g, _interp_chirp(alpha), lam)
 
 
 def rotation_kernel(g: Grid, theta: float, lam: float) -> Wavefunction:
     """Eigenfunction of ``X cos(theta) + P sin(theta)`` with eigenvalue ``lam``.
 
-    Same chirp structure as :func:`interp_kernel` with the coefficient pair
-    ``(cos theta, sin theta)``; at ``theta = pi/2`` the closed-form limit is
-    the constant-phase plane wave.
+    Same chirp as :func:`interp_kernel` with the coefficient pair
+    ``(cos theta, sin theta)``; at ``theta = pi/2`` it is the constant-phase
+    plane wave.
     """
     if not (0.0 < theta <= np.pi / 2):
         raise ValueError(f"rotation_theta_range: theta must lie in (0, pi/2], got {theta}")
     if not np.isfinite(lam):
         raise ValueError(f"eigenvalue_finite: lam must be finite, got {lam}")
-    x = g.points
-    s, c = np.sin(theta), np.cos(theta)
-    amp = 1.0 / np.sqrt(2.0 * np.pi * s)
-    if theta == np.pi / 2:
-        phase = np.pi / 4.0 + lam * x
-    else:
-        phase = (
-            np.pi / 4.0
-            - (1.0 - s) * lam**2 / (2.0 * c * s)
-            - c * x**2 / (2.0 * s)
-            + lam * x / s
-        )
-    return Wavefunction(g, amp * np.exp(1j * phase), POSITION)
+    return _chirp_kernel(g, _rotation_chirp(theta), lam)
 
 
 def correlation_kernel(g: Grid, gamma: float, par: Parity) -> Wavefunction:

@@ -67,6 +67,13 @@ def apply_p(psi: Wavefunction) -> Wavefunction:
     return Wavefunction(psi.grid, out, psi.label)
 
 
+def _apply_linear(psi: Wavefunction, a: float, b: float) -> Wavefunction:
+    """``a*X + b*P``, the observable behind both the interpolating and rotated families."""
+    xpart = apply_x(psi)
+    ppart = apply_p(psi)
+    return Wavefunction(psi.grid, a * xpart.samples + b * ppart.samples, psi.label)
+
+
 def apply_s(psi: Wavefunction, alpha: float) -> Wavefunction:
     """Interpolating observable ``alpha*X + (1-alpha)*P``."""
     if not np.isfinite(alpha):
@@ -75,22 +82,14 @@ def apply_s(psi: Wavefunction, alpha: float) -> Wavefunction:
         return apply_x(psi)
     if alpha == 0.0:
         return apply_p(psi)
-    xpart = apply_x(psi)
-    ppart = apply_p(psi)
-    return Wavefunction(psi.grid, alpha * xpart.samples + (1.0 - alpha) * ppart.samples, psi.label)
+    return _apply_linear(psi, alpha, 1.0 - alpha)
 
 
 def apply_s_theta(psi: Wavefunction, theta: float) -> Wavefunction:
     """Phase-space rotated observable ``X cos(theta) + P sin(theta)``."""
     if not np.isfinite(theta):
         raise ValueError(f"rotation_theta_finite: theta must be finite, got {theta}")
-    xpart = apply_x(psi)
-    ppart = apply_p(psi)
-    return Wavefunction(
-        psi.grid,
-        np.cos(theta) * xpart.samples + np.sin(theta) * ppart.samples,
-        psi.label,
-    )
+    return _apply_linear(psi, np.cos(theta), np.sin(theta))
 
 
 def apply_c(psi: Wavefunction) -> Wavefunction:

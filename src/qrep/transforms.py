@@ -1,9 +1,9 @@
 """Unitary maps between the representations.
 
 The Fourier pair is a phase-corrected FFT on the centred lattice.  The
-interpolating and rotation transforms share a chirp + Fourier + chirp
-decomposition whose output lattice is chosen so the interior Fourier step
-lands exactly on the dual lattice, keeping the whole map a single FFT.  The
+interpolating and rotation transforms share one chirp + Fourier + chirp
+decomposition, with the chirp on whichever side of the Fourier step the
+lattice resolves; its output lattice makes the whole map a single FFT.  The
 correlation transform is a Fourier transform in the logarithm of the
 coordinate, taken separately in each parity channel.
 
@@ -35,7 +35,9 @@ from .grid import (
 )
 from .kernels import (
     Parity,
-    chirp_step_bound,
+    _Chirp,
+    _interp_chirp,
+    _rotation_chirp,
     correlation_kernel,
     interp_kernel,
     plane_wave,
@@ -60,8 +62,8 @@ __all__ = [
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-# Outside [margin, 1 - margin] the pre-chirp cannot be resolved on sensible
-# grids, so the closed-form endpoint expressions take over.
+# Selects nothing in qrep: every alpha in [0, 1] takes the exact two-sided
+# transform.  Kept, with its value, for the benchmark's input ranges.
 FAST_PATH_ALPHA_MARGIN = 1e-3
 
 INVERSE_TAIL_TOL = 1e-6
@@ -90,98 +92,68 @@ def from_momentum(phi: Wavefunction) -> Wavefunction:
     return Wavefunction(xgrid, out, POSITION)
 
 
-def _chirp_transform(
-    psi: Wavefunction, coeff_x: float, coeff_d: float, label, lam_phase_coeff: float
-) -> Wavefunction:
-    """Shared fast path for the chirp families.
+def _linear_transform(psi: Wavefunction, chirp: _Chirp, label) -> Wavefunction:
+    """``<kernel_lam, psi>`` for one ``a X + b P`` member, by one FFT on either side.
 
-    Computes the coefficients ``<kernel_lam, psi>`` for the eigenfamily of
-    ``coeff_x * X + coeff_d * P``.  Completing the square in the conjugated
-    kernel gives
-
-        out(lam) = e^(-i pi/4) (2 pi coeff_d)^(-1/2) e^(i lam_phase_coeff lam^2)
-                   * sum_j e^(i coeff_x x^2 / (2 coeff_d)) psi_j e^(-i lam x_j / coeff_d) dx
-
-    and with the output lattice lam_k = coeff_d * p_k the frequency
-    lam/coeff_d is exactly the dual lattice, so the sum is one FFT.
+    Position side, on ``lam_k = b p_k``:
+        e^(-i pi/4) (2 pi b)^(-1/2) e^(i kappa lam^2)
+        * sum_j e^(i a x_j^2/(2b)) psi_j e^(-i lam x_j/b) dx
+    Momentum side, on ``lam_j = a x_j``, with ``phi = to_momentum(psi)``:
+        (2 pi a)^(-1/2) e^(-i mu lam^2) sum_m e^(-i b p_m^2/(2a)) phi_m e^(i lam p_m/a) dp
+    The edge chirp steps ``(a/b) n dx^2/2`` and ``(b/a) n dp^2/2`` multiply to
+    ``pi^2``; the smaller belongs to the coarser lattice, which is taken, so the
+    chirp never steps by more than ``pi``.
     """
+    if psi.label != POSITION:
+        raise ValueError(
+            f"position_label: {label.kind}_transform expects position-representation samples"
+        )
     require_contained(psi)
-    rate = coeff_x / coeff_d
-    chirp_step_bound(rate, psi.grid)
-    pre = np.exp(1j * rate * psi.grid.points**2 / 2.0)
-    kgrid, G = fourier_sum(pre * psi.samples, psi.grid)
-    dlam = coeff_d * kgrid.dx
-    lam_grid = Grid(psi.grid.n, dlam, -(psi.grid.n // 2) * dlam)
+    a, b, kappa, mu = chirp
+    g = psi.grid
+    if a * g.dx <= b * dual_grid(g).dx:
+        pre = np.exp(1j * (a / b) * g.points**2 / 2.0)
+        kgrid, G = fourier_sum(pre * psi.samples, g)
+        dlam = b * kgrid.dx
+        lam_grid = Grid(g.n, dlam, -(g.n // 2) * dlam)
+        lam = lam_grid.points
+        out = (
+            np.exp(-1j * np.pi / 4.0)
+            * np.exp(1j * kappa * lam**2)
+            * G
+            / np.sqrt(2.0 * np.pi * b)
+        )
+        return Wavefunction(lam_grid, out, label)
+    phi = to_momentum(psi)
+    pre = np.exp(-1j * (b / a) * phi.grid.points**2 / 2.0)
+    S = inverse_fourier_sum(pre * phi.samples, phi.grid, g)
+    lam_grid = Grid(g.n, a * g.dx, a * g.x_min)
     lam = lam_grid.points
-    out = (
-        np.exp(-1j * np.pi / 4.0)
-        * np.exp(1j * lam_phase_coeff * lam**2)
-        * G
-        / np.sqrt(2.0 * np.pi * coeff_d)
-    )
+    out = np.exp(-1j * mu * lam**2) * S / np.sqrt(2.0 * np.pi * a)
     return Wavefunction(lam_grid, out, label)
 
 
 def interp_transform(psi: Wavefunction, alpha: float) -> Wavefunction:
     """Expand in the eigenbasis of ``alpha*X + (1-alpha)*P``.
 
-    Output samples are ``<eta_lam, psi>`` on the lattice
-    ``lam_k = (1-alpha) p_k``; the lattice spacing in lam shrinks as alpha
-    approaches 1, where the transform degenerates to a phase-multiplied
-    identity.  Endpoints: alpha = 0 is ``e^(-i pi/4)`` times the Fourier map;
-    alpha = 1 is ``e^(-i lam^2/2) psi(lam)`` on the position lattice.  Within
-    ``[FAST_PATH_ALPHA_MARGIN, 1 - FAST_PATH_ALPHA_MARGIN]`` the chirp fast
-    path is used (subject to the chirp resolution guard); in the thin bands
-    next to the endpoints the closed-form endpoint expression is used
-    instead, which is accurate there to the family's continuity error.  In
-    the band next to alpha = 1, ``psi(lam)`` is read off the position samples
-    by :func:`~qrep.grid.cubic_interpolate`: the not-a-knot cubic spline on
-    uniform knots, the same interpolant as SciPy's ``CubicSpline`` default.
+    Output samples are ``<eta_lam, psi>`` on the lattice ``lam_k = (1-alpha) p_k``
+    or ``lam_j = alpha x_j``, whichever is coarser.  Every ``alpha`` in ``[0, 1]``
+    is one FFT with a resolved chirp, so the map is unitary on the grid; at
+    ``alpha = 0`` it is ``e^(-i pi/4)`` times the Fourier map and at
+    ``alpha = 1`` it is ``e^(-i x^2/2) psi(x)``, both to rounding.
     """
-    if psi.label != POSITION:
-        raise ValueError("position_label: interp_transform expects position-representation samples")
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"interp_alpha_range: alpha must lie in [0, 1], got {alpha}")
     label = interp_label(alpha)
-    n = psi.grid.n
-    if alpha > 1.0 - FAST_PATH_ALPHA_MARGIN:
-        require_contained(psi)
-        if alpha == 1.0:
-            x = psi.grid.points
-            return Wavefunction(psi.grid, np.exp(-0.5j * x**2) * psi.samples, label)
-        dlam = (1.0 - alpha) * dual_grid(psi.grid).dx
-        out_grid = Grid(n, dlam, -(n // 2) * dlam)
-        lam = out_grid.points
-        values = cubic_interpolate(psi.grid, psi.samples, lam)
-        return Wavefunction(out_grid, np.exp(-0.5j * lam**2) * values, label)
-    if alpha < FAST_PATH_ALPHA_MARGIN:
-        ft = to_momentum(psi)
-        out_grid = ft.grid
-        if alpha > 0.0:
-            dlam = (1.0 - alpha) * ft.grid.dx
-            out_grid = Grid(n, dlam, -(n // 2) * dlam)
-        return Wavefunction(out_grid, np.exp(-1j * np.pi / 4.0) * ft.samples, label)
-    one_m = 1.0 - alpha
-    lam_coeff = alpha * (2.0 - alpha) / (2.0 * one_m)
-    return _chirp_transform(psi, alpha, one_m, label, lam_coeff)
+    return _linear_transform(psi, _interp_chirp(alpha), label)
 
 
 def rotation_transform(psi: Wavefunction, theta: float) -> Wavefunction:
     """Expand in the eigenbasis of ``X cos(theta) + P sin(theta)``.
 
-    Same machinery as :func:`interp_transform` with coefficients
-    ``(cos theta, sin theta)`` and output lattice ``lam_k = sin(theta) p_k``.
-    ``theta = pi/2`` reduces to the constant-phase Fourier endpoint.
+    Same map as :func:`interp_transform` with coefficients ``(cos theta,
+    sin theta)``, on ``lam_k = sin(theta) p_k`` or ``lam_j = cos(theta) x_j``.
     """
-    if psi.label != POSITION:
-        raise ValueError("position_label: rotation_transform expects position-representation samples")
     label = rotation_label(theta)
-    s, c = np.sin(theta), np.cos(theta)
-    if theta == np.pi / 2:
-        ft = to_momentum(psi)
-        return Wavefunction(ft.grid, np.exp(-1j * np.pi / 4.0) * ft.samples, label)
-    lam_coeff = (1.0 - s) / (2.0 * c * s)
-    return _chirp_transform(psi, c, s, label, lam_coeff)
+    return _linear_transform(psi, _rotation_chirp(theta), label)
 
 
 @dataclass(frozen=True)
@@ -325,10 +297,11 @@ def quadrature_oracle(
     """Ground-truth expansion coefficients by direct summation.
 
     O(n) per eigenvalue with a fixed summation order, so results are
-    deterministic.  For the chirp families this shares nothing with the fast
-    transforms beyond the kernel definition; for the correlation family the
-    sum runs on its own log lattice (twice the default density), so it
-    shares only the interpolation step with the fast path.
+    deterministic.  For the chirp families it shares only the kernel with the
+    fast transforms, and it is exact only on lattices that resolve the
+    kernel's chirp (``chirp_step_bound``); for the correlation family the sum
+    runs on its own log lattice (twice the default density), sharing only the
+    interpolation step with the fast path.
     """
     if psi.label != POSITION:
         raise ValueError("position_label: quadrature_oracle expects position-representation samples")
@@ -338,14 +311,12 @@ def quadrature_oracle(
 
     if family == "plane_wave":
         return np.array([inner(plane_wave(psi.grid, p), psi) for p in lambdas])
-    if family == "interp":
-        if alpha is None:
-            raise ValueError("oracle_family: interp family requires alpha")
-        return np.array([inner(interp_kernel(psi.grid, alpha, l), psi) for l in lambdas])
-    if family == "rotation":
-        if theta is None:
-            raise ValueError("oracle_family: rotation family requires theta")
-        return np.array([inner(rotation_kernel(psi.grid, theta, l), psi) for l in lambdas])
+    if family in ("interp", "rotation"):
+        name, value, sample = {"interp": ("alpha", alpha, interp_kernel),
+                               "rotation": ("theta", theta, rotation_kernel)}[family]
+        if value is None:
+            raise ValueError(f"oracle_family: {family} family requires {name}")
+        return np.array([inner(sample(psi.grid, value, l), psi) for l in lambdas])
 
     g = psi.grid
     if u_window is None:

@@ -408,6 +408,15 @@ def _suite_unbiasedness(g: Grid) -> list[CheckReport]:
     return reports
 
 
+def _oracle_grid(g: Grid, rate: float) -> Grid:
+    # Halve dx until chirp_step_bound would admit the kernel chirp: on coarser
+    # lattices the oracle's rectangle sum aliases at the outer eigenvalues.
+    n = g.n
+    while rate * (g.length / 2.0) * (g.length / n) > np.pi:
+        n *= 2
+    return make_grid(n, g.length)
+
+
 def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
     reports = []
     sub = np.arange(0, g.n, 8)
@@ -432,18 +441,24 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
                 1e-8,
             )
         )
+    # The oracle sums on a grid that resolves its kernel's chirp.  On the
+    # default grid the last two members take the transform's momentum side.
     psi = gaussian(g, GaussianSpec())
-    for theta in (np.pi / 6, np.pi / 4):
-        out = rotation_transform(psi, theta)
-        oracle = quadrature_oracle(psi, "rotation", out.grid.points[sub], theta=theta)
-        reports.append(
-            CheckReport(
-                "rotation_oracle",
-                {"theta": round(theta, 12), "state": "gaussian"},
-                float(np.abs(out.samples[sub] - oracle).max()),
-                1e-8,
-            )
-        )
+    for family, name, value, stride in (
+        ("rotation", "theta", np.pi / 6, 8),
+        ("rotation", "theta", np.pi / 4, 8),
+        ("interp", "alpha", 0.85, 64),
+        ("rotation", "theta", 0.15, 64),
+    ):
+        if family == "interp":
+            out, rate = interp_transform(psi, value), value / (1.0 - value)
+        else:
+            out, rate = rotation_transform(psi, value), 1.0 / np.tan(value)
+        fine = gaussian(_oracle_grid(g, rate), GaussianSpec())
+        oracle = quadrature_oracle(fine, family, out.grid.points[::stride], **{name: value})
+        err = float(np.abs(out.samples[::stride] - oracle).max())
+        params = {name: round(value, 12), "state": "gaussian"}
+        reports.append(CheckReport(f"{family}_oracle", params, err, 1e-8))
 
     window = _correlation_window(g)
     for name, psi in [

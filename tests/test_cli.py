@@ -58,6 +58,23 @@ def test_kernel_nyquist_guard_exit_code():
     assert "nyquist_chirp_step" in r.stderr
 
 
+def test_kernel_rotation_theta_zero_exit_code():
+    r = run_cli("kernel", "--family", "rotation", "--theta", "0")
+    assert r.returncode == 2
+    assert "rotation_theta_range" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_transform_interp_past_position_chirp_limit(tmp_path):
+    # alpha/(1-alpha) = 9 exceeds the position-side bound 2 pi/(n dx^2) = 1.6 here
+    out = tmp_path / "t.csv"
+    r = run_cli("transform", "--rep", "interp:alpha=0.9", "--n", "64", "--length", "16",
+                "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    meta = json.loads(Path(str(out) + ".meta.json").read_text())
+    assert meta["norm_out"] == pytest.approx(meta["norm_in"], abs=1e-12)
+
+
 def test_transform_momentum_peak(tmp_path):
     out = tmp_path / "t.csv"
     r = run_cli("transform", "--rep", "momentum", "--state", "gaussian:s=1",

@@ -23,6 +23,7 @@ from qrep import (
     rotation_transform,
     to_momentum,
 )
+from qrep.kernels import chirp_step_bound
 
 CORR_WINDOW = (-14.0, float(np.log(18.0)))
 
@@ -159,25 +160,85 @@ def test_interp_limit_towards_identity():
     assert errs[2] <= 1e-2
 
 
-def test_interp_nyquist_guard():
+def resolving_grid(g, rate):
+    """Power-of-two refinement of ``g`` on which ``chirp_step_bound`` admits ``rate``."""
+    n = g.n
+    while True:
+        fine = make_grid(n, g.length)
+        try:
+            chirp_step_bound(rate, fine)
+            return fine
+        except ValueError:
+            n *= 2
+
+
+def test_interp_formerly_refused_chirp_is_unitary():
+    # the position-side chirp steps by ~6e3 rad here; the momentum side by ~2e-3
     g = make_grid(128, 40.0)
     psi = gaussian(g, GaussianSpec(s=2.0))
-    with pytest.raises(ValueError, match="nyquist_chirp_step"):
-        interp_transform(psi, 0.999)
+    out = interp_transform(psi, 0.999)
+    assert abs(norm(out) - 1.0) <= 1e-12
+    assert out.grid.dx == pytest.approx(0.999 * g.dx, rel=1e-15)
 
 
-def test_interp_endpoint_bands_use_closed_forms(g1024, unit_gaussian):
-    # inside the thin bands next to the endpoints the closed-form endpoint
-    # expressions stand in for the unresolvable chirp path
-    near_zero = interp_transform(unit_gaussian, 5e-4)
-    at_zero = interp_transform(unit_gaussian, 0.0)
-    assert near_zero.grid.dx == pytest.approx((1 - 5e-4) * at_zero.grid.dx, rel=1e-12)
-    assert np.abs(near_zero.samples - at_zero.samples).max() == 0.0
-
-    near_one = interp_transform(unit_gaussian, 1.0 - 5e-4)
-    lam = near_one.grid.points
+def test_interp_near_identity_keeps_norm(g1024, unit_gaussian):
+    out = interp_transform(unit_gaussian, 1.0 - 5e-4)
+    assert abs(norm(out) - 1.0) <= 1e-12
+    lam = out.grid.points
+    assert lam[0] == pytest.approx((1.0 - 5e-4) * g1024.x_min, rel=1e-15)
     target = np.exp(-0.5j * lam**2) * np.pi**-0.25 * np.exp(-(lam**2) / 2.0)
-    assert np.abs(near_one.samples - target).max() < 1e-3
+    assert np.abs(out.samples - target).max() < 1e-3
+
+
+@pytest.mark.parametrize(
+    "family, value",
+    [("interp", 0.85), ("interp", 0.9), ("rotation", 0.1), ("rotation", 0.15), ("rotation", 0.2)],
+)
+def test_momentum_side_matches_resolved_oracle(g1024, factory_states, family, value):
+    # these chirps alias on g1024, so the oracle sums on a grid that resolves them
+    if family == "interp":
+        transform, a, b, param = interp_transform, value, 1.0 - value, {"alpha": value}
+    else:
+        transform, a, b, param = rotation_transform, np.cos(value), np.sin(value), {"theta": value}
+    fine = resolving_grid(g1024, a / b)
+    fine_states = dict(
+        [
+            ("gaussian", gaussian(fine, GaussianSpec())),
+            ("gaussian_chirped", gaussian(fine, GaussianSpec(s=1.0, c=2.0))),
+            ("gaussian_moved", gaussian(fine, GaussianSpec(s=1.5, x0=1.0, p0=-0.5))),
+        ]
+        + [(f"hermite_{k}", hermite(fine, k)) for k in (1, 2, 3)]
+    )
+    sub = np.arange(0, g1024.n, 64)
+    for name, psi in factory_states:
+        out = transform(psi, value)
+        assert out.grid.dx == pytest.approx(a * g1024.dx, rel=1e-15)  # the momentum side
+        oracle = quadrature_oracle(fine_states[name], family, out.grid.points[sub], **param)
+        assert np.abs(out.samples[sub] - oracle).max() <= 1e-8, name
+
+
+@pytest.mark.parametrize("n, length, s", [(1024, 40.0, 1.0), (128, 40.0, 2.0), (64, 16.0, 1.0)])
+def test_chirp_transforms_unitary_for_every_parameter(n, length, s):
+    g = make_grid(n, length)
+    psi = gaussian(g, GaussianSpec(s=s))
+    alphas = np.concatenate([np.linspace(0.0, 1.0, 101), [1e-12, 5e-4, 0.999, 1.0 - 5e-4]])
+    for alpha in alphas:
+        assert abs(norm(interp_transform(psi, float(alpha))) - 1.0) <= 1e-12, alpha
+    for theta in np.concatenate([np.linspace(np.pi / 200, np.pi / 2, 100), [1e-9]]):
+        assert abs(norm(rotation_transform(psi, float(theta))) - 1.0) <= 1e-12, theta
+
+
+def test_output_spacing_is_continuous_across_the_side_switch(g1024, unit_gaussian):
+    # sides switch where (1-alpha) dp = alpha dx, at alpha/(1-alpha) = 2 pi / (n dx^2)
+    dx, dp = g1024.dx, dual_grid(g1024).dx
+    rate = 2.0 * np.pi / (g1024.n * dx**2)
+    switch = rate / (1.0 + rate)
+    below = interp_transform(unit_gaussian, switch * (1.0 - 1e-9))
+    above = interp_transform(unit_gaussian, switch * (1.0 + 1e-9))
+    assert below.grid.dx == pytest.approx((1.0 - switch) * dp, rel=1e-8)
+    assert above.grid.dx == pytest.approx(switch * dx, rel=1e-8)
+    sub = np.arange(0, g1024.n, 8)
+    assert np.abs(below.samples[sub] - above.samples[sub]).max() < 1e-7
 
 
 def test_interp_rejects_bad_alpha(g1024, unit_gaussian):
