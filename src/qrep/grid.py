@@ -34,6 +34,7 @@ __all__ = [
     "log_resample",
     "norm",
     "require_contained",
+    "require_momentum_decay",
     "is_contained",
 ]
 
@@ -186,6 +187,18 @@ def require_contained(psi: Wavefunction, tol: float = BOUNDARY_DECAY_TOL) -> Non
     if edge > tol:
         raise ValueError(
             f"boundary_decay: state must decay to <= {tol:g} at the domain edge, got {edge:.3e}"
+        )
+
+
+def require_momentum_decay(tilde: np.ndarray) -> None:
+    """Reject a state whose momentum samples ``tilde / sqrt(2 pi)`` exceed
+    ``BOUNDARY_DECAY_TOL`` at either edge of the dual lattice; ``tilde`` is its
+    :func:`fourier_sum`."""
+    edge = max(abs(tilde[0]), abs(tilde[-1])) / np.sqrt(2.0 * np.pi)
+    if edge > BOUNDARY_DECAY_TOL:
+        raise ValueError(
+            f"momentum_decay: state must decay to <= {BOUNDARY_DECAY_TOL:g} at the momentum edge, "
+            f"got {edge:.3e}; refine the grid"
         )
 
 

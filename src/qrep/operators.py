@@ -22,6 +22,7 @@ from .grid import (
     inner,
     inverse_fourier_sum,
     require_contained,
+    require_momentum_decay,
 )
 
 __all__ = [
@@ -36,10 +37,7 @@ __all__ = [
     "moments",
     "fd_derivative",
     "windowed_eigen_residual",
-    "HERMITIAN_IMAG_TOL",
 ]
-
-HERMITIAN_IMAG_TOL = 1e-9
 
 
 def _require_position(psi: Wavefunction) -> None:
@@ -58,11 +56,13 @@ def apply_p(psi: Wavefunction) -> Wavefunction:
 
     The samples are transformed, multiplied by the dual variable, and
     transformed back, so the input must have decayed at the domain edge
-    (spectral differentiation treats the data as periodic).
+    (spectral differentiation treats the data as periodic) and at the
+    momentum edge (the lattice must resolve it).
     """
     _require_position(psi)
     require_contained(psi)
     kgrid, tilde = fourier_sum(psi.samples, psi.grid)
+    require_momentum_decay(tilde)
     out = inverse_fourier_sum(kgrid.points * tilde, kgrid, psi.grid) / (2.0 * np.pi)
     return Wavefunction(psi.grid, out, psi.label)
 
@@ -161,32 +161,27 @@ class MomentReport:
         }
 
 
-def _real_expectation(psi: Wavefunction, op_psi: Wavefunction, name: str) -> float:
-    val = inner(psi, op_psi)
-    if abs(val.imag) > HERMITIAN_IMAG_TOL:
-        raise ValueError(
-            f"hermitian_expectation: imaginary part of <{name}> is {val.imag:.3e}, "
-            f"above {HERMITIAN_IMAG_TOL:g}; the state is not resolved on this grid"
-        )
-    return val.real
-
-
 def moments(psi: Wavefunction) -> MomentReport:
-    """Moment report for a resolved, contained position-representation state.
+    """Moment report for a contained, resolved position-representation state.
 
-    Every expectation is computed as ``inner(psi, Op psi)`` and must come out
-    real to within ``HERMITIAN_IMAG_TOL``; a larger imaginary part signals an
-    unresolved state and raises instead of being silently discarded.
+    One spectral derivative ``P psi`` serves every momentum expectation:
+
+        <X> = Re<psi, x psi>        <X^2> = Re<psi, x^2 psi>
+        <P> = Re<psi, P psi>        <P^2> = ||P psi||^2
+        <C> = Re<x psi, P psi>
+
+    These equal the operator definitions because X and the spectral P are
+    Hermitian on the grid.  The state must have decayed at both position
+    edges (``boundary_decay``) and both momentum edges (``momentum_decay``,
+    raised by :func:`apply_p`).
     """
-    _require_position(psi)
-    require_contained(psi)
-    x_psi = apply_x(psi)
     p_psi = apply_p(psi)
-    mean_x = _real_expectation(psi, x_psi, "X")
-    mean_p = _real_expectation(psi, p_psi, "P")
-    mean_x2 = _real_expectation(psi, apply_x(x_psi), "X^2")
-    mean_p2 = _real_expectation(psi, apply_p(p_psi), "P^2")
-    mean_c = _real_expectation(psi, apply_c(psi), "C")
+    x_psi = apply_x(psi)
+    mean_x = inner(psi, x_psi).real
+    mean_p = inner(psi, p_psi).real
+    mean_x2 = inner(psi, apply_x(x_psi)).real
+    mean_p2 = inner(p_psi, p_psi).real
+    mean_c = inner(x_psi, p_psi).real
     var_x = mean_x2 - mean_x**2
     var_p = mean_p2 - mean_p**2
     corr = mean_c - mean_x * mean_p

@@ -31,6 +31,7 @@ from .grid import (
     log_grid,
     log_resample,
     require_contained,
+    require_momentum_decay,
     rotation_label,
 )
 from .kernels import (
@@ -38,6 +39,7 @@ from .kernels import (
     _Chirp,
     _interp_chirp,
     _rotation_chirp,
+    chirp_step_bound,
     correlation_kernel,
     interp_kernel,
     plane_wave,
@@ -74,12 +76,14 @@ def to_momentum(psi: Wavefunction) -> Wavefunction:
 
     psi_tilde(p) = (2 pi)^(-1/2) sum_j psi_j e^(-i p x_j) dx
 
-    on the monotone dual lattice.  Exactly unitary on the grid.
+    on the monotone dual lattice.  Exactly unitary on the grid.  The state
+    must have decayed at both position edges and both momentum edges.
     """
     if psi.label != POSITION:
         raise ValueError("position_label: to_momentum expects position-representation samples")
     require_contained(psi)
     kgrid, tilde = fourier_sum(psi.samples, psi.grid)
+    require_momentum_decay(tilde)
     return Wavefunction(kgrid, tilde / _SQRT_2PI, MOMENTUM)
 
 
@@ -98,11 +102,12 @@ def _linear_transform(psi: Wavefunction, chirp: _Chirp, label) -> Wavefunction:
     Position side, on ``lam_k = b p_k``:
         e^(-i pi/4) (2 pi b)^(-1/2) e^(i kappa lam^2)
         * sum_j e^(i a x_j^2/(2b)) psi_j e^(-i lam x_j/b) dx
-    Momentum side, on ``lam_j = a x_j``, with ``phi = to_momentum(psi)``:
+    Momentum side, on ``lam_j = a x_j``, with ``phi`` the momentum samples:
         (2 pi a)^(-1/2) e^(-i mu lam^2) sum_m e^(-i b p_m^2/(2a)) phi_m e^(i lam p_m/a) dp
     The edge chirp steps ``(a/b) n dx^2/2`` and ``(b/a) n dp^2/2`` multiply to
     ``pi^2``; the smaller belongs to the coarser lattice, which is taken, so the
-    chirp never steps by more than ``pi``.
+    chirp never steps by more than ``pi``.  Which side is taken is an internal
+    choice, so neither side checks the momentum edge (``momentum_decay``).
     """
     if psi.label != POSITION:
         raise ValueError(
@@ -124,9 +129,9 @@ def _linear_transform(psi: Wavefunction, chirp: _Chirp, label) -> Wavefunction:
             / np.sqrt(2.0 * np.pi * b)
         )
         return Wavefunction(lam_grid, out, label)
-    phi = to_momentum(psi)
-    pre = np.exp(-1j * (b / a) * phi.grid.points**2 / 2.0)
-    S = inverse_fourier_sum(pre * phi.samples, phi.grid, g)
+    kgrid, tilde = fourier_sum(psi.samples, g)
+    pre = np.exp(-1j * (b / a) * kgrid.points**2 / 2.0)
+    S = inverse_fourier_sum(pre * (tilde / _SQRT_2PI), kgrid, g)
     lam_grid = Grid(g.n, a * g.dx, a * g.x_min)
     lam = lam_grid.points
     out = np.exp(-1j * mu * lam**2) * S / np.sqrt(2.0 * np.pi * a)
@@ -298,10 +303,12 @@ def quadrature_oracle(
 
     O(n) per eigenvalue with a fixed summation order, so results are
     deterministic.  For the chirp families it shares only the kernel with the
-    fast transforms, and it is exact only on lattices that resolve the
-    kernel's chirp (``chirp_step_bound``); for the correlation family the sum
-    runs on its own log lattice (twice the default density), sharing only the
-    interpolation step with the fast path.
+    fast transforms.  Its rectangle sum aliases where ``psi``'s lattice does
+    not resolve the kernel chirp ``e^(-i a x^2/(2b))``, so such lattices are
+    refused with ``nyquist_chirp_step`` (``chirp_step_bound``); sum on a finer
+    grid instead.  For the correlation family the sum runs on its own log
+    lattice (twice the default density), sharing only the interpolation step
+    with the fast path.
     """
     if psi.label != POSITION:
         raise ValueError("position_label: quadrature_oracle expects position-representation samples")
@@ -312,10 +319,16 @@ def quadrature_oracle(
     if family == "plane_wave":
         return np.array([inner(plane_wave(psi.grid, p), psi) for p in lambdas])
     if family in ("interp", "rotation"):
-        name, value, sample = {"interp": ("alpha", alpha, interp_kernel),
-                               "rotation": ("theta", theta, rotation_kernel)}[family]
+        name, value, check, make_chirp, sample = {
+            "interp": ("alpha", alpha, interp_label, _interp_chirp, interp_kernel),
+            "rotation": ("theta", theta, rotation_label, _rotation_chirp, rotation_kernel),
+        }[family]
         if value is None:
             raise ValueError(f"oracle_family: {family} family requires {name}")
+        check(value)
+        a, b, _, _ = make_chirp(value)
+        if b > 0.0:
+            chirp_step_bound(a / b, psi.grid)
         return np.array([inner(sample(psi.grid, value, l), psi) for l in lambdas])
 
     g = psi.grid

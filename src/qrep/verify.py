@@ -219,12 +219,14 @@ def _suite_roundtrips(g: Grid) -> list[CheckReport]:
     )
 
     psi = gaussian(g, GaussianSpec())
+    # the oracle sums on a grid that resolves its kernel's chirp (rate 1 here)
+    fine = gaussian(_oracle_grid(g, 1.0), GaussianSpec())
     out = interp_transform(psi, 0.5)
     reports.append(
         CheckReport("interp_unitarity", {"alpha": 0.5}, abs(norm(out) - 1.0), 1e-8)
     )
     sub = np.arange(0, g.n, 8)
-    oracle = quadrature_oracle(psi, "interp", out.grid.points[sub], alpha=0.5)
+    oracle = quadrature_oracle(fine, "interp", out.grid.points[sub], alpha=0.5)
     reports.append(
         CheckReport(
             "interp_oracle",
@@ -239,7 +241,7 @@ def _suite_roundtrips(g: Grid) -> list[CheckReport]:
             "rotation_unitarity", {"theta": round(np.pi / 4, 12)}, abs(norm(rout) - 1.0), 1e-8
         )
     )
-    oracle = quadrature_oracle(psi, "rotation", rout.grid.points[sub], theta=np.pi / 4)
+    oracle = quadrature_oracle(fine, "rotation", rout.grid.points[sub], theta=np.pi / 4)
     reports.append(
         CheckReport(
             "rotation_oracle",
@@ -420,7 +422,8 @@ def _oracle_grid(g: Grid, rate: float) -> Grid:
 def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
     reports = []
     sub = np.arange(0, g.n, 8)
-    for name, psi in _factory_states(g):
+    fine_states = _factory_states(_oracle_grid(g, 1.0))
+    for (name, psi), (_, fine) in zip(_factory_states(g), fine_states):
         ft = to_momentum(psi)
         oracle = quadrature_oracle(psi, "plane_wave", ft.grid.points[sub])
         reports.append(
@@ -432,7 +435,7 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
             )
         )
         out = interp_transform(psi, 0.5)
-        oracle = quadrature_oracle(psi, "interp", out.grid.points[sub], alpha=0.5)
+        oracle = quadrature_oracle(fine, "interp", out.grid.points[sub], alpha=0.5)
         reports.append(
             CheckReport(
                 "interp_oracle",

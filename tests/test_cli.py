@@ -177,6 +177,15 @@ def test_invalid_grid_exit_code():
     assert "power_of_two" in r.stderr
 
 
+@pytest.mark.parametrize("cmd", [["moments"], ["transform", "--rep", "momentum"]])
+def test_unresolved_momentum_edge_exit_code(cmd):
+    # contained in position, but |phi| is 0.16 at the momentum edge pi/dx
+    r = run_cli(*cmd, "--state", "gaussian:c=15", "--n", "256", "--length", "40")
+    assert r.returncode == 2
+    assert r.stderr.startswith("qrep: momentum_decay:")
+    assert "Traceback" not in r.stderr
+
+
 def test_no_partial_file_on_error(tmp_path):
     out = tmp_path / "k.csv"
     r = run_cli("kernel", "--family", "fresnel", "--eps", "1e-9", "--out", str(out))

@@ -19,7 +19,9 @@ from qrep import (
     moments,
     parity_flip,
     plane_wave,
+    to_momentum,
 )
+from qrep.grid import is_contained
 from qrep.operators import fd_derivative, windowed_eigen_residual
 
 
@@ -201,6 +203,17 @@ def test_moments_rejects_unresolved(g1024):
     # a plane wave is neither contained nor resolved
     with pytest.raises(ValueError, match="boundary_decay"):
         moments(plane_wave(g1024, 1.0))
+
+
+@pytest.mark.parametrize("c", [5.0, 15.0])
+@pytest.mark.parametrize("op", [to_momentum, apply_p, moments])
+def test_momentum_edge_guard(op, c):
+    # contained in position, but the chirp carries momentum past pi/dx = 20.1:
+    # |phi| at the momentum edge is 2.8e-4 for c = 5 and 0.16 for c = 15
+    psi = gaussian(make_grid(256, 40.0), GaussianSpec(s=1.0, c=c))
+    assert is_contained(psi)
+    with pytest.raises(ValueError, match="^momentum_decay:"):
+        op(psi)
 
 
 def test_hermiticity_cross_expectations(g1024):

@@ -228,6 +228,21 @@ def test_chirp_transforms_unitary_for_every_parameter(n, length, s):
         assert abs(norm(rotation_transform(psi, float(theta))) - 1.0) <= 1e-12, theta
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.9])
+def test_chirp_transforms_take_either_side_without_momentum_guard(alpha):
+    # to_momentum refuses this state (|phi| = 0.16 at the momentum edge), but
+    # the side a transform takes is its own choice: alpha = 0.5 takes the
+    # position side and 0.9 the momentum side, and both return unitary
+    g = make_grid(256, 40.0)
+    psi = gaussian(g, GaussianSpec(s=1.0, c=15.0))
+    with pytest.raises(ValueError, match="^momentum_decay:"):
+        to_momentum(psi)
+    out = interp_transform(psi, alpha)
+    side_dx = (1.0 - alpha) * dual_grid(g).dx if alpha == 0.5 else alpha * g.dx
+    assert out.grid.dx == pytest.approx(side_dx, rel=1e-15)
+    assert abs(norm(out) - 1.0) <= 1e-12
+
+
 def test_output_spacing_is_continuous_across_the_side_switch(g1024, unit_gaussian):
     # sides switch where (1-alpha) dp = alpha dx, at alpha/(1-alpha) = 2 pi / (n dx^2)
     dx, dp = g1024.dx, dual_grid(g1024).dx
@@ -409,6 +424,14 @@ def test_oracle_rejects_unknown_family(g1024, unit_gaussian):
 def test_oracle_requires_parameters(g1024, unit_gaussian):
     with pytest.raises(ValueError, match="oracle_family"):
         quadrature_oracle(unit_gaussian, "interp", np.array([0.0]))
+
+
+def test_oracle_rejects_unresolved_chirp():
+    # cot(0.15) = 6.6 steps the kernel chirp by 5.2 rad at the edge of this
+    # lattice, where the rectangle sum aliases
+    psi = hermite(make_grid(1024, 40.0), 2)
+    with pytest.raises(ValueError, match="nyquist_chirp_step"):
+        quadrature_oracle(psi, "rotation", np.array([0.0]), theta=0.15)
 
 
 def test_correlation_default_window_stays_inside_small_grid():
