@@ -10,7 +10,6 @@ the whole construction against independent direct-summation oracles.
 """
 
 from .grid import (
-    CORRELATION,
     Grid,
     MOMENTUM,
     POSITION,
@@ -48,26 +47,24 @@ from .operators import (
 )
 from .states import GaussianSpec, gaussian, hermite
 from .transforms import (
-    ConjugationReport,
     CorrelationSpectrum,
+    conjugation_defect,
     correlation_inverse,
     correlation_transform,
-    fourier_conjugate_property,
     from_momentum,
     interp_transform,
     quadrature_oracle,
     rotation_transform,
     to_momentum,
+    windowed_conjugation_defect,
 )
 from .verify import CheckReport, SUITE_NAMES, run_all_suites, run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CORRELATION",
     "CORRELATION_KERNEL_SCALE",
     "CheckReport",
-    "ConjugationReport",
     "CorrelationSpectrum",
     "GaussianSpec",
     "Grid",
@@ -84,11 +81,11 @@ __all__ = [
     "apply_s",
     "apply_s_theta",
     "apply_x",
+    "conjugation_defect",
     "correlation_inverse",
     "correlation_kernel",
     "correlation_transform",
     "dual_grid",
-    "fourier_conjugate_property",
     "fresnel_delta",
     "from_momentum",
     "gaussian",
@@ -112,4 +109,5 @@ __all__ = [
     "run_all_suites",
     "run_suite",
     "to_momentum",
+    "windowed_conjugation_defect",
 ]

@@ -23,7 +23,6 @@ __all__ = [
     "Wavefunction",
     "POSITION",
     "MOMENTUM",
-    "CORRELATION",
     "interp_label",
     "rotation_label",
     "make_grid",
@@ -35,7 +34,6 @@ __all__ = [
     "norm",
     "require_contained",
     "require_momentum_decay",
-    "is_contained",
 ]
 
 BOUNDARY_DECAY_TOL = 1e-12
@@ -90,7 +88,6 @@ class RepresentationLabel:
 
 POSITION = RepresentationLabel("position")
 MOMENTUM = RepresentationLabel("momentum")
-CORRELATION = RepresentationLabel("correlation")
 
 
 def interp_label(alpha: float) -> RepresentationLabel:
@@ -123,7 +120,7 @@ class Wavefunction:
             raise ValueError(
                 f"sample_count: expected {self.grid.n} samples, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise ValueError("sample_finite: samples must all be finite")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -175,18 +172,14 @@ def inner(a: Wavefunction, b: Wavefunction) -> complex:
     return complex(np.vdot(a.samples, b.samples) * a.grid.dx)
 
 
-def is_contained(psi: Wavefunction, tol: float = BOUNDARY_DECAY_TOL) -> bool:
-    """True when the samples have decayed below ``tol`` at both domain edges."""
-    s = psi.samples
-    return bool(max(abs(s[0]), abs(s[-1])) <= tol)
-
-
-def require_contained(psi: Wavefunction, tol: float = BOUNDARY_DECAY_TOL) -> None:
+def require_contained(psi: Wavefunction) -> None:
+    """Reject a state whose samples exceed ``BOUNDARY_DECAY_TOL`` at either domain edge."""
     s = psi.samples
     edge = max(abs(s[0]), abs(s[-1]))
-    if edge > tol:
+    if edge > BOUNDARY_DECAY_TOL:
         raise ValueError(
-            f"boundary_decay: state must decay to <= {tol:g} at the domain edge, got {edge:.3e}"
+            f"boundary_decay: state must decay to <= {BOUNDARY_DECAY_TOL:g} at the domain edge, "
+            f"got {edge:.3e}"
         )
 
 
@@ -282,31 +275,32 @@ def cubic_interpolate(grid: Grid, samples: np.ndarray, t: np.ndarray) -> np.ndar
     return out
 
 
-def log_resample(psi: Wavefunction, u_grid: Grid, side: int) -> np.ndarray:
-    """Resample onto a logarithmic axis: ``h(u) = sqrt(2) e^(u/2) psi(side*e^u)``.
+def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Parity channels of ``psi`` on a logarithmic axis, ``(h_even, h_odd)``:
 
-    ``psi`` must be position-labelled and is expected to be one parity
-    component; the caller chooses which sign of the axis to read through
-    ``side``.  Values come from :func:`cubic_interpolate`, the not-a-knot
-    cubic spline on the uniform position knots (SciPy's ``CubicSpline``
-    default), so the result is accurate to that spline's interpolation error.
-    The window must stay within the samples of the side it reads: its last
-    point may reach ``x_max`` for ``side = +1`` and ``|x_min|`` for
-    ``side = -1``, so no value is extrapolated.
+        h_even(u), h_odd(u) = e^(u/2) (psi(e^u) +- psi(-e^u)) / sqrt(2).
+
+    Both half-lines are read in one :func:`cubic_interpolate` call, the
+    not-a-knot cubic spline on the uniform position knots (SciPy's
+    ``CubicSpline`` default), so the result is accurate to that spline's
+    interpolation error.  ``psi`` must be position-labelled.  The window must
+    stay within the samples of both half-lines, ``e^u_max <= min(x_max,
+    -x_min)``, so no value is extrapolated.
     """
     if psi.label != POSITION:
         raise ValueError("position_label: log_resample expects position-representation samples")
-    if side not in (+1, -1):
-        raise ValueError(f"side_sign: side must be +1 or -1, got {side}")
     u = u_grid.points
-    x_edge = psi.grid.x_max if side == +1 else -psi.grid.x_min
+    x_edge = min(psi.grid.x_max, -psi.grid.x_min)
     if np.exp(u[-1]) > x_edge:
         raise ValueError(
             f"log_window_support: e^u_max = {np.exp(u[-1]):.6g} exceeds the last sample "
-            f"{x_edge:.6g} on side {side:+d}"
+            f"{x_edge:.6g} of the shorter half-line"
         )
-    values = cubic_interpolate(psi.grid, psi.samples, side * np.exp(u))
-    return np.sqrt(2.0) * np.exp(u / 2.0) * values
+    r = np.exp(u)
+    values = cubic_interpolate(psi.grid, psi.samples, np.concatenate([r, -r]))
+    plus, minus = values[: u_grid.n], values[u_grid.n :]
+    weight = np.exp(u / 2.0) / np.sqrt(2.0)
+    return weight * (plus + minus), weight * (plus - minus)
 
 
 # ---------------------------------------------------------------------------

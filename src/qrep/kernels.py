@@ -82,7 +82,11 @@ def _rotation_chirp(theta: float) -> _Chirp:
     if theta == np.pi / 2:
         return _Chirp(0.0, 1.0, 0.0, np.inf)
     s, c = np.sin(theta), np.cos(theta)
-    return _Chirp(c, s, (1.0 - s) / (2.0 * c * s), 1.0 / (2.0 * c))
+    # Below theta ~ 3e-309 kappa overflows to inf, where the transform takes
+    # the momentum side, which never reads kappa.
+    with np.errstate(over="ignore"):
+        kappa = (1.0 - s) / (2.0 * c * s)
+    return _Chirp(c, s, kappa, 1.0 / (2.0 * c))
 
 
 def _chirp_kernel(g: Grid, chirp: _Chirp, lam: float) -> Wavefunction:

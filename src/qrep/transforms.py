@@ -49,7 +49,6 @@ from .operators import apply_c, apply_c_momentum
 
 __all__ = [
     "CorrelationSpectrum",
-    "ConjugationReport",
     "to_momentum",
     "from_momentum",
     "interp_transform",
@@ -57,7 +56,8 @@ __all__ = [
     "correlation_transform",
     "correlation_inverse",
     "quadrature_oracle",
-    "fourier_conjugate_property",
+    "conjugation_defect",
+    "windowed_conjugation_defect",
     "FAST_PATH_ALPHA_MARGIN",
     "INVERSE_TAIL_TOL",
 ]
@@ -197,13 +197,6 @@ def _default_u_window(g: Grid) -> tuple[float, float]:
     return float(np.log(4.0 * g.dx)), float(np.log(min(0.45 * g.length, g.x_max)))
 
 
-def _parity_parts(psi: Wavefunction) -> tuple[np.ndarray, np.ndarray]:
-    idx = (-np.arange(psi.grid.n)) % psi.grid.n
-    flipped = psi.samples[idx]
-    even = 0.5 * (psi.samples + flipped)
-    return even, psi.samples - even
-
-
 def correlation_transform(
     psi: Wavefunction,
     u_window: tuple[float, float] | None = None,
@@ -211,12 +204,12 @@ def correlation_transform(
 ) -> CorrelationSpectrum:
     """Expand in the definite-parity eigenbasis of ``(XP + PX)/2``.
 
-    Each parity component is resampled onto a uniform lattice in
-    ``u = ln|x|`` (where the eigenfunctions become plane waves) and Fourier
-    transformed:
+    Both parity channels are resampled onto a uniform lattice in
+    ``u = ln|x|`` (where the eigenfunctions become plane waves) by one
+    :func:`~qrep.grid.log_resample` call and Fourier transformed:
 
         channel(gamma) = (2 pi)^(-1/2) sum_i h(u_i) e^(-i gamma u_i) du,
-        h(u) = sqrt(2) e^(u/2) psi_parity(e^u).
+        h(u) = e^(u/2) (psi(e^u) +- psi(-e^u)) / sqrt(2).
 
     Defaults: ``u_window = (ln(4 dx), ln(min(0.45 length, x_max)))`` and
     ``n_gamma = 2 n``.  States with appreciable probability near the origin
@@ -235,12 +228,7 @@ def correlation_transform(
     u_min, u_max = float(u_window[0]), float(u_window[1])
     ugrid = log_grid(n_gamma, u_min, u_max)
 
-    even_part, odd_part = _parity_parts(psi)
-    psi_e = Wavefunction(g, even_part, POSITION)
-    psi_o = Wavefunction(g, odd_part, POSITION)
-    h_even = log_resample(psi_e, ugrid, +1)
-    h_odd = log_resample(psi_o, ugrid, +1)
-
+    h_even, h_odd = log_resample(psi, ugrid)
     gamma_grid, even_raw = fourier_sum(h_even, ugrid)
     _, odd_raw = fourier_sum(h_odd, ugrid)
 
@@ -259,10 +247,11 @@ def correlation_transform(
 def correlation_inverse(spec: CorrelationSpectrum, g: Grid) -> Wavefunction:
     """Reconstruct position samples from a correlation spectrum.
 
-    Inverts the log-variable Fourier transform channel by channel and
-    interpolates both channels back onto ``g`` with
+    Inverts the log-variable Fourier transform channel by channel.  The sum
+    and difference of the channels carry ``psi(e^u)`` and ``psi(-e^u)``; each
+    is read back onto its own half-line of ``g`` with
     :func:`~qrep.grid.cubic_interpolate`, the not-a-knot cubic spline on the
-    uniform ``u`` knots (SciPy's ``CubicSpline`` default); points outside the
+    uniform ``u`` knots (SciPy's ``CubicSpline`` default).  Points outside the
     covered annulus ``e^u_min <= |x| <= e^u_max`` are set to zero.  Requires
     the spectrum's ``tail_mass`` to be below ``INVERSE_TAIL_TOL``.
     """
@@ -275,15 +264,11 @@ def correlation_inverse(spec: CorrelationSpectrum, g: Grid) -> Wavefunction:
     h_odd = inverse_fourier_sum(spec.odd, spec.gamma_grid, spec.u_grid) / _SQRT_2PI
     u = spec.u_grid.points
 
-    x = g.points
     out = np.zeros(g.n, dtype=complex)
-    ax = np.abs(x)
-    covered = (ax >= np.exp(u[0])) & (ax <= np.exp(u[-1])) & (ax > 0.0)
-    lu = np.log(ax[covered])
-    sgn = np.sign(x[covered])
-    even = cubic_interpolate(spec.u_grid, h_even, lu)
-    odd = cubic_interpolate(spec.u_grid, h_odd, lu)
-    out[covered] = (even + sgn * odd) / np.sqrt(2.0 * ax[covered])
+    for x, h in ((g.points, h_even + h_odd), (-g.points, h_even - h_odd)):
+        covered = (x >= np.exp(u[0])) & (x <= np.exp(u[-1])) & (x > 0.0)
+        r = x[covered]
+        out[covered] = cubic_interpolate(spec.u_grid, h, np.log(r)) / np.sqrt(2.0 * r)
     return Wavefunction(g, out, POSITION)
 
 
@@ -297,7 +282,6 @@ def quadrature_oracle(
     alpha: float | None = None,
     theta: float | None = None,
     u_window: tuple[float, float] | None = None,
-    n_u: int | None = None,
 ) -> np.ndarray:
     """Ground-truth expansion coefficients by direct summation.
 
@@ -306,9 +290,9 @@ def quadrature_oracle(
     fast transforms.  Its rectangle sum aliases where ``psi``'s lattice does
     not resolve the kernel chirp ``e^(-i a x^2/(2b))``, so such lattices are
     refused with ``nyquist_chirp_step`` (``chirp_step_bound``); sum on a finer
-    grid instead.  For the correlation family the sum runs on its own log
-    lattice (twice the default density), sharing only the interpolation step
-    with the fast path.
+    grid instead.  For the correlation families the sum runs on its own log
+    lattice of ``4 n`` points (twice the default density), sharing only the
+    interpolation step (:func:`~qrep.grid.log_resample`) with the fast path.
     """
     if psi.label != POSITION:
         raise ValueError("position_label: quadrature_oracle expects position-representation samples")
@@ -334,55 +318,38 @@ def quadrature_oracle(
     g = psi.grid
     if u_window is None:
         u_window = _default_u_window(g)
-    if n_u is None:
-        n_u = 4 * g.n
-    ugrid = log_grid(n_u, float(u_window[0]), float(u_window[1]))
-    even_part, odd_part = _parity_parts(psi)
-    part = even_part if family == "correlation_even" else odd_part
-    h = log_resample(Wavefunction(g, part, POSITION), ugrid, +1)
+    ugrid = log_grid(4 * g.n, float(u_window[0]), float(u_window[1]))
+    h = log_resample(psi, ugrid)[family == "correlation_odd"]
     u = ugrid.points
     phases = np.exp(-1j * np.outer(lambdas, u))
     return phases @ h * ugrid.dx / _SQRT_2PI
 
 
-@dataclass(frozen=True)
-class ConjugationReport:
-    """Two views of the momentum-side correlation operator.
-
-    ``operator_defect`` compares ``C`` applied before and after the Fourier
-    map on a normalizable state (sharp check).  ``windowed_defect`` is the
-    diagnostic residual of the Fourier-transformed, Gaussian-windowed
-    eigenfunction against its complex conjugate with the best-fitting
-    constant phase removed, measured away from the origin; it is limited by
-    the window bandwidth, not by the implementation.
-    """
-
-    operator_defect: float
-    windowed_defect: float
-    fitted_phase: complex
-
-
-def fourier_conjugate_property(
-    g: Grid, gamma: float, par: Parity, state: Wavefunction | None = None
-) -> ConjugationReport:
+def conjugation_defect(psi: Wavefunction) -> float:
     """Check that the momentum form of C is the conjugated position form.
 
-    The sharp assertion is operator-level: for a factory state,
-    ``to_momentum(C psi)`` must equal ``C_momentum(to_momentum(psi))`` where
-    ``C_momentum`` is built by the conjugation rule.  The windowed-kernel
-    comparison for eigenvalue ``gamma`` and parity ``par`` is reported as a
-    diagnostic only; the eigenfunctions are not normalizable, so no sharp
-    grid tolerance exists for them.
+    Returns the max-norm defect of ``to_momentum(C psi)`` against
+    ``C_momentum(to_momentum(psi))``, where ``C_momentum`` is built by the
+    conjugation rule, relative to the peak of ``to_momentum(C psi)``.  This is
+    the sharp, operator-level check on a normalizable state.
     """
-    if state is None:
-        from .states import GaussianSpec, gaussian
-
-        state = gaussian(g, GaussianSpec(s=1.0, c=2.0))
-    lhs = to_momentum(apply_c(state))
-    rhs = apply_c_momentum(to_momentum(state))
+    lhs = to_momentum(apply_c(psi))
+    rhs = apply_c_momentum(to_momentum(psi))
     scale = float(np.abs(lhs.samples).max())
-    operator_defect = float(np.abs(lhs.samples - rhs.samples).max() / scale)
+    return float(np.abs(lhs.samples - rhs.samples).max() / scale)
 
+
+def windowed_conjugation_defect(g: Grid, gamma: float, par: Parity) -> tuple[float, complex]:
+    """Diagnostic form of the conjugation rule on one eigenfunction of C.
+
+    Fourier transforms the Gaussian-windowed eigenfunction for eigenvalue
+    ``gamma`` and parity ``par`` and compares it, on ``1 <= |p| <= 8``, with
+    the complex conjugate eigenfunction after removing the best-fitting
+    constant phase.  Returns ``(relative defect, fitted phase)``.  The
+    eigenfunctions are not normalizable, so the defect is limited by the
+    window bandwidth rather than by the implementation, and no sharp grid
+    tolerance exists for it.
+    """
     window = np.exp(-g.points**2 / (2.0 * (g.length / 8.0) ** 2))
     xi = correlation_kernel(g, gamma, par)
     kgrid, ft = fourier_sum(window * xi.samples, g)
@@ -393,7 +360,5 @@ def fourier_conjugate_property(
     tgt = target[annulus]
     got = ft[annulus]
     fitted = complex(np.vdot(tgt, got) / np.vdot(tgt, tgt))
-    windowed_defect = float(
-        np.linalg.norm(got - fitted * tgt) / np.linalg.norm(tgt)
-    )
-    return ConjugationReport(operator_defect, windowed_defect, fitted)
+    defect = float(np.linalg.norm(got - fitted * tgt) / np.linalg.norm(tgt))
+    return defect, fitted

@@ -35,14 +35,15 @@ from .operators import (
 )
 from .states import GaussianSpec, gaussian, hermite
 from .transforms import (
+    conjugation_defect,
     correlation_inverse,
     correlation_transform,
-    fourier_conjugate_property,
     from_momentum,
     interp_transform,
     quadrature_oracle,
     rotation_transform,
     to_momentum,
+    windowed_conjugation_defect,
 )
 
 __all__ = ["CheckReport", "run_suite", "run_all_suites", "SUITE_NAMES", "REQUIRED_COVERAGE"]
@@ -473,9 +474,7 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
         gsub = np.arange(0, spec.gamma_grid.n, 64)
         gams = spec.gamma_grid.points[gsub]
         for channel, values in (("even", spec.even), ("odd", spec.odd)):
-            oracle = quadrature_oracle(
-                psi, f"correlation_{channel}", gams, u_window=window, n_u=4 * g.n
-            )
+            oracle = quadrature_oracle(psi, f"correlation_{channel}", gams, u_window=window)
             reports.append(
                 CheckReport(
                     f"correlation_oracle_{channel}",
@@ -486,19 +485,18 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
             )
 
     for name, psi in _factory_states(g):
-        rep = fourier_conjugate_property(g, 0.0, Parity.EVEN, state=psi)
         reports.append(
-            CheckReport("conjugation_rule", {"state": name}, rep.operator_defect, 1e-8)
+            CheckReport("conjugation_rule", {"state": name}, conjugation_defect(psi), 1e-8)
         )
     for gamma in (0.0, 1.0):
         for par in (Parity.EVEN, Parity.ODD):
-            rep = fourier_conjugate_property(g, gamma, par)
+            defect, _ = windowed_conjugation_defect(g, gamma, par)
             tol = 0.2 if par is Parity.EVEN else 0.05
             reports.append(
                 CheckReport(
                     "conjugation_windowed_diagnostic",
                     {"gamma": gamma, "parity": par.value},
-                    rep.windowed_defect,
+                    defect,
                     tol,
                 )
             )

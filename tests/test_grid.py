@@ -18,6 +18,8 @@ from qrep import (
     norm,
 )
 from qrep.grid import cubic_interpolate, fourier_sum, inverse_fourier_sum
+from qrep.operators import parity_flip
+from qrep.verify import _factory_states
 
 
 def test_make_grid_basic():
@@ -109,19 +111,21 @@ def test_hermite_pair_orthonormality(g1024, m, n):
 
 
 def test_log_resample_even_state_side_independent(g1024):
+    # an even state reads the same on both half-lines, so its odd channel vanishes
     psi = gaussian(g1024, GaussianSpec())
     u = log_grid(512, -10.0, np.log(10.0))
-    h_plus = log_resample(psi, u, +1)
-    h_minus = log_resample(psi, u, -1)
-    assert np.abs(h_plus - h_minus).max() < 1e-12
+    h_even, h_odd = log_resample(psi, u)
+    assert np.abs(h_odd).max() < 1e-12
+    assert np.abs(h_even).max() > 0.1
 
 
 def test_log_resample_constant_profile(g1024):
     const = Wavefunction(g1024, np.full(g1024.n, 0.3 + 0.0j), POSITION)
     u = log_grid(256, -8.0, np.log(8.0))
-    h = log_resample(const, u, +1)
+    h_even, h_odd = log_resample(const, u)
     expected = np.sqrt(2.0) * 0.3 * np.exp(u.points / 2.0)
-    assert np.abs(h - expected).max() < 1e-12
+    assert np.abs(h_even - expected).max() < 1e-12
+    assert np.abs(h_odd).max() < 1e-12
 
 
 def test_log_resample_norm_preservation(g1024):
@@ -129,18 +133,37 @@ def test_log_resample_norm_preservation(g1024):
     # computed by adaptive quadrature of the closed form
     psi = gaussian(g1024, GaussianSpec())
     u = log_grid(2048, -14.0, np.log(18.0))
-    h = log_resample(psi, u, +1)
-    lhs = np.sum(np.abs(h) ** 2) * u.dx
+    h_even, h_odd = log_resample(psi, u)
+    lhs = np.sum(np.abs(h_even) ** 2 + np.abs(h_odd) ** 2) * u.dx
     density = lambda x: (np.pi**-0.5) * np.exp(-(x**2))
     rhs = 2 * quad(density, np.exp(-14.0), 18.0, limit=400)[0]
     assert abs(lhs - rhs) < 1e-6
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_log_resample_matches_parity_parts(n):
+    # the channels equal an explicit even/odd split of psi, each read on +x;
+    # errors are relative to the larger channel peak, since one channel of a
+    # definite-parity state is zero
+    g = make_grid(n, 40.0)
+    u = log_grid(2 * n, np.log(4.0 * g.dx), np.log(0.45 * g.length))
+    r = np.exp(u.points)
+    for name, psi in _factory_states(g):
+        even = 0.5 * (psi.samples + parity_flip(psi).samples)
+        refs = [
+            np.sqrt(2.0) * np.exp(u.points / 2.0) * cubic_interpolate(g, part, r)
+            for part in (even, psi.samples - even)
+        ]
+        peak = max(np.abs(ref).max() for ref in refs)
+        for h, ref in zip(log_resample(psi, u), refs):
+            assert np.abs(h - ref).max() <= 1e-15 * peak, name
 
 
 def test_log_resample_rejects_window_beyond_support(g1024):
     psi = gaussian(g1024, GaussianSpec())
     u = log_grid(256, -5.0, np.log(30.0))
     with pytest.raises(ValueError, match="log_window_support"):
-        log_resample(psi, u, +1)
+        log_resample(psi, u)
 
 
 def _window_ending_at(x_end, n=256, u_min=-5.0):
@@ -150,20 +173,24 @@ def _window_ending_at(x_end, n=256, u_min=-5.0):
 
 @pytest.mark.parametrize("x_end", [20.0, 19.99])
 def test_log_resample_rejects_window_past_last_sample_on_plus_side(g1024, x_end):
-    # On side +1 the last sample is x_max = L/2 - dx = 19.9609375, so a window
+    # The last sample of +x is x_max = L/2 - dx = 19.9609375, so a window
     # ending in (x_max, L/2] would be read by extrapolation.
     psi = gaussian(g1024, GaussianSpec())
     u = _window_ending_at(x_end)
     assert g1024.x_max < np.exp(u.points[-1])
     with pytest.raises(ValueError, match="log_window_support"):
-        log_resample(psi, u, +1)
+        log_resample(psi, u)
 
 
-def test_log_resample_minus_side_reaches_x_min(g1024):
-    psi = gaussian(g1024, GaussianSpec())
-    u = _window_ending_at(19.99)
-    h_minus = log_resample(psi, u, -1)
-    assert np.all(np.isfinite(h_minus))
+def test_log_resample_rejects_window_past_last_sample_on_minus_side():
+    # On a grid shifted right, -x_min < e^u_max <= x_max: +x alone would be
+    # covered, but -x would be read by extrapolation.
+    g = Grid(1024, 40.0 / 1024, -15.0)
+    psi = Wavefunction(g, np.exp(-(g.points**2)), POSITION)
+    u = _window_ending_at(18.0)
+    assert -g.x_min < np.exp(u.points[-1]) <= g.x_max
+    with pytest.raises(ValueError, match="log_window_support"):
+        log_resample(psi, u)
 
 
 def _spline_queries(g, rng):

@@ -21,7 +21,7 @@ from qrep import (
     plane_wave,
     to_momentum,
 )
-from qrep.grid import is_contained
+from qrep.grid import require_contained
 from qrep.operators import fd_derivative, windowed_eigen_residual
 
 
@@ -211,7 +211,7 @@ def test_momentum_edge_guard(op, c):
     # contained in position, but the chirp carries momentum past pi/dx = 20.1:
     # |phi| at the momentum edge is 2.8e-4 for c = 5 and 0.16 for c = 15
     psi = gaussian(make_grid(256, 40.0), GaussianSpec(s=1.0, c=c))
-    assert is_contained(psi)
+    require_contained(psi)
     with pytest.raises(ValueError, match="^momentum_decay:"):
         op(psi)
 
