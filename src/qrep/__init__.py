@@ -17,12 +17,10 @@ from .grid import (
     Wavefunction,
     dual_grid,
     inner,
-    interp_label,
     log_grid,
     log_resample,
     make_grid,
     norm,
-    rotation_label,
 )
 from .kernels import (
     CORRELATION_KERNEL_SCALE,
@@ -92,7 +90,6 @@ __all__ = [
     "hermite",
     "inner",
     "interp_kernel",
-    "interp_label",
     "interp_transform",
     "log_grid",
     "log_resample",
@@ -104,7 +101,6 @@ __all__ = [
     "position_kernel_in_momentum",
     "quadrature_oracle",
     "rotation_kernel",
-    "rotation_label",
     "rotation_transform",
     "run_all_suites",
     "run_suite",

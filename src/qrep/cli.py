@@ -23,24 +23,15 @@ import tempfile
 from .grid import Grid, dual_grid, make_grid, norm
 from .kernels import (
     Parity,
-    _interp_chirp,
-    _rotation_chirp,
-    chirp_step_bound,
+    _require_chirp_resolved,
     correlation_kernel,
     fresnel_delta,
-    interp_kernel,
     plane_wave,
     position_kernel_in_momentum,
-    rotation_kernel,
 )
 from .operators import moments
 from .states import GaussianSpec, gaussian, hermite
-from .transforms import (
-    correlation_transform,
-    interp_transform,
-    rotation_transform,
-    to_momentum,
-)
+from .transforms import _CHIRP_FAMILIES, correlation_transform, to_momentum
 from .verify import SUITE_NAMES, run_all_suites, run_suite
 
 SATURATION_TOL = 1e-8
@@ -84,6 +75,15 @@ def _emit_table(args, header: list[str], rows: list[list]) -> None:
         _write_text(args.out, _rows_to_csv(header, rows))
 
 
+def _number(what: str, key: str, val) -> float:
+    if not isinstance(val, bool):
+        try:
+            return float(val)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{what}_value: {key} must be a number, got {val!r}")
+
+
 def _parse_kv(body: str, what: str) -> dict:
     params = {}
     if body:
@@ -91,14 +91,17 @@ def _parse_kv(body: str, what: str) -> dict:
             if "=" not in item:
                 raise ValueError(f"{what}_syntax: expected key=value, got {item!r}")
             key, val = item.split("=", 1)
-            params[key.strip()] = float(val)
+            params[key.strip()] = _number(what, key.strip(), val)
     return params
 
 
 def parse_state_spec(spec: str):
     """Parse ``gaussian:s=1,x0=0,p0=0,c=2`` or ``hermite:k=3``."""
     name, _, body = spec.partition(":")
-    params = _parse_kv(body, "state_spec")
+    return _state_from_fields(name, _parse_kv(body, "state_spec"))
+
+
+def _state_from_fields(name, params: dict):
     if name == "gaussian":
         allowed = {"s", "x0", "p0", "c"}
         extra = set(params) - allowed
@@ -109,45 +112,51 @@ def parse_state_spec(spec: str):
         if set(params) - {"k"}:
             raise ValueError("state_spec_field: hermite takes only k")
         k = params.get("k", 0.0)
-        if k != int(k):
+        if not k.is_integer():
             raise ValueError(f"hermite_order_range: k must be an integer, got {k}")
         return ("hermite", int(k))
     raise ValueError(f"state_spec_name: unknown state {name!r} (want gaussian or hermite)")
 
 
-def build_state(g: Grid, spec: str):
-    kind, payload = parse_state_spec(spec)
-    return gaussian(g, payload) if kind == "gaussian" else hermite(g, payload)
-
-
-def _state_spec_from_config(path: str) -> str:
+def _state_from_config(path: str):
     with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    name = cfg.pop("state")
-    if cfg:
-        body = ",".join(f"{k}={v}" for k, v in sorted(cfg.items()))
-        return f"{name}:{body}"
-    return name
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"config_format: {path} is not valid JSON ({exc})") from None
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("state"), str):
+        raise ValueError(
+            f'config_format: {path} must hold a JSON object with a string "state" field, '
+            'e.g. {"state": "gaussian", "s": 1.0}'
+        )
+    params = {k: _number("state_spec", k, v) for k, v in cfg.items() if k != "state"}
+    return _state_from_fields(cfg["state"], params)
+
+
+def build_state(g: Grid, args):
+    """The state named by ``--config`` if given, else by ``--state``."""
+    if args.config is None:
+        kind, payload = parse_state_spec(args.state)
+    else:
+        kind, payload = _state_from_config(args.config)
+    return gaussian(g, payload) if kind == "gaussian" else hermite(g, payload)
 
 
 def cmd_kernel(args) -> int:
     g = make_grid(args.n, args.length)
     fam = args.family
-    chirp = None
-    if fam == "plane-wave":
+    if fam in _CHIRP_FAMILIES:
+        member = _CHIRP_FAMILIES[fam]
+        value = getattr(args, member.param)
+        if value is None:
+            raise ValueError(f"kernel_parameter: {fam} family requires --{member.param}")
+        chirp = member.chirp(value)
+        _require_chirp_resolved(chirp.a, chirp.b, g)
+        wf = member.sample(g, value, args.lam)
+    elif fam == "plane-wave":
         wf = plane_wave(g, args.p)
     elif fam == "position-in-momentum":
         wf = position_kernel_in_momentum(dual_grid(g), args.a)
-    elif fam == "interp":
-        if args.alpha is None:
-            raise ValueError("kernel_parameter: interp family requires --alpha")
-        wf = interp_kernel(g, args.alpha, args.lam)
-        chirp = _interp_chirp(args.alpha)
-    elif fam == "rotation":
-        if args.theta is None:
-            raise ValueError("kernel_parameter: rotation family requires --theta")
-        wf = rotation_kernel(g, args.theta, args.lam)
-        chirp = _rotation_chirp(args.theta)
     elif fam == "corr-even":
         wf = correlation_kernel(g, args.gamma, Parity.EVEN)
     elif fam == "corr-odd":
@@ -158,9 +167,6 @@ def cmd_kernel(args) -> int:
         wf = fresnel_delta(g, args.eps)
     else:  # pragma: no cover - argparse choices guard this
         raise ValueError(f"kernel_family: unknown family {fam!r}")
-    # The samplers have checked the parameter range; alpha = 1 is a point mass.
-    if chirp is not None and chirp.b > 0.0:
-        chirp_step_bound(chirp.a / chirp.b, g)
     x = wf.grid.points
     s = wf.samples
     rows = [[float(x[j]), float(s[j].real), float(s[j].imag), float(abs(s[j]))] for j in range(g.n)]
@@ -175,10 +181,18 @@ def _sidecar(args, payload: dict) -> None:
 
 def cmd_transform(args) -> int:
     g = make_grid(args.n, args.length)
-    spec = args.state if args.config is None else _state_spec_from_config(args.config)
-    psi = build_state(g, spec)
+    psi = build_state(g, args)
     rep_name, _, rep_body = args.rep.partition(":")
+    if rep_name not in ("momentum", "correlation", *_CHIRP_FAMILIES):
+        raise ValueError(
+            f"rep_spec_name: unknown representation {rep_name!r} "
+            "(want momentum, interp:alpha=..., rotation:theta=..., or correlation)"
+        )
     rep_params = _parse_kv(rep_body, "rep_spec")
+    member = _CHIRP_FAMILIES.get(rep_name)
+    extra = set(rep_params) - ({member.param} if member else set())
+    if extra:
+        raise ValueError(f"rep_spec_field: unknown {rep_name} fields {sorted(extra)}")
 
     if rep_name == "correlation":
         window = None
@@ -206,20 +220,14 @@ def cmd_transform(args) -> int:
         )
         return 0
 
-    if rep_name == "momentum":
+    if member is None:
         out = to_momentum(psi)
-    elif rep_name == "interp":
-        if "alpha" not in rep_params:
-            raise ValueError("rep_spec: interp representation requires alpha, e.g. interp:alpha=0.5")
-        out = interp_transform(psi, rep_params["alpha"])
-    elif rep_name == "rotation":
-        if "theta" not in rep_params:
-            raise ValueError("rep_spec: rotation representation requires theta, e.g. rotation:theta=0.785")
-        out = rotation_transform(psi, rep_params["theta"])
+    elif member.param in rep_params:
+        out = member.transform(psi, rep_params[member.param])
     else:
         raise ValueError(
-            f"rep_spec_name: unknown representation {rep_name!r} "
-            "(want momentum, interp:alpha=..., rotation:theta=..., or correlation)"
+            f"rep_spec: {rep_name} representation requires {member.param}, "
+            f"e.g. {rep_name}:{member.param}=0.5"
         )
     lam = out.grid.points
     s = out.samples
@@ -231,9 +239,7 @@ def cmd_transform(args) -> int:
 
 def cmd_moments(args) -> int:
     g = make_grid(args.n, args.length)
-    spec = args.state if args.config is None else _state_spec_from_config(args.config)
-    psi = build_state(g, spec)
-    report = moments(psi)
+    report = moments(build_state(g, args))
     payload = report.as_dict()
     payload["schrodinger_saturated"] = bool(abs(report.lhs - report.rhs) <= SATURATION_TOL)
     payload["heisenberg_saturated"] = bool(

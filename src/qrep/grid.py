@@ -23,8 +23,6 @@ __all__ = [
     "Wavefunction",
     "POSITION",
     "MOMENTUM",
-    "interp_label",
-    "rotation_label",
     "make_grid",
     "dual_grid",
     "log_grid",
@@ -88,18 +86,6 @@ class RepresentationLabel:
 
 POSITION = RepresentationLabel("position")
 MOMENTUM = RepresentationLabel("momentum")
-
-
-def interp_label(alpha: float) -> RepresentationLabel:
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"interp_alpha_range: alpha must lie in [0, 1], got {alpha}")
-    return RepresentationLabel("interp", float(alpha))
-
-
-def rotation_label(theta: float) -> RepresentationLabel:
-    if not (0.0 < theta <= np.pi / 2):
-        raise ValueError(f"rotation_theta_range: theta must lie in (0, pi/2], got {theta}")
-    return RepresentationLabel("rotation", float(theta))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,13 @@ These are delta-normalized continuum families, not states: their grid norms
 grow with the domain length and no sampler normalizes its output.  Each
 sampler builds its result as ``amplitude * exp(i * phase)`` with a real phase
 array, which keeps the modulus exactly constant where it should be constant.
+
+Each member of the ``a X + b P`` families is a ``_Chirp``, built by
+``_interp_chirp``/``_rotation_chirp``, the one place a family's parameter
+range is checked.  One rule says whether a lattice resolves a member's chirp,
+``a dx <= b dp`` (``_chirp_resolved``); the transforms pick their side by it,
+and ``nyquist_chirp_step`` refuses by it (``chirp_step_bound``, the oracle and
+``qrep kernel``).  The samplers apply no resolution guard.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Grid, MOMENTUM, POSITION, Wavefunction
+from .grid import Grid, MOMENTUM, POSITION, RepresentationLabel, Wavefunction, dual_grid
 
 __all__ = [
     "Parity",
@@ -63,35 +70,66 @@ def position_kernel_in_momentum(g: Grid, a: float) -> Wavefunction:
     return Wavefunction(g, np.exp(1j * (-a * g.points)) / _TWO_PI_SQRT, MOMENTUM)
 
 
-# One member of the ``a X + b P`` families.  Its kernel phase is
-# pi/4 - kappa lam^2 - a x^2/(2b) + lam x/b, and mu = 1/(2ab) - kappa is the
-# constant after the Fourier step.  Both are closed forms, each inf at the
-# endpoint whose transform side is never taken (kappa at b = 0, mu at a = 0).
-_Chirp = NamedTuple("_Chirp", [("a", float), ("b", float), ("kappa", float), ("mu", float)])
+# One member of the ``a X + b P`` families, the single owner of its parameter
+# range and label.  Its kernel phase is pi/4 - kappa lam^2 - a x^2/(2b) + lam x/b,
+# and mu = 1/(2ab) - kappa is the constant after the Fourier step.  Both are
+# closed forms, each inf at the endpoint whose transform side is never taken
+# (kappa at b = 0, mu at a = 0).
+_Chirp = NamedTuple(
+    "_Chirp",
+    [("a", float), ("b", float), ("kappa", float), ("mu", float), ("label", RepresentationLabel)],
+)
 
 
 def _interp_chirp(alpha: float) -> _Chirp:
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError(f"interp_alpha_range: alpha must lie in [0, 1], got {alpha}")
     a, b = alpha, 1.0 - alpha
     kappa = a * (2.0 - a) / (2.0 * b) if b > 0.0 else np.inf
     mu = (1.0 + b - b * b) / (2.0 * a) if a > 0.0 else np.inf
-    return _Chirp(a, b, kappa, mu)
+    return _Chirp(a, b, kappa, mu, RepresentationLabel("interp", float(alpha)))
 
 
 def _rotation_chirp(theta: float) -> _Chirp:
+    if not (0.0 < theta <= np.pi / 2):
+        raise ValueError(f"rotation_theta_range: theta must lie in (0, pi/2], got {theta}")
+    label = RepresentationLabel("rotation", float(theta))
     # cos(pi/2) rounds to 6e-17, not 0; the right angle is the plane wave exactly.
     if theta == np.pi / 2:
-        return _Chirp(0.0, 1.0, 0.0, np.inf)
+        return _Chirp(0.0, 1.0, 0.0, np.inf, label)
     s, c = np.sin(theta), np.cos(theta)
     # Below theta ~ 3e-309 kappa overflows to inf, where the transform takes
     # the momentum side, which never reads kappa.
     with np.errstate(over="ignore"):
         kappa = (1.0 - s) / (2.0 * c * s)
-    return _Chirp(c, s, kappa, 1.0 / (2.0 * c))
+    return _Chirp(c, s, kappa, 1.0 / (2.0 * c), label)
+
+
+def _chirp_resolved(a: float, b: float, g: Grid) -> bool:
+    """Whether ``g`` resolves the chirp ``e^(-i a x^2/(2b))``.
+
+    Its adjacent-sample phase step at the domain edge, ``(a/b) n dx^2/2``, is
+    at most pi exactly when ``a dx <= b dp``.  The comparison divides by
+    nothing, so no small ``b`` can overflow it.
+    """
+    return a * g.dx <= b * dual_grid(g).dx
+
+
+def _require_chirp_resolved(a: float, b: float, g: Grid) -> None:
+    """Refuse a chirp ``g`` does not resolve; ``b = 0`` (a point mass) has none."""
+    if b > 0.0 and not _chirp_resolved(a, b, g):
+        with np.errstate(divide="ignore", over="ignore"):
+            step = np.pi * np.divide(a * g.dx, b * dual_grid(g).dx)
+        raise ValueError(
+            "nyquist_chirp_step: adjacent-sample chirp phase step "
+            f"{step:.4g} exceeds pi at the domain edge; refine the grid or move "
+            "the parameter away from the endpoint"
+        )
 
 
 def _chirp_kernel(g: Grid, chirp: _Chirp, lam: float) -> Wavefunction:
     """Sample the unit-modulus chirp eigenfunction of ``chirp`` (``b > 0``)."""
-    a, b, kappa, _ = chirp
+    a, b, kappa = chirp.a, chirp.b, chirp.kappa
     x = g.points
     amp = 1.0 / np.sqrt(2.0 * np.pi * b)
     phase = np.pi / 4.0 - kappa * lam**2 - a * x**2 / (2.0 * b) + lam * x / b
@@ -118,16 +156,15 @@ def interp_kernel(g: Grid, alpha: float, lam: float) -> Wavefunction:
     ``e^(i lam^2/2) / dx`` and all others are zero, which reproduces the
     inner-product action of the delta to first order in ``dx``.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"interp_alpha_range: alpha must lie in [0, 1], got {alpha}")
+    chirp = _interp_chirp(alpha)
     if not np.isfinite(lam):
         raise ValueError(f"eigenvalue_finite: lam must be finite, got {lam}")
-    if alpha == 1.0:
+    if chirp.b == 0.0:
         samples = np.zeros(g.n, dtype=complex)
         j = int(np.clip(round((lam - g.x_min) / g.dx), 0, g.n - 1))
         samples[j] = np.exp(0.5j * lam**2) / g.dx
         return Wavefunction(g, samples, POSITION)
-    return _chirp_kernel(g, _interp_chirp(alpha), lam)
+    return _chirp_kernel(g, chirp, lam)
 
 
 def rotation_kernel(g: Grid, theta: float, lam: float) -> Wavefunction:
@@ -137,11 +174,10 @@ def rotation_kernel(g: Grid, theta: float, lam: float) -> Wavefunction:
     ``(cos theta, sin theta)``; at ``theta = pi/2`` it is the constant-phase
     plane wave.
     """
-    if not (0.0 < theta <= np.pi / 2):
-        raise ValueError(f"rotation_theta_range: theta must lie in (0, pi/2], got {theta}")
+    chirp = _rotation_chirp(theta)
     if not np.isfinite(lam):
         raise ValueError(f"eigenvalue_finite: lam must be finite, got {lam}")
-    return _chirp_kernel(g, _rotation_chirp(theta), lam)
+    return _chirp_kernel(g, chirp, lam)
 
 
 def correlation_kernel(g: Grid, gamma: float, par: Parity) -> Wavefunction:
@@ -192,12 +228,6 @@ def chirp_step_bound(rate: float, g: Grid) -> None:
     """Reject chirps ``e^(i rate x^2 / 2)`` the lattice cannot resolve.
 
     The adjacent-sample phase increment at the domain edge is
-    ``rate * (length/2) * dx``; it must stay below pi.
+    ``rate * (length/2) * dx``; it must not exceed pi.
     """
-    step = abs(rate) * (g.length / 2.0) * g.dx
-    if step > np.pi:
-        raise ValueError(
-            "nyquist_chirp_step: adjacent-sample chirp phase step "
-            f"{step:.4g} exceeds pi at the domain edge; refine the grid or move "
-            "the parameter away from the endpoint"
-        )
+    _require_chirp_resolved(abs(rate), 1.0, g)

@@ -2,10 +2,12 @@
 
 The Fourier pair is a phase-corrected FFT on the centred lattice.  The
 interpolating and rotation transforms share one chirp + Fourier + chirp
-decomposition, with the chirp on whichever side of the Fourier step the
-lattice resolves; its output lattice makes the whole map a single FFT.  The
-correlation transform is a Fourier transform in the logarithm of the
-coordinate, taken separately in each parity channel.
+decomposition of an ``a X + b P`` member (``kernels._Chirp``), with the chirp
+on the position side where the lattice resolves it (``a dx <= b dp``,
+``kernels._chirp_resolved``) and on the momentum side otherwise; its output
+lattice makes the whole map a single FFT.  The correlation transform is a
+Fourier transform in the logarithm of the coordinate, taken separately in
+each parity channel.
 
 Every fast path has a direct-summation oracle (`quadrature_oracle`) against
 which it is validated in the test and verify suites.
@@ -13,6 +15,7 @@ which it is validated in the test and verify suites.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,20 +29,19 @@ from .grid import (
     dual_grid,
     fourier_sum,
     inner,
-    interp_label,
     inverse_fourier_sum,
     log_grid,
     log_resample,
     require_contained,
     require_momentum_decay,
-    rotation_label,
 )
 from .kernels import (
     Parity,
     _Chirp,
+    _chirp_resolved,
     _interp_chirp,
+    _require_chirp_resolved,
     _rotation_chirp,
-    chirp_step_bound,
     correlation_kernel,
     interp_kernel,
     plane_wave,
@@ -96,7 +98,7 @@ def from_momentum(phi: Wavefunction) -> Wavefunction:
     return Wavefunction(xgrid, out, POSITION)
 
 
-def _linear_transform(psi: Wavefunction, chirp: _Chirp, label) -> Wavefunction:
+def _linear_transform(psi: Wavefunction, chirp: _Chirp) -> Wavefunction:
     """``<kernel_lam, psi>`` for one ``a X + b P`` member, by one FFT on either side.
 
     Position side, on ``lam_k = b p_k``:
@@ -105,18 +107,20 @@ def _linear_transform(psi: Wavefunction, chirp: _Chirp, label) -> Wavefunction:
     Momentum side, on ``lam_j = a x_j``, with ``phi`` the momentum samples:
         (2 pi a)^(-1/2) e^(-i mu lam^2) sum_m e^(-i b p_m^2/(2a)) phi_m e^(i lam p_m/a) dp
     The edge chirp steps ``(a/b) n dx^2/2`` and ``(b/a) n dp^2/2`` multiply to
-    ``pi^2``; the smaller belongs to the coarser lattice, which is taken, so the
-    chirp never steps by more than ``pi``.  Which side is taken is an internal
+    ``pi^2``; the position side is taken where ``kernels._chirp_resolved``
+    admits its chirp, else the momentum side resolves its own, so the chirp
+    never steps by more than ``pi``.  Which side is taken is an internal
     choice, so neither side checks the momentum edge (``momentum_decay``).
     """
+    label = chirp.label
     if psi.label != POSITION:
         raise ValueError(
             f"position_label: {label.kind}_transform expects position-representation samples"
         )
     require_contained(psi)
-    a, b, kappa, mu = chirp
+    a, b, kappa, mu = chirp.a, chirp.b, chirp.kappa, chirp.mu
     g = psi.grid
-    if a * g.dx <= b * dual_grid(g).dx:
+    if _chirp_resolved(a, b, g):
         pre = np.exp(1j * (a / b) * g.points**2 / 2.0)
         kgrid, G = fourier_sum(pre * psi.samples, g)
         dlam = b * kgrid.dx
@@ -147,8 +151,7 @@ def interp_transform(psi: Wavefunction, alpha: float) -> Wavefunction:
     ``alpha = 0`` it is ``e^(-i pi/4)`` times the Fourier map and at
     ``alpha = 1`` it is ``e^(-i x^2/2) psi(x)``, both to rounding.
     """
-    label = interp_label(alpha)
-    return _linear_transform(psi, _interp_chirp(alpha), label)
+    return _linear_transform(psi, _interp_chirp(alpha))
 
 
 def rotation_transform(psi: Wavefunction, theta: float) -> Wavefunction:
@@ -157,8 +160,16 @@ def rotation_transform(psi: Wavefunction, theta: float) -> Wavefunction:
     Same map as :func:`interp_transform` with coefficients ``(cos theta,
     sin theta)``, on ``lam_k = sin(theta) p_k`` or ``lam_j = cos(theta) x_j``.
     """
-    label = rotation_label(theta)
-    return _linear_transform(psi, _rotation_chirp(theta), label)
+    return _linear_transform(psi, _rotation_chirp(theta))
+
+
+# What each ``a X + b P`` family is built from, by family name: its parameter,
+# its member, its eigenfunction sampler and its transform.
+_ChirpFamily = namedtuple("_ChirpFamily", "param chirp sample transform")
+_CHIRP_FAMILIES = {
+    "interp": _ChirpFamily("alpha", _interp_chirp, interp_kernel, interp_transform),
+    "rotation": _ChirpFamily("theta", _rotation_chirp, rotation_kernel, rotation_transform),
+}
 
 
 @dataclass(frozen=True)
@@ -214,12 +225,14 @@ def correlation_transform(
     Defaults: ``u_window = (ln(4 dx), ln(min(0.45 length, x_max)))`` and
     ``n_gamma = 2 n``.  States with appreciable probability near the origin
     need a lower ``u_min`` than the default; the unseen probability is
-    always reported in ``tail_mass``.
+    always reported in ``tail_mass``.  The state must have decayed at both
+    domain edges (``boundary_decay``), as the spline read presumes.
     """
     if psi.label != POSITION:
         raise ValueError(
             "position_label: correlation_transform expects position-representation samples"
         )
+    require_contained(psi)
     g = psi.grid
     if u_window is None:
         u_window = _default_u_window(g)
@@ -288,11 +301,12 @@ def quadrature_oracle(
     O(n) per eigenvalue with a fixed summation order, so results are
     deterministic.  For the chirp families it shares only the kernel with the
     fast transforms.  Its rectangle sum aliases where ``psi``'s lattice does
-    not resolve the kernel chirp ``e^(-i a x^2/(2b))``, so such lattices are
-    refused with ``nyquist_chirp_step`` (``chirp_step_bound``); sum on a finer
-    grid instead.  For the correlation families the sum runs on its own log
-    lattice of ``4 n`` points (twice the default density), sharing only the
-    interpolation step (:func:`~qrep.grid.log_resample`) with the fast path.
+    not resolve the kernel chirp ``e^(-i a x^2/(2b))`` (``a dx > b dp``), so
+    such lattices are refused with ``nyquist_chirp_step`` before any kernel is
+    sampled; sum on a finer grid instead.  For the correlation families the
+    sum runs on its own log lattice of ``4 n`` points (twice the default
+    density), sharing only the interpolation step
+    (:func:`~qrep.grid.log_resample`) with the fast path.
     """
     if psi.label != POSITION:
         raise ValueError("position_label: quadrature_oracle expects position-representation samples")
@@ -302,18 +316,14 @@ def quadrature_oracle(
 
     if family == "plane_wave":
         return np.array([inner(plane_wave(psi.grid, p), psi) for p in lambdas])
-    if family in ("interp", "rotation"):
-        name, value, check, make_chirp, sample = {
-            "interp": ("alpha", alpha, interp_label, _interp_chirp, interp_kernel),
-            "rotation": ("theta", theta, rotation_label, _rotation_chirp, rotation_kernel),
-        }[family]
+    if family in _CHIRP_FAMILIES:
+        member = _CHIRP_FAMILIES[family]
+        value = {"alpha": alpha, "theta": theta}[member.param]
         if value is None:
-            raise ValueError(f"oracle_family: {family} family requires {name}")
-        check(value)
-        a, b, _, _ = make_chirp(value)
-        if b > 0.0:
-            chirp_step_bound(a / b, psi.grid)
-        return np.array([inner(sample(psi.grid, value, l), psi) for l in lambdas])
+            raise ValueError(f"oracle_family: {family} family requires {member.param}")
+        chirp = member.chirp(value)
+        _require_chirp_resolved(chirp.a, chirp.b, psi.grid)
+        return np.array([inner(member.sample(psi.grid, value, l), psi) for l in lambdas])
 
     g = psi.grid
     if u_window is None:

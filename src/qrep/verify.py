@@ -17,12 +17,14 @@ import numpy as np
 from .grid import Grid, Wavefunction, dual_grid, inner, make_grid, norm
 from .kernels import (
     Parity,
+    _Chirp,
+    _chirp_resolved,
+    _interp_chirp,
     correlation_kernel,
     fresnel_delta,
     interp_kernel,
     plane_wave,
     position_kernel_in_momentum,
-    rotation_kernel,
 )
 from .operators import (
     apply_c,
@@ -35,13 +37,13 @@ from .operators import (
 )
 from .states import GaussianSpec, gaussian, hermite
 from .transforms import (
+    _CHIRP_FAMILIES,
     conjugation_defect,
     correlation_inverse,
     correlation_transform,
     from_momentum,
     interp_transform,
     quadrature_oracle,
-    rotation_transform,
     to_momentum,
     windowed_conjugation_defect,
 )
@@ -146,29 +148,18 @@ def _suite_eigen_residuals(g: Grid) -> list[CheckReport]:
         )
 
     window = np.abs(g_fine.points) <= g_fine.length / 4.0
-    for alpha in (0.25, 0.5, 0.75):
-        for lam in (-1.0, 0.0, 0.5, 2.0):
-            k = interp_kernel(g_fine, alpha, lam)
-            res = windowed_eigen_residual(k, lam, window, alpha, 1.0 - alpha)
-            reports.append(
-                CheckReport(
-                    "interp_eigenfunction", {"alpha": alpha, "lam": lam}, res, 1e-6
-                )
-            )
-    for theta in (np.pi / 6, np.pi / 4, np.pi / 3):
-        for lam in (-1.0, 0.0, 0.5, 2.0):
-            k = rotation_kernel(g_fine, theta, lam)
-            res = windowed_eigen_residual(
-                k, lam, window, np.cos(theta), np.sin(theta)
-            )
-            reports.append(
-                CheckReport(
-                    "rotation_eigenfunction",
-                    {"theta": round(theta, 12), "lam": lam},
-                    res,
-                    1e-6,
-                )
-            )
+    for family, values in (
+        ("interp", (0.25, 0.5, 0.75)),
+        ("rotation", (np.pi / 6, np.pi / 4, np.pi / 3)),
+    ):
+        member = _CHIRP_FAMILIES[family]
+        for value in values:
+            chirp = member.chirp(value)
+            for lam in (-1.0, 0.0, 0.5, 2.0):
+                k = member.sample(g_fine, value, lam)
+                res = windowed_eigen_residual(k, lam, window, chirp.a, chirp.b)
+                params = {member.param: round(value, 12), "lam": lam}
+                reports.append(CheckReport(f"{family}_eigenfunction", params, res, 1e-6))
 
     ax = np.abs(g_wide.points)
     window = (ax >= 1.0) & (ax <= 8.0)
@@ -220,37 +211,19 @@ def _suite_roundtrips(g: Grid) -> list[CheckReport]:
     )
 
     psi = gaussian(g, GaussianSpec())
-    # the oracle sums on a grid that resolves its kernel's chirp (rate 1 here)
-    fine = gaussian(_oracle_grid(g, 1.0), GaussianSpec())
-    out = interp_transform(psi, 0.5)
-    reports.append(
-        CheckReport("interp_unitarity", {"alpha": 0.5}, abs(norm(out) - 1.0), 1e-8)
-    )
     sub = np.arange(0, g.n, 8)
-    oracle = quadrature_oracle(fine, "interp", out.grid.points[sub], alpha=0.5)
-    reports.append(
-        CheckReport(
-            "interp_oracle",
-            {"alpha": 0.5, "state": "gaussian"},
-            float(np.abs(out.samples[sub] - oracle).max()),
-            1e-8,
+    for family, value in (("interp", 0.5), ("rotation", np.pi / 4)):
+        member = _CHIRP_FAMILIES[family]
+        out = member.transform(psi, value)
+        params = {member.param: round(value, 12)}
+        reports.append(
+            CheckReport(f"{family}_unitarity", params, abs(norm(out) - 1.0), 1e-8)
         )
-    )
-    rout = rotation_transform(psi, np.pi / 4)
-    reports.append(
-        CheckReport(
-            "rotation_unitarity", {"theta": round(np.pi / 4, 12)}, abs(norm(rout) - 1.0), 1e-8
-        )
-    )
-    oracle = quadrature_oracle(fine, "rotation", rout.grid.points[sub], theta=np.pi / 4)
-    reports.append(
-        CheckReport(
-            "rotation_oracle",
-            {"theta": round(np.pi / 4, 12), "state": "gaussian"},
-            float(np.abs(rout.samples[sub] - oracle).max()),
-            1e-8,
-        )
-    )
+        # the oracle sums on a grid that resolves its kernel's chirp
+        fine = gaussian(_oracle_grid(g, member.chirp(value)), GaussianSpec())
+        oracle = quadrature_oracle(fine, family, out.grid.points[sub], **{member.param: value})
+        err = float(np.abs(out.samples[sub] - oracle).max())
+        reports.append(CheckReport(f"{family}_oracle", {**params, "state": "gaussian"}, err, 1e-8))
 
     window = _correlation_window(g)
     spec = correlation_transform(psi, u_window=window, n_gamma=2 * g.n)
@@ -375,47 +348,29 @@ def _suite_unbiasedness(g: Grid) -> list[CheckReport]:
                 1e-15,
             )
         )
-    for alpha in (0.25, 0.5, 0.75, 0.9):
-        for lam in (0.0, 1.0):
-            k = interp_kernel(g, alpha, lam)
-            reports.append(
-                CheckReport(
-                    "interp_unbiased", {"alpha": alpha, "lam": lam}, _modulus_spread(k), 1e-15
-                )
-            )
-            expected = (2.0 * np.pi * (1.0 - alpha)) ** -0.5
-            reports.append(
-                CheckReport(
-                    "interp_modulus_value",
-                    {"alpha": alpha, "lam": lam},
-                    float(np.abs(np.abs(k.samples) - expected).max()),
-                    1e-14,
-                )
-            )
-    for theta in (np.pi / 6, np.pi / 4, np.pi / 3):
-        k = rotation_kernel(g, theta, 0.5)
-        reports.append(
-            CheckReport(
-                "rotation_unbiased", {"theta": round(theta, 12)}, _modulus_spread(k), 1e-15
-            )
-        )
-        expected = (2.0 * np.pi * np.sin(theta)) ** -0.5
-        reports.append(
-            CheckReport(
-                "rotation_modulus_value",
-                {"theta": round(theta, 12)},
-                float(np.abs(np.abs(k.samples) - expected).max()),
-                1e-14,
-            )
-        )
+    for family, values, lams in (
+        ("interp", (0.25, 0.5, 0.75, 0.9), (0.0, 1.0)),
+        ("rotation", (np.pi / 6, np.pi / 4, np.pi / 3), (0.5,)),
+    ):
+        member = _CHIRP_FAMILIES[family]
+        for value in values:
+            expected = (2.0 * np.pi * member.chirp(value).b) ** -0.5
+            for lam in lams:
+                k = member.sample(g, value, lam)
+                params = {member.param: round(value, 12)}
+                if len(lams) > 1:
+                    params["lam"] = lam
+                modulus_err = float(np.abs(np.abs(k.samples) - expected).max())
+                reports.append(CheckReport(f"{family}_unbiased", params, _modulus_spread(k), 1e-15))
+                reports.append(CheckReport(f"{family}_modulus_value", params, modulus_err, 1e-14))
     return reports
 
 
-def _oracle_grid(g: Grid, rate: float) -> Grid:
-    # Halve dx until chirp_step_bound would admit the kernel chirp: on coarser
+def _oracle_grid(g: Grid, chirp: _Chirp) -> Grid:
+    # Halve dx until the lattice resolves the kernel chirp (b > 0): on coarser
     # lattices the oracle's rectangle sum aliases at the outer eigenvalues.
     n = g.n
-    while rate * (g.length / 2.0) * (g.length / n) > np.pi:
+    while not _chirp_resolved(chirp.a, chirp.b, make_grid(n, g.length)):
         n *= 2
     return make_grid(n, g.length)
 
@@ -423,7 +378,7 @@ def _oracle_grid(g: Grid, rate: float) -> Grid:
 def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
     reports = []
     sub = np.arange(0, g.n, 8)
-    fine_states = _factory_states(_oracle_grid(g, 1.0))
+    fine_states = _factory_states(_oracle_grid(g, _interp_chirp(0.5)))
     for (name, psi), (_, fine) in zip(_factory_states(g), fine_states):
         ft = to_momentum(psi)
         oracle = quadrature_oracle(psi, "plane_wave", ft.grid.points[sub])
@@ -448,20 +403,18 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
     # The oracle sums on a grid that resolves its kernel's chirp.  On the
     # default grid the last two members take the transform's momentum side.
     psi = gaussian(g, GaussianSpec())
-    for family, name, value, stride in (
-        ("rotation", "theta", np.pi / 6, 8),
-        ("rotation", "theta", np.pi / 4, 8),
-        ("interp", "alpha", 0.85, 64),
-        ("rotation", "theta", 0.15, 64),
+    for family, value, stride in (
+        ("rotation", np.pi / 6, 8),
+        ("rotation", np.pi / 4, 8),
+        ("interp", 0.85, 64),
+        ("rotation", 0.15, 64),
     ):
-        if family == "interp":
-            out, rate = interp_transform(psi, value), value / (1.0 - value)
-        else:
-            out, rate = rotation_transform(psi, value), 1.0 / np.tan(value)
-        fine = gaussian(_oracle_grid(g, rate), GaussianSpec())
-        oracle = quadrature_oracle(fine, family, out.grid.points[::stride], **{name: value})
+        member = _CHIRP_FAMILIES[family]
+        out = member.transform(psi, value)
+        fine = gaussian(_oracle_grid(g, member.chirp(value)), GaussianSpec())
+        oracle = quadrature_oracle(fine, family, out.grid.points[::stride], **{member.param: value})
         err = float(np.abs(out.samples[::stride] - oracle).max())
-        params = {name: round(value, 12), "state": "gaussian"}
+        params = {member.param: round(value, 12), "state": "gaussian"}
         reports.append(CheckReport(f"{family}_oracle", params, err, 1e-8))
 
     window = _correlation_window(g)

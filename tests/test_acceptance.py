@@ -120,14 +120,14 @@ def test_criterion_8_unbiasedness(g):
 
 def test_criterion_9_cli_contract(tmp_path):
     r = subprocess.run(
-        [sys.executable, "-m", "qrep", "verify", "--suite", "all",
+        [sys.executable, "-W", "error", "-m", "qrep", "verify", "--suite", "all",
          "--out", str(tmp_path / "all.json")],
         capture_output=True,
         text=True,
     )
     golden_ok = True
     probe = subprocess.run(
-        [sys.executable, "-m", "qrep", "moments", "--state", "gaussian:s=1,c=2"],
+        [sys.executable, "-W", "error", "-m", "qrep", "moments", "--state", "gaussian:s=1,c=2"],
         capture_output=True,
         text=True,
     )

@@ -12,8 +12,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*args, cwd=None):
+    # -W error: a warning on any CLI path fails the test, as in-process ones do
     return subprocess.run(
-        [sys.executable, "-m", "qrep", *args],
+        [sys.executable, "-W", "error", "-m", "qrep", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -56,6 +57,20 @@ def test_kernel_nyquist_guard_exit_code():
                 "--n", "128", "--length", "40")
     assert r.returncode == 2
     assert "nyquist_chirp_step" in r.stderr
+
+
+def test_kernel_refuses_unresolved_chirp_before_sampling():
+    # cot(5e-324) overflows; the sampler would warn and emit non-finite samples
+    r = run_cli("kernel", "--family", "rotation", "--theta", "5e-324",
+                "--n", "64", "--length", "16")
+    assert r.returncode == 2
+    assert r.stderr.startswith("qrep: nyquist_chirp_step:")
+    assert "Traceback" not in r.stderr
+
+
+def test_kernel_interp_point_mass_is_exempt_from_chirp_guard():
+    r = run_cli("kernel", "--family", "interp", "--alpha", "1", "--n", "64", "--length", "16")
+    assert r.returncode == 0, r.stderr
 
 
 def test_kernel_rotation_theta_zero_exit_code():
@@ -169,6 +184,43 @@ def test_invalid_state_spec_exit_code():
     r = run_cli("moments", "--state", "squeezed:r=1")
     assert r.returncode == 2
     assert "state_spec_name" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "args,config,code",
+    [
+        (["moments", "--state", "hermite:k=inf"], None, "hermite_order_range"),
+        (["moments", "--state", "hermite:k=nan"], None, "hermite_order_range"),
+        (["moments", "--state", "gaussian:s=abc"], None, "state_spec_value"),
+        (["transform", "--rep", "interp:alpha=abc"], None, "rep_spec_value"),
+        (["transform", "--rep", "interp:alpha=0.5,beta=2"], None, "rep_spec_field"),
+        (["transform", "--rep", "momentum:alpha=0.3"], None, "rep_spec_field"),
+        (["moments"], '{"s": 1.0}', "config_format"),
+        (["moments"], "[1, 2]", "config_format"),
+        (["moments"], "not json", "config_format"),
+        (["transform", "--rep", "momentum"], '{"state": "gaussian", "s": "abc"}',
+         "state_spec_value"),
+        (["moments"], '{"state": "hermite", "k": 1e400}', "hermite_order_range"),
+    ],
+)
+def test_bad_spec_input_exits_with_code(tmp_path, args, config, code):
+    if config is not None:
+        cfg = tmp_path / "state.json"
+        cfg.write_text(config)
+        args = [*args, "--config", str(cfg)]
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"qrep: {code}:"), r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_transform_correlation_refuses_uncontained_state():
+    # |psi| = 2.5e-5 at the domain edge
+    r = run_cli("transform", "--rep", "correlation", "--state", "gaussian:s=1.5,x0=1,p0=-0.5",
+                "--n", "64", "--length", "16")
+    assert r.returncode == 2
+    assert r.stderr.startswith("qrep: boundary_decay:")
+    assert "Traceback" not in r.stderr
 
 
 def test_invalid_grid_exit_code():

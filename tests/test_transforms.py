@@ -442,10 +442,26 @@ def test_oracle_rejects_unresolved_chirp():
         quadrature_oracle(psi, "rotation", np.array([0.0]), theta=0.15)
 
 
+def test_oracle_refuses_tiny_theta_silently(unit_gaussian):
+    # cot(5e-324) overflows a float; the refusal compares a dx with b dp instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="nyquist_chirp_step"):
+            quadrature_oracle(unit_gaussian, "rotation", np.array([0.0]), theta=5e-324)
+
+
+def test_correlation_rejects_uncontained_state():
+    # |psi| = 2.5e-5 at the domain edge; the spline read presumes a decayed state
+    psi = gaussian(make_grid(64, 16.0), GaussianSpec(s=1.5, x0=1.0, p0=-0.5))
+    with pytest.raises(ValueError, match="boundary_decay"):
+        correlation_transform(psi)
+
+
 def test_correlation_default_window_stays_inside_small_grid():
-    # on n = 16, ln(0.45 L) would reach past the last positive sample x_max
+    # on n = 16, ln(0.45 L) would reach past the last positive sample x_max;
+    # exp(-x^2) has decayed at x = -8, as the containment check requires
     g = make_grid(16, 16.0)
-    psi = Wavefunction(g, np.exp(-g.points**2 / 2.0), POSITION)
+    psi = Wavefunction(g, np.exp(-g.points**2), POSITION)
     spec = correlation_transform(psi)
     assert np.exp(spec.u_grid.points[-1]) <= g.x_max
     assert np.all(np.isfinite(spec.even)) and np.all(np.isfinite(spec.odd))
