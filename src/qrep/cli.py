@@ -8,7 +8,9 @@
 Tabular output is CSV with 17 significant digits (doubles round-trip
 exactly); reports are JSON.  Files are written to a temporary name and
 atomically renamed, so a failing command never leaves a partial file.
-Exit codes: 0 success, 1 verification failure, 2 usage or parameter error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
+including ``output_write`` and ``config_read`` for files that cannot be
+written or read.
 """
 
 from __future__ import annotations
@@ -46,33 +48,39 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qrep-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qrep-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # name the requested path, not the temporary one
+        raise ValueError(f"output_write: cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _rows_to_csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _rows_to_json(header: list[str], rows: list[list]) -> str:
-    return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
-
-
-def _emit_table(args, header: list[str], rows: list[list]) -> None:
+def _emit_table(args, header: list[str], columns: list[list]) -> None:
+    rows = zip(*columns)
     if args.format == "json":
-        _write_text(args.out, _rows_to_json(header, rows))
+        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
     else:
-        _write_text(args.out, _rows_to_csv(header, rows))
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        text = "\n".join(lines) + "\n"
+    _write_text(args.out, text)
+
+
+def _sample_columns(wf) -> list[list]:
+    """Coordinate, real part, imaginary part and modulus of each sample."""
+    s = wf.samples
+    # Python's scalar abs: np.abs can differ from it in the last bit
+    moduli = [abs(v) for v in s.tolist()]
+    return [wf.grid.points.tolist(), s.real.tolist(), s.imag.tolist(), moduli]
 
 
 def _number(what: str, key: str, val) -> float:
@@ -119,11 +127,13 @@ def _state_from_fields(name, params: dict):
 
 
 def _state_from_config(path: str):
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"config_format: {path} is not valid JSON ({exc})") from None
+    except OSError as exc:
+        raise ValueError(f"config_read: cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"config_format: {path} is not valid JSON ({exc})") from None
     if not isinstance(cfg, dict) or not isinstance(cfg.get("state"), str):
         raise ValueError(
             f'config_format: {path} must hold a JSON object with a string "state" field, '
@@ -167,10 +177,7 @@ def cmd_kernel(args) -> int:
         wf = fresnel_delta(g, args.eps)
     else:  # pragma: no cover - argparse choices guard this
         raise ValueError(f"kernel_family: unknown family {fam!r}")
-    x = wf.grid.points
-    s = wf.samples
-    rows = [[float(x[j]), float(s[j].real), float(s[j].imag), float(abs(s[j]))] for j in range(g.n)]
-    _emit_table(args, ["x", "re", "im", "abs"], rows)
+    _emit_table(args, ["x", "re", "im", "abs"], _sample_columns(wf))
     return 0
 
 
@@ -201,15 +208,15 @@ def cmd_transform(args) -> int:
                 raise ValueError("rep_spec: provide both --u-min and --u-max or neither")
             window = (args.u_min, args.u_max)
         spectrum = correlation_transform(psi, u_window=window, n_gamma=args.n_gamma)
-        gam = spectrum.gamma_grid.points
-        rows = [
-            [float(gam[j]), "even", float(spectrum.even[j].real), float(spectrum.even[j].imag)]
-            for j in range(len(gam))
-        ] + [
-            [float(gam[j]), "odd", float(spectrum.odd[j].real), float(spectrum.odd[j].imag)]
-            for j in range(len(gam))
+        gam = spectrum.gamma_grid.points.tolist()
+        even, odd = spectrum.even, spectrum.odd
+        columns = [
+            gam + gam,
+            ["even"] * len(gam) + ["odd"] * len(gam),
+            even.real.tolist() + odd.real.tolist(),
+            even.imag.tolist() + odd.imag.tolist(),
         ]
-        _emit_table(args, ["gamma", "parity", "re", "im"], rows)
+        _emit_table(args, ["gamma", "parity", "re", "im"], columns)
         _sidecar(
             args,
             {
@@ -229,10 +236,7 @@ def cmd_transform(args) -> int:
             f"rep_spec: {rep_name} representation requires {member.param}, "
             f"e.g. {rep_name}:{member.param}=0.5"
         )
-    lam = out.grid.points
-    s = out.samples
-    rows = [[float(lam[j]), float(s[j].real), float(s[j].imag), float(abs(s[j]))] for j in range(g.n)]
-    _emit_table(args, ["lambda", "re", "im", "abs"], rows)
+    _emit_table(args, ["lambda", "re", "im", "abs"], _sample_columns(out))
     _sidecar(args, {"norm_in": norm(psi), "norm_out": norm(out), "tail_mass": None})
     return 0
 
@@ -341,10 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-    except ValueError as exc:
-        print(f"qrep: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"qrep: {exc}", file=sys.stderr)
         return 2
 

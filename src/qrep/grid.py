@@ -31,6 +31,7 @@ __all__ = [
     "log_resample",
     "norm",
     "require_contained",
+    "require_label",
     "require_momentum_decay",
 ]
 
@@ -158,6 +159,12 @@ def inner(a: Wavefunction, b: Wavefunction) -> complex:
     return complex(np.vdot(a.samples, b.samples) * a.grid.dx)
 
 
+def require_label(psi: Wavefunction, label: RepresentationLabel, who: str) -> None:
+    """Reject samples that are not in the ``label`` representation; ``who`` names the caller."""
+    if psi.label != label:
+        raise ValueError(f"{label.kind}_label: {who} expects {label.kind}-representation samples")
+
+
 def require_contained(psi: Wavefunction) -> None:
     """Reject a state whose samples exceed ``BOUNDARY_DECAY_TOL`` at either domain edge."""
     s = psi.samples
@@ -273,8 +280,7 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
     stay within the samples of both half-lines, ``e^u_max <= min(x_max,
     -x_min)``, so no value is extrapolated.
     """
-    if psi.label != POSITION:
-        raise ValueError("position_label: log_resample expects position-representation samples")
+    require_label(psi, POSITION, "log_resample")
     u = u_grid.points
     x_edge = min(psi.grid.x_max, -psi.grid.x_min)
     if np.exp(u[-1]) > x_edge:

@@ -22,6 +22,7 @@ from .grid import (
     inner,
     inverse_fourier_sum,
     require_contained,
+    require_label,
     require_momentum_decay,
 )
 
@@ -40,14 +41,9 @@ __all__ = [
 ]
 
 
-def _require_position(psi: Wavefunction) -> None:
-    if psi.label != POSITION:
-        raise ValueError("position_label: operator expects position-representation samples")
-
-
 def apply_x(psi: Wavefunction) -> Wavefunction:
     """Multiply by the lattice coordinate.  Output is not a normalized state."""
-    _require_position(psi)
+    require_label(psi, POSITION, "operator")
     return Wavefunction(psi.grid, psi.grid.points * psi.samples, psi.label)
 
 
@@ -59,7 +55,7 @@ def apply_p(psi: Wavefunction) -> Wavefunction:
     (spectral differentiation treats the data as periodic) and at the
     momentum edge (the lattice must resolve it).
     """
-    _require_position(psi)
+    require_label(psi, POSITION, "operator")
     require_contained(psi)
     kgrid, tilde = fourier_sum(psi.samples, psi.grid)
     require_momentum_decay(tilde)
@@ -109,8 +105,7 @@ def apply_c_momentum(phi: Wavefunction) -> Wavefunction:
     gives ``+i (p d/dp + 1/2)``.  The derivative is evaluated spectrally
     through the position side.
     """
-    if phi.label != MOMENTUM:
-        raise ValueError("momentum_label: operator expects momentum-representation samples")
+    require_label(phi, MOMENTUM, "operator")
     sqrt_2pi = np.sqrt(2.0 * np.pi)
     xgrid = dual_grid(phi.grid)
     x = xgrid.points

@@ -33,6 +33,7 @@ from .grid import (
     log_grid,
     log_resample,
     require_contained,
+    require_label,
     require_momentum_decay,
 )
 from .kernels import (
@@ -81,8 +82,7 @@ def to_momentum(psi: Wavefunction) -> Wavefunction:
     on the monotone dual lattice.  Exactly unitary on the grid.  The state
     must have decayed at both position edges and both momentum edges.
     """
-    if psi.label != POSITION:
-        raise ValueError("position_label: to_momentum expects position-representation samples")
+    require_label(psi, POSITION, "to_momentum")
     require_contained(psi)
     kgrid, tilde = fourier_sum(psi.samples, psi.grid)
     require_momentum_decay(tilde)
@@ -91,8 +91,7 @@ def to_momentum(psi: Wavefunction) -> Wavefunction:
 
 def from_momentum(phi: Wavefunction) -> Wavefunction:
     """Exact inverse of :func:`to_momentum`."""
-    if phi.label != MOMENTUM:
-        raise ValueError("momentum_label: from_momentum expects momentum-representation samples")
+    require_label(phi, MOMENTUM, "from_momentum")
     xgrid = dual_grid(phi.grid)
     out = inverse_fourier_sum(phi.samples, phi.grid, xgrid) / _SQRT_2PI
     return Wavefunction(xgrid, out, POSITION)
@@ -113,10 +112,7 @@ def _linear_transform(psi: Wavefunction, chirp: _Chirp) -> Wavefunction:
     choice, so neither side checks the momentum edge (``momentum_decay``).
     """
     label = chirp.label
-    if psi.label != POSITION:
-        raise ValueError(
-            f"position_label: {label.kind}_transform expects position-representation samples"
-        )
+    require_label(psi, POSITION, f"{label.kind}_transform")
     require_contained(psi)
     a, b, kappa, mu = chirp.a, chirp.b, chirp.kappa, chirp.mu
     g = psi.grid
@@ -228,10 +224,7 @@ def correlation_transform(
     always reported in ``tail_mass``.  The state must have decayed at both
     domain edges (``boundary_decay``), as the spline read presumes.
     """
-    if psi.label != POSITION:
-        raise ValueError(
-            "position_label: correlation_transform expects position-representation samples"
-        )
+    require_label(psi, POSITION, "correlation_transform")
     require_contained(psi)
     g = psi.grid
     if u_window is None:
@@ -308,8 +301,7 @@ def quadrature_oracle(
     density), sharing only the interpolation step
     (:func:`~qrep.grid.log_resample`) with the fast path.
     """
-    if psi.label != POSITION:
-        raise ValueError("position_label: quadrature_oracle expects position-representation samples")
+    require_label(psi, POSITION, "quadrature_oracle")
     if family not in _ORACLE_FAMILIES:
         raise ValueError(f"oracle_family: unknown kernel family {family!r}")
     lambdas = np.asarray(lambdas, dtype=float)

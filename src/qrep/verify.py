@@ -2,9 +2,10 @@
 
 Each suite is a pure function from a base grid to a list of `CheckReport`,
 so `qrep verify` and the pytest suite execute the identical code path.  A
-check passes iff its observed defect is at most its tolerance.  Checks that
-need finer lattices than the base grid (finite-difference residuals, the
-endpoint limits, the point-mass pairing) derive their own grids from it;
+check passes iff its observed defect is at most its tolerance.  Each check
+runs once, on the grid its claim needs: the finite-difference residuals test
+the kernel formulas on fixed grids, the oracle sums and the endpoint limits
+derive finer grids from the base one, and the rest run on the base grid;
 everything is deterministic.
 """
 
@@ -19,7 +20,6 @@ from .kernels import (
     Parity,
     _Chirp,
     _chirp_resolved,
-    _interp_chirp,
     correlation_kernel,
     fresnel_delta,
     interp_kernel,
@@ -83,15 +83,24 @@ class CheckReport:
         }
 
 
+# The factory states by name: a Gaussian spec or a Hermite order.
+_STATES = {
+    "gaussian": GaussianSpec(),
+    "gaussian_chirped": GaussianSpec(s=1.0, c=2.0),
+    "gaussian_moved": GaussianSpec(s=1.5, x0=1.0, p0=-0.5),
+    "hermite_1": 1,
+    "hermite_2": 2,
+    "hermite_3": 3,
+}
+
+
+def _state(g: Grid, name: str) -> Wavefunction:
+    spec = _STATES[name]
+    return gaussian(g, spec) if isinstance(spec, GaussianSpec) else hermite(g, spec)
+
+
 def _factory_states(g: Grid) -> list[tuple[str, Wavefunction]]:
-    return [
-        ("gaussian", gaussian(g, GaussianSpec())),
-        ("gaussian_chirped", gaussian(g, GaussianSpec(s=1.0, c=2.0))),
-        ("gaussian_moved", gaussian(g, GaussianSpec(s=1.5, x0=1.0, p0=-0.5))),
-        ("hermite_1", hermite(g, 1)),
-        ("hermite_2", hermite(g, 2)),
-        ("hermite_3", hermite(g, 3)),
-    ]
+    return [(name, _state(g, name)) for name in _STATES]
 
 
 _ANGLES = tuple(np.pi * k / 10.0 for k in (1, 2, 3, 4, 5))
@@ -99,12 +108,13 @@ _ANGLES = tuple(np.pi * k / 10.0 for k in (1, 2, 3, 4, 5))
 
 def _suite_commutators(g: Grid) -> list[CheckReport]:
     reports = []
-    for name, psi in _factory_states(g):
+    states = dict(_factory_states(g))
+    for name, psi in states.items():
         xp = inner(psi, apply_x(apply_p(psi))) - inner(psi, apply_p(apply_x(psi)))
         reports.append(
             CheckReport("xp_commutator", {"state": name}, abs(xp - 1j), 1e-8)
         )
-    psi = gaussian(g, GaussianSpec())
+    psi = states["gaussian"]
     for t1 in _ANGLES:
         for t2 in _ANGLES:
             comm = inner(psi, apply_s_theta(apply_s_theta(psi, t2), t1)) - inner(
@@ -118,10 +128,8 @@ def _suite_commutators(g: Grid) -> list[CheckReport]:
                     1e-7,
                 )
             )
-    for name, psi in (
-        ("gaussian_chirped", gaussian(g, GaussianSpec(s=1.0, c=2.0))),
-        ("gaussian_moved", gaussian(g, GaussianSpec(s=1.5, x0=1.0, p0=-0.5))),
-    ):
+    for name in ("gaussian_chirped", "gaussian_moved"):
+        psi = states[name]
         defect = float(
             np.abs(parity_flip(apply_c(psi)).samples - apply_c(parity_flip(psi)).samples).max()
         )
@@ -131,11 +139,11 @@ def _suite_commutators(g: Grid) -> list[CheckReport]:
 
 def _suite_eigen_residuals(g: Grid) -> list[CheckReport]:
     reports = []
-    # Plane waves and dilation kernels tolerate the base length; the chirp
-    # kernels need a finer step over a smaller window to push the
-    # finite-difference error below tolerance.
-    g_wide = make_grid(8 * g.n, g.length)
-    g_fine = make_grid(16 * g.n, g.length / 2.0)
+    # The residuals test the kernel formulas, not the base lattice, so the
+    # grids are fixed.  The chirp kernels need a finer step over a smaller
+    # window to push the finite-difference error below tolerance.
+    g_wide = make_grid(8192, 40.0)
+    g_fine = make_grid(16384, 20.0)
 
     dp = dual_grid(g_wide).dx
     for p_target in (-2.0, 0.5, 1.0):
@@ -185,7 +193,8 @@ def _correlation_window(g: Grid) -> tuple[float, float]:
 
 def _suite_roundtrips(g: Grid) -> list[CheckReport]:
     reports = []
-    for name, psi in _factory_states(g):
+    states = dict(_factory_states(g))
+    for name, psi in states.items():
         ft = to_momentum(psi)
         back = from_momentum(ft)
         reports.append(
@@ -199,7 +208,8 @@ def _suite_roundtrips(g: Grid) -> list[CheckReport]:
         reports.append(
             CheckReport("fourier_unitarity", {"state": name}, abs(norm(ft) - 1.0), 1e-10)
         )
-    phi = to_momentum(gaussian(g, GaussianSpec()))
+    psi = states["gaussian"]
+    phi = to_momentum(psi)
     again = to_momentum(from_momentum(phi))
     reports.append(
         CheckReport(
@@ -210,8 +220,6 @@ def _suite_roundtrips(g: Grid) -> list[CheckReport]:
         )
     )
 
-    psi = gaussian(g, GaussianSpec())
-    sub = np.arange(0, g.n, 8)
     for family, value in (("interp", 0.5), ("rotation", np.pi / 4)):
         member = _CHIRP_FAMILIES[family]
         out = member.transform(psi, value)
@@ -219,11 +227,7 @@ def _suite_roundtrips(g: Grid) -> list[CheckReport]:
         reports.append(
             CheckReport(f"{family}_unitarity", params, abs(norm(out) - 1.0), 1e-8)
         )
-        # the oracle sums on a grid that resolves its kernel's chirp
-        fine = gaussian(_oracle_grid(g, member.chirp(value)), GaussianSpec())
-        oracle = quadrature_oracle(fine, family, out.grid.points[sub], **{member.param: value})
-        err = float(np.abs(out.samples[sub] - oracle).max())
-        reports.append(CheckReport(f"{family}_oracle", {**params, "state": "gaussian"}, err, 1e-8))
+        reports.append(_member_oracle(g, family, value, 8, "gaussian", out))
 
     window = _correlation_window(g)
     spec = correlation_transform(psi, u_window=window, n_gamma=2 * g.n)
@@ -249,7 +253,7 @@ def _gaussian_momentum_samples(lam: np.ndarray) -> np.ndarray:
 
 def _suite_limits(g: Grid) -> list[CheckReport]:
     reports = []
-    psi = gaussian(g, GaussianSpec())
+    psi = _state(g, "gaussian")
     # tolerances: 1.5x the measured defect for the coarse steps, the
     # acceptance bound 1e-2 at the finest step
     fourier_tols = {1e-1: 8.6e-2, 1e-2: 8.8e-3, 1e-3: 1e-2}
@@ -267,7 +271,7 @@ def _suite_limits(g: Grid) -> list[CheckReport]:
     errs = []
     for eps, n_fine in identity_cases:
         g_fine = make_grid(max(n_fine, g.n), 16.0)
-        psi_f = gaussian(g_fine, GaussianSpec())
+        psi_f = _state(g_fine, "gaussian")
         out = interp_transform(psi_f, 1.0 - eps)
         lam = out.grid.points
         target = np.exp(-0.5j * lam**2) * (
@@ -307,7 +311,7 @@ def _suite_delta_limit(g: Grid) -> list[CheckReport]:
     devs = []
     for eps, n_fine in cases:
         g_fine = make_grid(max(n_fine, g.n), 20.0)
-        f = gaussian(g_fine, GaussianSpec())
+        f = _state(g_fine, "gaussian")
         val = inner(fresnel_delta(g_fine, eps), f)
         measured = abs(val - f0)
         predicted = abs(f0 * ((1.0 + 0.5j * eps) ** -0.5 - 1.0))
@@ -375,11 +379,24 @@ def _oracle_grid(g: Grid, chirp: _Chirp) -> Grid:
     return make_grid(n, g.length)
 
 
+def _member_oracle(g: Grid, family: str, value: float, stride: int, name: str,
+                   out: Wavefunction) -> CheckReport:
+    """``out``, the member's output for the factory state ``name``, against the
+    oracle at every ``stride``-th eigenvalue, summed on a grid that resolves
+    the kernel chirp."""
+    member = _CHIRP_FAMILIES[family]
+    fine = _state(_oracle_grid(g, member.chirp(value)), name)
+    oracle = quadrature_oracle(fine, family, out.grid.points[::stride], **{member.param: value})
+    err = float(np.abs(out.samples[::stride] - oracle).max())
+    params = {member.param: round(value, 12), "state": name}
+    return CheckReport(f"{family}_oracle", params, err, 1e-8)
+
+
 def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
     reports = []
+    states = dict(_factory_states(g))
     sub = np.arange(0, g.n, 8)
-    fine_states = _factory_states(_oracle_grid(g, _interp_chirp(0.5)))
-    for (name, psi), (_, fine) in zip(_factory_states(g), fine_states):
+    for name, psi in states.items():
         ft = to_momentum(psi)
         oracle = quadrature_oracle(psi, "plane_wave", ft.grid.points[sub])
         reports.append(
@@ -390,39 +407,23 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
                 1e-10,
             )
         )
-        out = interp_transform(psi, 0.5)
-        oracle = quadrature_oracle(fine, "interp", out.grid.points[sub], alpha=0.5)
-        reports.append(
-            CheckReport(
-                "interp_oracle",
-                {"alpha": 0.5, "state": name},
-                float(np.abs(out.samples[sub] - oracle).max()),
-                1e-8,
-            )
-        )
-    # The oracle sums on a grid that resolves its kernel's chirp.  On the
-    # default grid the last two members take the transform's momentum side.
-    psi = gaussian(g, GaussianSpec())
-    for family, value, stride in (
-        ("rotation", np.pi / 6, 8),
-        ("rotation", np.pi / 4, 8),
-        ("interp", 0.85, 64),
-        ("rotation", 0.15, 64),
+    # (family, value, lambda stride, states); the Gaussian's alpha = 0.5 and
+    # theta = pi/4 records are in roundtrips.  On the default grid the last
+    # two members take the transform's momentum side.
+    for family, value, stride, names in (
+        ("interp", 0.5, 8, ("gaussian_chirped", "gaussian_moved", "hermite_1", "hermite_2",
+                            "hermite_3")),
+        ("rotation", np.pi / 6, 8, ("gaussian",)),
+        ("interp", 0.85, 64, ("gaussian",)),
+        ("rotation", 0.15, 64, ("gaussian",)),
     ):
-        member = _CHIRP_FAMILIES[family]
-        out = member.transform(psi, value)
-        fine = gaussian(_oracle_grid(g, member.chirp(value)), GaussianSpec())
-        oracle = quadrature_oracle(fine, family, out.grid.points[::stride], **{member.param: value})
-        err = float(np.abs(out.samples[::stride] - oracle).max())
-        params = {member.param: round(value, 12), "state": "gaussian"}
-        reports.append(CheckReport(f"{family}_oracle", params, err, 1e-8))
+        for name in names:
+            out = _CHIRP_FAMILIES[family].transform(states[name], value)
+            reports.append(_member_oracle(g, family, value, stride, name, out))
 
     window = _correlation_window(g)
-    for name, psi in [
-        ("gaussian", gaussian(g, GaussianSpec())),
-        ("gaussian_moved", gaussian(g, GaussianSpec(s=1.5, x0=1.0, p0=-0.5))),
-        ("hermite_1", hermite(g, 1)),
-    ]:
+    for name in ("gaussian", "gaussian_moved", "hermite_1"):
+        psi = states[name]
         spec = correlation_transform(psi, u_window=window, n_gamma=2 * g.n)
         gsub = np.arange(0, spec.gamma_grid.n, 64)
         gams = spec.gamma_grid.points[gsub]
@@ -437,7 +438,7 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
                 )
             )
 
-    for name, psi in _factory_states(g):
+    for name, psi in states.items():
         reports.append(
             CheckReport("conjugation_rule", {"state": name}, conjugation_defect(psi), 1e-8)
         )
@@ -454,7 +455,7 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
                 )
             )
 
-    psi = gaussian(g, GaussianSpec(s=1.0, c=2.0))
+    psi = states["gaussian_chirped"]
     spec = correlation_transform(psi, u_window=(-28.0, float(np.log(18.0))), n_gamma=4 * g.n)
     dgam = spec.gamma_grid.dx
     mean_c_spec = float(

@@ -214,6 +214,36 @@ def test_bad_spec_input_exits_with_code(tmp_path, args, config, code):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (["kernel", "--family", "plane-wave", "--out", "{missing}/x.csv"], "output_write"),
+        (["kernel", "--family", "plane-wave", "--out", "{dir}"], "output_write"),
+        (["moments", "--config", "{missing}/c.json"], "config_read"),
+    ],
+)
+def test_os_error_exits_with_code(tmp_path, args, code):
+    # the message names the requested path, never the temporary file
+    paths = {"missing": str(tmp_path / "missing"), "dir": str(tmp_path / "dir")}
+    (tmp_path / "dir").mkdir()
+    args = [a.format(**paths) for a in args]
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"qrep: {code}: cannot "), r.stderr
+    assert args[-1] in r.stderr
+    assert ".qrep-" not in r.stderr
+    assert "Traceback" not in r.stderr
+    left = [p.name for p in tmp_path.rglob(".qrep-*")]
+    assert not left, left
+
+
+def test_verify_eigen_residuals_on_coarse_grid_exit_zero():
+    # the finite-difference residuals run on fixed grids, so a coarse base
+    # grid cannot fail them
+    r = run_cli("verify", "--suite", "eigen_residuals", "--n", "256", "--length", "40")
+    assert r.returncode == 0, r.stderr
+
+
 def test_transform_correlation_refuses_uncontained_state():
     # |psi| = 2.5e-5 at the domain edge
     r = run_cli("transform", "--rep", "correlation", "--state", "gaussian:s=1.5,x0=1,p0=-0.5",

@@ -17,9 +17,17 @@ from qrep import (
     make_grid,
     norm,
 )
-from qrep.grid import cubic_interpolate, fourier_sum, inverse_fourier_sum
+from qrep.grid import MOMENTUM, cubic_interpolate, fourier_sum, inverse_fourier_sum, require_label
 from qrep.operators import parity_flip
 from qrep.verify import _factory_states
+
+
+def test_require_label_names_label_and_caller(g1024):
+    psi = gaussian(g1024, GaussianSpec())
+    require_label(psi, POSITION, "caller")
+    with pytest.raises(ValueError) as exc:
+        require_label(psi, MOMENTUM, "caller")
+    assert str(exc.value) == "momentum_label: caller expects momentum-representation samples"
 
 
 def test_make_grid_basic():

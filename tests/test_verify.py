@@ -59,6 +59,24 @@ def test_claim_coverage_manifest(all_reports):
     assert not missing, sorted(missing)
 
 
+def test_each_check_runs_in_one_suite(all_reports):
+    seen = {}
+    for suite, reports in all_reports.items():
+        for r in reports:
+            key = (r.name, repr(sorted(r.parameters.items(), key=str)))
+            assert key not in seen, (key, seen.get(key), suite)
+            seen[key] = suite
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+def test_eigen_residuals_ignore_base_grid(all_reports, n):
+    # the residuals test the kernel formulas on fixed grids
+    reports = run_suite("eigen_residuals", make_grid(n, 40.0))
+    assert [(r.name, r.parameters, r.observed, r.tolerance) for r in reports] == [
+        (r.name, r.parameters, r.observed, r.tolerance) for r in all_reports["eigen_residuals"]
+    ]
+
+
 def test_runs_on_smaller_grid():
     g = make_grid(512, 40.0)
     reports = run_suite("commutators", g)
