@@ -9,7 +9,7 @@ bugs in the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -143,17 +143,7 @@ class MomentReport:
     heisenberg_rhs: float = 0.25
 
     def as_dict(self) -> dict:
-        return {
-            "mean_x": self.mean_x,
-            "mean_p": self.mean_p,
-            "var_x": self.var_x,
-            "var_p": self.var_p,
-            "mean_c": self.mean_c,
-            "corr_term": self.corr_term,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "heisenberg_rhs": self.heisenberg_rhs,
-        }
+        return asdict(self)
 
 
 def moments(psi: Wavefunction) -> MomentReport:

@@ -3,15 +3,16 @@
 Each suite is a pure function from a base grid to a list of `CheckReport`,
 so `qrep verify` and the pytest suite execute the identical code path.  A
 check passes iff its observed defect is at most its tolerance.  Each check
-runs once, on the grid its claim needs: the finite-difference residuals test
-the kernel formulas on fixed grids, the oracle sums and the endpoint limits
-derive finer grids from the base one, and the rest run on the base grid;
-everything is deterministic.
+runs once, on the grid its claim needs: the finite-difference residuals and
+the Fresnel ladder run on fixed grids, the oracle sums on grids refined from
+the base one until they resolve the kernel chirp, and the rest, the endpoint
+ladders among them, on the base grid.  An oracle record never checks more
+eigenvalues than it does at n = 1024.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -50,18 +51,6 @@ from .transforms import (
 
 __all__ = ["CheckReport", "run_suite", "run_all_suites", "SUITE_NAMES", "REQUIRED_COVERAGE"]
 
-SUITE_NAMES = (
-    "commutators",
-    "eigen_residuals",
-    "roundtrips",
-    "limits",
-    "uncertainty",
-    "delta_limit",
-    "unbiasedness",
-    "oracle_agreement",
-)
-
-
 @dataclass(frozen=True)
 class CheckReport:
     name: str
@@ -74,13 +63,7 @@ class CheckReport:
         return self.observed <= self.tolerance
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": self.parameters,
-            "observed": self.observed,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 # The factory states by name: a Gaussian spec or a Hermite order.
@@ -104,6 +87,18 @@ def _factory_states(g: Grid) -> list[tuple[str, Wavefunction]]:
 
 
 _ANGLES = tuple(np.pi * k / 10.0 for k in (1, 2, 3, 4, 5))
+
+
+def _stride(g: Grid, stride: int) -> int:
+    """The lambda stride of an oracle or Gram subset: ``stride`` up to
+    n = 1024 and scaled with n above it, so a record never checks more
+    eigenvalues than at n = 1024 and its O(n)-per-lambda sums stay O(n)."""
+    return stride * max(1, g.n // 1024)
+
+
+def _monotone(name: str, errs: list[float]) -> CheckReport:
+    """Passes iff the error shrinks at every step of a limit ladder."""
+    return CheckReport(name, {}, max(b / a for a, b in zip(errs, errs[1:])), 1.0)
 
 
 def _suite_commutators(g: Grid) -> list[CheckReport]:
@@ -254,37 +249,27 @@ def _gaussian_momentum_samples(lam: np.ndarray) -> np.ndarray:
 def _suite_limits(g: Grid) -> list[CheckReport]:
     reports = []
     psi = _state(g, "gaussian")
-    # tolerances: 1.5x the measured defect for the coarse steps, the
-    # acceptance bound 1e-2 at the finest step
-    fourier_tols = {1e-1: 8.6e-2, 1e-2: 8.8e-3, 1e-3: 1e-2}
-    errs = []
-    for alpha, tol in fourier_tols.items():
-        out = interp_transform(psi, alpha)
-        target = np.exp(-1j * np.pi / 4.0) * _gaussian_momentum_samples(out.grid.points)
-        err = float(np.abs(out.samples - target).max())
-        errs.append(err)
-        reports.append(CheckReport("interp_limit_fourier", {"alpha": alpha}, err, tol))
-    mono = max(errs[1] / errs[0], errs[2] / errs[1])
-    reports.append(CheckReport("interp_limit_fourier_monotone", {}, mono, 1.0))
-
-    identity_cases = [(1e-1, 2048), (1e-2, 16384), (1e-3, 131072)]
-    errs = []
-    for eps, n_fine in identity_cases:
-        g_fine = make_grid(max(n_fine, g.n), 16.0)
-        psi_f = _state(g_fine, "gaussian")
-        out = interp_transform(psi_f, 1.0 - eps)
-        lam = out.grid.points
-        target = np.exp(-0.5j * lam**2) * (
-            np.pi**-0.25 * np.exp(-(lam**2) / 2.0)
-        )
-        err = float(np.abs(out.samples - target).max())
-        errs.append(err)
-        tol = 1e-2 if eps == 1e-3 else 1.5 * {1e-1: 5.8e-2, 1e-2: 5.9e-3}[eps]
-        reports.append(
-            CheckReport("interp_limit_identity", {"alpha": 1.0 - eps}, err, tol)
-        )
-    mono = max(errs[1] / errs[0], errs[2] / errs[1])
-    reports.append(CheckReport("interp_limit_identity_monotone", {}, mono, 1.0))
+    # Both ends of alpha X + (1 - alpha) P on the base grid.  The unit packet
+    # is Fourier self-dual, so both targets are its momentum samples times a
+    # phase: e^(-i pi/4) as alpha -> 0, the chirp e^(-i lam^2/2) as alpha -> 1.
+    # Tolerances: 1.5x the measured defect for the coarse steps, the
+    # acceptance bound 1e-2 at the finest step.
+    for name, alpha_at, phase, tols in (
+        ("interp_limit_fourier", lambda eps: eps, lambda lam: np.exp(-1j * np.pi / 4.0),
+         (8.6e-2, 8.8e-3, 1e-2)),
+        ("interp_limit_identity", lambda eps: 1.0 - eps, lambda lam: np.exp(-0.5j * lam**2),
+         (1.5 * 5.8e-2, 1.5 * 5.9e-3, 1e-2)),
+    ):
+        errs = []
+        for eps, tol in zip((1e-1, 1e-2, 1e-3), tols):
+            alpha = alpha_at(eps)
+            out = interp_transform(psi, alpha)
+            lam = out.grid.points
+            target = phase(lam) * _gaussian_momentum_samples(lam)
+            err = float(np.abs(out.samples - target).max())
+            errs.append(err)
+            reports.append(CheckReport(name, {"alpha": alpha}, err, tol))
+        reports.append(_monotone(f"{name}_monotone", errs))
     return reports
 
 
@@ -306,11 +291,12 @@ def _suite_uncertainty(g: Grid) -> list[CheckReport]:
 
 def _suite_delta_limit(g: Grid) -> list[CheckReport]:
     reports = []
+    # The Fresnel oscillation at eps needs its own fixed grid, whatever g is.
     cases = [(1e-1, 4096), (1e-2, 16384), (1e-3, 65536)]
     f0 = np.pi**-0.25
     devs = []
     for eps, n_fine in cases:
-        g_fine = make_grid(max(n_fine, g.n), 20.0)
+        g_fine = make_grid(n_fine, 20.0)
         f = _state(g_fine, "gaussian")
         val = inner(fresnel_delta(g_fine, eps), f)
         measured = abs(val - f0)
@@ -324,8 +310,7 @@ def _suite_delta_limit(g: Grid) -> list[CheckReport]:
                 0.5,
             )
         )
-    mono = max(devs[1] / devs[0], devs[2] / devs[1])
-    reports.append(CheckReport("fresnel_delta_monotone", {}, mono, 1.0))
+    reports.append(_monotone("fresnel_delta_monotone", devs))
     return reports
 
 
@@ -382,12 +367,13 @@ def _oracle_grid(g: Grid, chirp: _Chirp) -> Grid:
 def _member_oracle(g: Grid, family: str, value: float, stride: int, name: str,
                    out: Wavefunction) -> CheckReport:
     """``out``, the member's output for the factory state ``name``, against the
-    oracle at every ``stride``-th eigenvalue, summed on a grid that resolves
-    the kernel chirp."""
+    oracle on the ``_stride(g, stride)`` subset of eigenvalues, summed on a
+    grid that resolves the kernel chirp."""
     member = _CHIRP_FAMILIES[family]
     fine = _state(_oracle_grid(g, member.chirp(value)), name)
-    oracle = quadrature_oracle(fine, family, out.grid.points[::stride], **{member.param: value})
-    err = float(np.abs(out.samples[::stride] - oracle).max())
+    sub = slice(None, None, _stride(g, stride))
+    oracle = quadrature_oracle(fine, family, out.grid.points[sub], **{member.param: value})
+    err = float(np.abs(out.samples[sub] - oracle).max())
     params = {member.param: round(value, 12), "state": name}
     return CheckReport(f"{family}_oracle", params, err, 1e-8)
 
@@ -395,7 +381,7 @@ def _member_oracle(g: Grid, family: str, value: float, stride: int, name: str,
 def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
     reports = []
     states = dict(_factory_states(g))
-    sub = np.arange(0, g.n, 8)
+    sub = np.arange(0, g.n, _stride(g, 8))
     for name, psi in states.items():
         ft = to_momentum(psi)
         oracle = quadrature_oracle(psi, "plane_wave", ft.grid.points[sub])
@@ -425,7 +411,7 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
     for name in ("gaussian", "gaussian_moved", "hermite_1"):
         psi = states[name]
         spec = correlation_transform(psi, u_window=window, n_gamma=2 * g.n)
-        gsub = np.arange(0, spec.gamma_grid.n, 64)
+        gsub = np.arange(0, spec.gamma_grid.n, _stride(g, 64))
         gams = spec.gamma_grid.points[gsub]
         for channel, values in (("even", spec.even), ("odd", spec.odd)):
             oracle = quadrature_oracle(psi, f"correlation_{channel}", gams, u_window=window)
@@ -475,7 +461,7 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
     # shadow of continuum orthogonality
     alpha = 0.5
     lam_grid = (1.0 - alpha) * dual_grid(g).points
-    lams = lam_grid[np.arange(0, g.n, 32)]
+    lams = lam_grid[np.arange(0, g.n, _stride(g, 32))]
     window_arr = np.exp(-g.points**2 / (2.0 * (g.length / 8.0) ** 2))
     kernels = [interp_kernel(g, alpha, l).samples for l in lams]
     gram = np.array(
@@ -505,6 +491,7 @@ _SUITES = {
     "unbiasedness": _suite_unbiasedness,
     "oracle_agreement": _suite_oracle_agreement,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 # Manifest of claim families the union of suites must exercise; the test
 # harness asserts this coverage.

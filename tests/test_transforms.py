@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -385,6 +386,12 @@ def test_correlation_inverse_zero_spectrum(g1024, unit_gaussian):
     )
     rec = correlation_inverse(zeroed, g1024)
     assert np.abs(rec.samples).max() == 0.0
+
+
+def test_correlation_spectrum_rejects_short_channel(unit_gaussian):
+    spec = correlation_transform(unit_gaussian, u_window=CORR_WINDOW)
+    with pytest.raises(ValueError, match="channel_length"):
+        dataclasses.replace(spec, odd=spec.odd[:-1])
 
 
 def test_correlation_inverse_rejects_large_tail(g1024, unit_gaussian):

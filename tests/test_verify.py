@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qrep import SUITE_NAMES, make_grid, run_all_suites, run_suite
+from qrep import SUITE_NAMES, make_grid, run_all_suites, run_suite, verify
 from qrep.verify import REQUIRED_COVERAGE
 
 
@@ -81,3 +81,31 @@ def test_runs_on_smaller_grid():
     g = make_grid(512, 40.0)
     reports = run_suite("commutators", g)
     assert all(r.passed for r in reports)
+
+
+def test_limits_run_on_the_base_grid(g1024, monkeypatch):
+    # both endpoint ladders resolve on the base grid, so limits builds none
+    def refuse(*args, **kwargs):
+        raise AssertionError("limits built a grid of its own")
+
+    monkeypatch.setattr(verify, "make_grid", refuse)
+    reports = run_suite("limits", g1024)
+    assert len(reports) == 8 and all(r.passed for r in reports)
+
+
+def test_oracle_records_check_no_more_eigenvalues_above_1024(g1024, monkeypatch):
+    # each oracle sum is O(n), so subsets that grew with n would make the
+    # oracle work O(n^2)
+    real = verify.quadrature_oracle
+    counts = []
+
+    def counting(psi, family, lams, **kwargs):
+        counts[-1] += len(lams)
+        return real(psi, family, lams, **kwargs)
+
+    monkeypatch.setattr(verify, "quadrature_oracle", counting)
+    for g in (g1024, make_grid(2048, 40.0)):
+        counts.append(0)
+        for suite in ("roundtrips", "oracle_agreement"):
+            run_suite(suite, g)
+    assert counts[0] == counts[1] > 0
