@@ -120,9 +120,8 @@ def _state_from_fields(name, params: dict):
         if set(params) - {"k"}:
             raise ValueError("state_spec_field: hermite takes only k")
         k = params.get("k", 0.0)
-        if not k.is_integer():
-            raise ValueError(f"hermite_order_range: k must be an integer, got {k}")
-        return ("hermite", int(k))
+        # hermite() owns the order range; it refuses what stays a float here
+        return ("hermite", int(k) if k.is_integer() else k)
     raise ValueError(f"state_spec_name: unknown state {name!r} (want gaussian or hermite)")
 
 
@@ -171,12 +170,10 @@ def cmd_kernel(args) -> int:
         wf = correlation_kernel(g, args.gamma, Parity.EVEN)
     elif fam == "corr-odd":
         wf = correlation_kernel(g, args.gamma, Parity.ODD)
-    elif fam == "fresnel":
+    else:  # fresnel; argparse choices own the family list
         if args.eps is None:
             raise ValueError("kernel_parameter: fresnel family requires --eps")
         wf = fresnel_delta(g, args.eps)
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"kernel_family: unknown family {fam!r}")
     _emit_table(args, ["x", "re", "im", "abs"], _sample_columns(wf))
     return 0
 
@@ -279,8 +276,6 @@ def _add_common(sub):
     sub.add_argument("--n", type=int, default=1024, help="grid size (power of two)")
     sub.add_argument("--length", type=float, default=40.0, help="domain length")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv",
-                     help="tabular output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,6 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
     _add_common(pv)
     pv.set_defaults(func=cmd_verify)
+    for tabular in (pk, pt):  # moments and verify always write JSON
+        tabular.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
     return parser
 
 

@@ -38,8 +38,9 @@ __all__ = [
 BOUNDARY_DECAY_TOL = 1e-12
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _require_grid_size(n: int) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 8 or n & (n - 1):
+        raise ValueError(f"grid_size_power_of_two: n must be a power of two >= 8, got {n}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,7 @@ class Grid:
     _dual_dx: float | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if not _is_power_of_two(self.n) or self.n < 8:
-            raise ValueError(f"grid_size_power_of_two: n must be a power of two >= 8, got {self.n}")
+        _require_grid_size(self.n)
         if not (self.dx > 0 and np.isfinite(self.dx)):
             raise ValueError(f"grid_spacing_positive: dx must be positive and finite, got {self.dx}")
         if not np.isfinite(self.x_min):
@@ -116,8 +116,7 @@ class Wavefunction:
 
 def make_grid(n: int, length: float) -> Grid:
     """Symmetric grid of ``n`` points covering ``[-length/2, length/2)``."""
-    if not isinstance(n, (int, np.integer)) or not _is_power_of_two(int(n)) or n < 8:
-        raise ValueError(f"grid_size_power_of_two: n must be a power of two >= 8, got {n}")
+    _require_grid_size(n)
     if not (length > 0 and np.isfinite(length)):
         raise ValueError(f"grid_length_positive: length must be positive, got {length}")
     dx = float(length) / int(n)
@@ -137,8 +136,7 @@ def log_grid(n: int, u_min: float, u_max: float) -> Grid:
     """Uniform grid on ``[u_min, u_max)``; substrate for the log-variable transform."""
     if not (np.isfinite(u_min) and np.isfinite(u_max) and u_max > u_min):
         raise ValueError(f"log_window_order: need u_min < u_max, got ({u_min}, {u_max})")
-    if not isinstance(n, (int, np.integer)) or not _is_power_of_two(int(n)) or n < 8:
-        raise ValueError(f"grid_size_power_of_two: n must be a power of two >= 8, got {n}")
+    _require_grid_size(n)
     du = (float(u_max) - float(u_min)) / int(n)
     return Grid(int(n), du, float(u_min))
 

@@ -127,8 +127,14 @@ def _require_chirp_resolved(a: float, b: float, g: Grid) -> None:
         )
 
 
+def _require_finite_eigenvalue(name: str, value: float) -> None:
+    if not np.isfinite(value):
+        raise ValueError(f"eigenvalue_finite: {name} must be finite, got {value}")
+
+
 def _chirp_kernel(g: Grid, chirp: _Chirp, lam: float) -> Wavefunction:
     """Sample the unit-modulus chirp eigenfunction of ``chirp`` (``b > 0``)."""
+    _require_finite_eigenvalue("lam", lam)
     a, b, kappa = chirp.a, chirp.b, chirp.kappa
     x = g.points
     amp = 1.0 / np.sqrt(2.0 * np.pi * b)
@@ -157,14 +163,13 @@ def interp_kernel(g: Grid, alpha: float, lam: float) -> Wavefunction:
     inner-product action of the delta to first order in ``dx``.
     """
     chirp = _interp_chirp(alpha)
-    if not np.isfinite(lam):
-        raise ValueError(f"eigenvalue_finite: lam must be finite, got {lam}")
-    if chirp.b == 0.0:
-        samples = np.zeros(g.n, dtype=complex)
-        j = int(np.clip(round((lam - g.x_min) / g.dx), 0, g.n - 1))
-        samples[j] = np.exp(0.5j * lam**2) / g.dx
-        return Wavefunction(g, samples, POSITION)
-    return _chirp_kernel(g, chirp, lam)
+    if chirp.b > 0.0:
+        return _chirp_kernel(g, chirp, lam)
+    _require_finite_eigenvalue("lam", lam)
+    samples = np.zeros(g.n, dtype=complex)
+    j = int(np.clip(round((lam - g.x_min) / g.dx), 0, g.n - 1))
+    samples[j] = np.exp(0.5j * lam**2) / g.dx
+    return Wavefunction(g, samples, POSITION)
 
 
 def rotation_kernel(g: Grid, theta: float, lam: float) -> Wavefunction:
@@ -174,10 +179,7 @@ def rotation_kernel(g: Grid, theta: float, lam: float) -> Wavefunction:
     ``(cos theta, sin theta)``; at ``theta = pi/2`` it is the constant-phase
     plane wave.
     """
-    chirp = _rotation_chirp(theta)
-    if not np.isfinite(lam):
-        raise ValueError(f"eigenvalue_finite: lam must be finite, got {lam}")
-    return _chirp_kernel(g, chirp, lam)
+    return _chirp_kernel(g, _rotation_chirp(theta), lam)
 
 
 def correlation_kernel(g: Grid, gamma: float, par: Parity) -> Wavefunction:
@@ -188,8 +190,7 @@ def correlation_kernel(g: Grid, gamma: float, par: Parity) -> Wavefunction:
     by assigning the ``x = 0`` sample the value 0; that single cell of
     measure ``dx`` contributes only O(sqrt(dx)) to any inner product.
     """
-    if not np.isfinite(gamma):
-        raise ValueError(f"eigenvalue_finite: gamma must be finite, got {gamma}")
+    _require_finite_eigenvalue("gamma", gamma)
     if not isinstance(par, Parity):
         raise ValueError(f"parity_label: expected a Parity value, got {par!r}")
     x = g.points
@@ -208,9 +209,9 @@ def correlation_kernel(g: Grid, gamma: float, par: Parity) -> Wavefunction:
 def fresnel_delta(g: Grid, eps: float) -> Wavefunction:
     """Quadratic-phase point-mass approximant ``eps^(-1/2) pi^(-1/2) e^(i pi/4) e^(-i x^2/eps)``.
 
-    Converges to the unit point mass at the origin as ``eps -> 0``.  The
-    lattice must resolve the oscillation near the central lobe, which
-    requires ``eps >= 4*dx^2``.
+    It is the ``lam = 0`` chirp eigenfunction of ``X + (eps/2) P`` and tends to
+    the unit point mass at the origin as ``eps -> 0``.  The lattice must resolve
+    the central lobe's oscillation, which requires ``eps >= 4*dx^2``.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"fresnel_eps_positive: eps must be > 0, got {eps}")
@@ -218,10 +219,8 @@ def fresnel_delta(g: Grid, eps: float) -> Wavefunction:
         raise ValueError(
             f"fresnel_resolution: eps = {eps:.4g} is below the bound 4*dx^2 = {4.0 * g.dx**2:.4g}"
         )
-    x = g.points
-    amp = 1.0 / np.sqrt(eps * np.pi)
-    phase = np.pi / 4.0 - x**2 / eps
-    return Wavefunction(g, amp * np.exp(1j * phase), POSITION)
+    label = RepresentationLabel("fresnel", float(eps))
+    return _chirp_kernel(g, _Chirp(1.0, eps / 2.0, 0.0, np.inf, label), 0.0)
 
 
 def chirp_step_bound(rate: float, g: Grid) -> None:

@@ -16,6 +16,7 @@ import numpy as np
 from .grid import (
     POSITION,
     MOMENTUM,
+    Grid,
     Wavefunction,
     dual_grid,
     fourier_sum,
@@ -47,6 +48,12 @@ def apply_x(psi: Wavefunction) -> Wavefunction:
     return Wavefunction(psi.grid, psi.grid.points * psi.samples, psi.label)
 
 
+def _spectral_p(samples: np.ndarray, g: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """``(fourier_sum(samples), -i d/dx samples)``, with no guard."""
+    kgrid, tilde = fourier_sum(samples, g)
+    return tilde, inverse_fourier_sum(kgrid.points * tilde, kgrid, g) / (2.0 * np.pi)
+
+
 def apply_p(psi: Wavefunction) -> Wavefunction:
     """Spectral derivative operator ``-i d/dx``.
 
@@ -57,9 +64,8 @@ def apply_p(psi: Wavefunction) -> Wavefunction:
     """
     require_label(psi, POSITION, "operator")
     require_contained(psi)
-    kgrid, tilde = fourier_sum(psi.samples, psi.grid)
+    tilde, out = _spectral_p(psi.samples, psi.grid)
     require_momentum_decay(tilde)
-    out = inverse_fourier_sum(kgrid.points * tilde, kgrid, psi.grid) / (2.0 * np.pi)
     return Wavefunction(psi.grid, out, psi.label)
 
 
@@ -89,12 +95,13 @@ def apply_s_theta(psi: Wavefunction, theta: float) -> Wavefunction:
 
 
 def apply_c(psi: Wavefunction) -> Wavefunction:
-    """Symmetrized correlation observable ``(XP + PX)/2 = -i (x d/dx + 1/2)``."""
-    return Wavefunction(
-        psi.grid,
-        0.5 * (apply_x(apply_p(psi)).samples + apply_p(apply_x(psi)).samples),
-        psi.label,
-    )
+    """Symmetrized correlation observable ``(XP + PX)/2 = -i (x d/dx + 1/2)``.
+
+    ``psi`` is guarded as a state once, by :func:`apply_p`; ``x psi`` is not."""
+    p_psi = apply_p(psi)
+    x = psi.grid.points
+    _, p_x_psi = _spectral_p(x * psi.samples, psi.grid)
+    return Wavefunction(psi.grid, 0.5 * (x * p_psi.samples + p_x_psi), psi.label)
 
 
 def apply_c_momentum(phi: Wavefunction) -> Wavefunction:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -291,23 +292,22 @@ def quadrature_oracle(
 ) -> np.ndarray:
     """Ground-truth expansion coefficients by direct summation.
 
-    O(n) per eigenvalue with a fixed summation order, so results are
-    deterministic.  For the chirp families it shares only the kernel with the
-    fast transforms.  Its rectangle sum aliases where ``psi``'s lattice does
-    not resolve the kernel chirp ``e^(-i a x^2/(2b))`` (``a dx > b dp``), so
-    such lattices are refused with ``nyquist_chirp_step`` before any kernel is
-    sampled; sum on a finer grid instead.  For the correlation families the
-    sum runs on its own log lattice of ``4 n`` points (twice the default
-    density), sharing only the interpolation step
-    (:func:`~qrep.grid.log_resample`) with the fast path.
+    Every family is ``inner(kernel_lam, target)``, one eigenvalue at a time:
+    O(n) time and memory each, in a fixed order, so results are deterministic.
+    The chirp families share only the kernel with the fast transforms; their
+    rectangle sum aliases where ``psi``'s lattice does not resolve the chirp
+    ``e^(-i a x^2/(2b))`` (``a dx > b dp``), which is refused with
+    ``nyquist_chirp_step`` before any kernel is sampled.  The correlation
+    eigenfunctions are plane waves in ``u = ln|x|``, summed against a parity
+    channel on a log lattice of ``4 n`` points (twice the default density)
+    that shares only :func:`~qrep.grid.log_resample` with the fast path.
     """
     require_label(psi, POSITION, "quadrature_oracle")
     if family not in _ORACLE_FAMILIES:
         raise ValueError(f"oracle_family: unknown kernel family {family!r}")
     lambdas = np.asarray(lambdas, dtype=float)
 
-    if family == "plane_wave":
-        return np.array([inner(plane_wave(psi.grid, p), psi) for p in lambdas])
+    target, kernel = psi, partial(plane_wave, psi.grid)
     if family in _CHIRP_FAMILIES:
         member = _CHIRP_FAMILIES[family]
         value = {"alpha": alpha, "theta": theta}[member.param]
@@ -315,30 +315,28 @@ def quadrature_oracle(
             raise ValueError(f"oracle_family: {family} family requires {member.param}")
         chirp = member.chirp(value)
         _require_chirp_resolved(chirp.a, chirp.b, psi.grid)
-        return np.array([inner(member.sample(psi.grid, value, l), psi) for l in lambdas])
-
-    g = psi.grid
-    if u_window is None:
-        u_window = _default_u_window(g)
-    ugrid = log_grid(4 * g.n, float(u_window[0]), float(u_window[1]))
-    h = log_resample(psi, ugrid)[family == "correlation_odd"]
-    u = ugrid.points
-    phases = np.exp(-1j * np.outer(lambdas, u))
-    return phases @ h * ugrid.dx / _SQRT_2PI
+        kernel = partial(member.sample, psi.grid, value)
+    elif family != "plane_wave":
+        if u_window is None:
+            u_window = _default_u_window(psi.grid)
+        ugrid = log_grid(4 * psi.grid.n, float(u_window[0]), float(u_window[1]))
+        h = log_resample(psi, ugrid)[family == "correlation_odd"]
+        target, kernel = Wavefunction(ugrid, h, POSITION), partial(plane_wave, ugrid)
+    return np.array([inner(kernel(l), target) for l in lambdas])
 
 
 def conjugation_defect(psi: Wavefunction) -> float:
     """Check that the momentum form of C is the conjugated position form.
 
-    Returns the max-norm defect of ``to_momentum(C psi)`` against
+    Returns the max-norm defect of the Fourier map of ``C psi`` (by
+    ``to_momentum``'s arithmetic; ``C psi`` is no state, so unguarded) against
     ``C_momentum(to_momentum(psi))``, where ``C_momentum`` is built by the
-    conjugation rule, relative to the peak of ``to_momentum(C psi)``.  This is
-    the sharp, operator-level check on a normalizable state.
+    conjugation rule, relative to the peak of the former.  This is the sharp,
+    operator-level check on a normalizable state.
     """
-    lhs = to_momentum(apply_c(psi))
-    rhs = apply_c_momentum(to_momentum(psi))
-    scale = float(np.abs(lhs.samples).max())
-    return float(np.abs(lhs.samples - rhs.samples).max() / scale)
+    lhs = fourier_sum(apply_c(psi).samples, psi.grid)[1] / _SQRT_2PI
+    rhs = apply_c_momentum(to_momentum(psi)).samples
+    return float(np.abs(lhs - rhs).max() / np.abs(lhs).max())
 
 
 def windowed_conjugation_defect(g: Grid, gamma: float, par: Parity) -> tuple[float, complex]:

@@ -201,6 +201,8 @@ def test_invalid_state_spec_exit_code():
         (["transform", "--rep", "momentum"], '{"state": "gaussian", "s": "abc"}',
          "state_spec_value"),
         (["moments"], '{"state": "hermite", "k": 1e400}', "hermite_order_range"),
+        (["moments", "--state", "hermite:k=2.5"], None, "hermite_order_range"),
+        (["moments", "--state", "hermite:k=13"], None, "hermite_order_range"),
     ],
 )
 def test_bad_spec_input_exits_with_code(tmp_path, args, config, code):
@@ -274,6 +276,14 @@ def test_no_partial_file_on_error(tmp_path):
     assert r.returncode == 2
     assert not out.exists()
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [["moments"], ["verify", "--suite", "limits"]])
+def test_format_is_only_for_tabular_output(command):
+    # moments and verify always write JSON
+    r = run_cli(*command, "--format", "json")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --format" in r.stderr
 
 
 def test_kernel_json_format():

@@ -1,0 +1,64 @@
+"""Every coded guard that no other test reaches, by the code it raises."""
+
+import numpy as np
+import pytest
+
+from qrep import (
+    POSITION,
+    GaussianSpec,
+    Grid,
+    Wavefunction,
+    apply_s,
+    apply_s_theta,
+    correlation_inverse,
+    correlation_kernel,
+    gaussian,
+    interp_kernel,
+    log_grid,
+    make_grid,
+    rotation_kernel,
+)
+from qrep.cli import build_parser
+from qrep.transforms import CorrelationSpectrum
+
+G = make_grid(64, 16.0)
+PSI = gaussian(G, GaussianSpec())
+
+
+def _spectrum(n_gamma: int, n_u: int, du: float) -> CorrelationSpectrum:
+    # hand-built, so the two lattices need not be a Fourier-dual pair
+    gamma_grid = make_grid(n_gamma, 10.0)
+    zeros = np.zeros(n_gamma, dtype=complex)
+    return CorrelationSpectrum(gamma_grid, zeros, zeros, 0.0, Grid(n_u, du, -10.0))
+
+
+def _cli(*argv):
+    args = build_parser().parse_args(list(argv))
+    return args.func(args)
+
+
+@pytest.mark.parametrize(
+    "call,code",
+    [
+        (lambda: Grid(1000, 0.04, -20.0), "grid_size_power_of_two"),
+        (lambda: Grid(1024.0, 0.04, -20.0), "grid_size_power_of_two"),
+        (lambda: Grid(1024, 0.0, -20.0), "grid_spacing_positive"),
+        (lambda: Grid(1024, 0.04, np.nan), "grid_origin_finite"),
+        (lambda: Wavefunction(G, np.zeros(5), POSITION), "sample_count"),
+        (lambda: log_grid(64, 1.0, 0.0), "log_window_order"),
+        (lambda: correlation_inverse(_spectrum(64, 128, 0.1), G), "grid_mismatch"),
+        (lambda: correlation_inverse(_spectrum(64, 64, 0.1), G), "grid_mismatch"),
+        (lambda: interp_kernel(G, 0.5, np.nan), "eigenvalue_finite"),
+        (lambda: interp_kernel(G, 1.0, np.nan), "eigenvalue_finite"),
+        (lambda: rotation_kernel(G, 0.5, np.inf), "eigenvalue_finite"),
+        (lambda: correlation_kernel(G, np.nan, "even"), "eigenvalue_finite"),
+        (lambda: correlation_kernel(G, 0.0, "even"), "parity_label"),
+        (lambda: apply_s(PSI, np.nan), "interp_alpha_finite"),
+        (lambda: apply_s_theta(PSI, np.inf), "rotation_theta_finite"),
+        (lambda: _cli("kernel", "--family", "interp"), "kernel_parameter"),
+        (lambda: _cli("kernel", "--family", "fresnel"), "kernel_parameter"),
+    ],
+)
+def test_guard_raises_its_code(call, code):
+    with pytest.raises(ValueError, match=f"^{code}:"):
+        call()

@@ -131,6 +131,16 @@ def test_apply_c_mean_on_chirped(g1024):
     assert inner(psi, apply_c(psi)).real == pytest.approx(1.0, abs=1e-8)
 
 
+def test_apply_c_guards_only_the_state(g1024):
+    # the state's edge, 7.4e-14, passes boundary_decay; x psi's, 1.48e-12,
+    # would not, and x psi is no state
+    psi = gaussian(g1024, GaussianSpec(s=2.6))
+    x, f = g1024.points, psi.samples
+    k = 2.0 * np.pi * np.fft.fftfreq(g1024.n, g1024.dx)
+    ref = 0.5 * (x * np.fft.ifft(k * np.fft.fft(f)) + np.fft.ifft(k * np.fft.fft(x * f)))
+    assert np.abs(apply_c(psi).samples - ref).max() < 1e-12
+
+
 def test_apply_c_commutes_with_parity(g1024):
     psi = gaussian(g1024, GaussianSpec(s=1.2, x0=0.7, p0=0.3, c=1.0))
     lhs = parity_flip(apply_c(psi))

@@ -18,6 +18,8 @@ from qrep import (
     hermite,
     inner,
     interp_transform,
+    log_grid,
+    log_resample,
     make_grid,
     moments,
     norm,
@@ -419,6 +421,26 @@ def test_correlation_rejects_bad_n_gamma(g1024, unit_gaussian):
 def test_conjugation_rule_operator_level(g1024, factory_states):
     for name, psi in factory_states:
         assert conjugation_defect(psi) < 1e-8, name
+
+
+@pytest.mark.parametrize("n,s", [(2**15, 1.0), (1024, 2.6)])
+def test_conjugation_defect_guards_only_the_state(n, s):
+    # C psi is no state: at n = 2^15 its edge is x times the rounding of
+    # P psi (1.1e-12), and for s = 2.6 the edge of x psi is 20 times the
+    # state's 7.4e-14; neither may be refused with boundary_decay
+    psi = gaussian(make_grid(n, 40.0), GaussianSpec(s=s))
+    assert conjugation_defect(psi) < 1e-8
+
+
+def test_correlation_oracle_equals_the_direct_block_sum(factory_states):
+    # reference: the whole gamma-by-u phase matrix times the channel at once
+    ugrid = log_grid(4 * 1024, *CORR_WINDOW)
+    for name, psi in factory_states:
+        gams = correlation_transform(psi, u_window=CORR_WINDOW).gamma_grid.points[::64]
+        for parity, h in zip(("even", "odd"), log_resample(psi, ugrid)):
+            block = np.exp(-1j * np.outer(gams, ugrid.points)) @ h * ugrid.dx / np.sqrt(2 * np.pi)
+            oracle = quadrature_oracle(psi, f"correlation_{parity}", gams, u_window=CORR_WINDOW)
+            assert np.abs(oracle - block).max() <= 1e-15, (name, parity)
 
 
 def test_conjugation_windowed_diagnostic(g1024):

@@ -77,6 +77,25 @@ def test_eigen_residuals_ignore_base_grid(all_reports, n):
     ]
 
 
+@pytest.mark.parametrize("n", [256, 4096])
+def test_windowed_conjugation_diagnostic_ignores_base_grid(all_reports, n):
+    # the diagnostic tests the C kernel formula on the grid its tolerances were set on
+    def diagnostic(reports):
+        return [(r.parameters, r.observed, r.tolerance) for r in reports
+                if r.name == "conjugation_windowed_diagnostic"]
+
+    reports = run_suite("oracle_agreement", make_grid(n, 40.0))
+    assert len(diagnostic(reports)) == 4
+    assert diagnostic(reports) == diagnostic(all_reports["oracle_agreement"])
+
+
+def test_commutators_pass_at_2_18():
+    # nested products applied P to P psi, whose momentum edge is p_max
+    # times the FFT rounding: momentum_decay refused it at 1.0e-12
+    reports = run_suite("commutators", make_grid(2**18, 40.0))
+    assert all(r.passed for r in reports), [r for r in reports if not r.passed]
+
+
 def test_runs_on_smaller_grid():
     g = make_grid(512, 40.0)
     reports = run_suite("commutators", g)
