@@ -22,7 +22,7 @@ import os
 import sys
 import tempfile
 
-from .grid import Grid, dual_grid, make_grid, norm
+from .grid import Grid, Wavefunction, dual_grid, make_grid, norm
 from .kernels import (
     Parity,
     _require_chirp_resolved,
@@ -103,29 +103,29 @@ def _parse_kv(body: str, what: str) -> dict:
     return params
 
 
-def parse_state_spec(spec: str):
-    """Parse ``gaussian:s=1,x0=0,p0=0,c=2`` or ``hermite:k=3``."""
+def parse_state_spec(g: Grid, spec: str) -> Wavefunction:
+    """The state ``gaussian:s=1,x0=0,p0=0,c=2`` or ``hermite:k=3`` on ``g``."""
     name, _, body = spec.partition(":")
-    return _state_from_fields(name, _parse_kv(body, "state_spec"))
+    return _state_from_fields(g, name, _parse_kv(body, "state_spec"))
 
 
-def _state_from_fields(name, params: dict):
+def _state_from_fields(g: Grid, name, params: dict) -> Wavefunction:
     if name == "gaussian":
         allowed = {"s", "x0", "p0", "c"}
         extra = set(params) - allowed
         if extra:
             raise ValueError(f"state_spec_field: unknown gaussian fields {sorted(extra)}")
-        return ("gaussian", GaussianSpec(**params))
+        return gaussian(g, GaussianSpec(**params))
     if name == "hermite":
         if set(params) - {"k"}:
             raise ValueError("state_spec_field: hermite takes only k")
         k = params.get("k", 0.0)
         # hermite() owns the order range; it refuses what stays a float here
-        return ("hermite", int(k) if k.is_integer() else k)
+        return hermite(g, int(k) if k.is_integer() else k)
     raise ValueError(f"state_spec_name: unknown state {name!r} (want gaussian or hermite)")
 
 
-def _state_from_config(path: str):
+def _state_from_config(g: Grid, path: str) -> Wavefunction:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -139,16 +139,14 @@ def _state_from_config(path: str):
             'e.g. {"state": "gaussian", "s": 1.0}'
         )
     params = {k: _number("state_spec", k, v) for k, v in cfg.items() if k != "state"}
-    return _state_from_fields(cfg["state"], params)
+    return _state_from_fields(g, cfg["state"], params)
 
 
 def build_state(g: Grid, args):
     """The state named by ``--config`` if given, else by ``--state``."""
     if args.config is None:
-        kind, payload = parse_state_spec(args.state)
-    else:
-        kind, payload = _state_from_config(args.config)
-    return gaussian(g, payload) if kind == "gaussian" else hermite(g, payload)
+        return parse_state_spec(g, args.state)
+    return _state_from_config(g, args.config)
 
 
 def cmd_kernel(args) -> int:

@@ -80,10 +80,6 @@ def apply_s(psi: Wavefunction, alpha: float) -> Wavefunction:
     """Interpolating observable ``alpha*X + (1-alpha)*P``."""
     if not np.isfinite(alpha):
         raise ValueError(f"interp_alpha_finite: alpha must be finite, got {alpha}")
-    if alpha == 1.0:
-        return apply_x(psi)
-    if alpha == 0.0:
-        return apply_p(psi)
     return _apply_linear(psi, alpha, 1.0 - alpha)
 
 
@@ -158,7 +154,7 @@ def moments(psi: Wavefunction) -> MomentReport:
 
     One spectral derivative ``P psi`` serves every momentum expectation:
 
-        <X> = Re<psi, x psi>        <X^2> = Re<psi, x^2 psi>
+        <X> = Re<psi, x psi>        <X^2> = ||x psi||^2
         <P> = Re<psi, P psi>        <P^2> = ||P psi||^2
         <C> = Re<x psi, P psi>
 
@@ -171,7 +167,7 @@ def moments(psi: Wavefunction) -> MomentReport:
     x_psi = apply_x(psi)
     mean_x = inner(psi, x_psi).real
     mean_p = inner(psi, p_psi).real
-    mean_x2 = inner(psi, apply_x(x_psi)).real
+    mean_x2 = inner(x_psi, x_psi).real
     mean_p2 = inner(p_psi, p_psi).real
     mean_c = inner(x_psi, p_psi).real
     var_x = mean_x2 - mean_x**2

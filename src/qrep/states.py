@@ -81,4 +81,4 @@ def hermite(g: Grid, k: int) -> Wavefunction:
         prev, h = h, np.sqrt(2.0) * x * h
         for j in range(2, k + 1):
             h, prev = np.sqrt(2.0 / j) * x * h - np.sqrt((j - 1) / j) * prev, h
-    return Wavefunction(g, h.astype(complex), POSITION)
+    return Wavefunction(g, h, POSITION)

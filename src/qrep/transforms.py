@@ -300,7 +300,8 @@ def quadrature_oracle(
     ``nyquist_chirp_step`` before any kernel is sampled.  The correlation
     eigenfunctions are plane waves in ``u = ln|x|``, summed against a parity
     channel on a log lattice of ``4 n`` points (twice the default density)
-    that shares only :func:`~qrep.grid.log_resample` with the fast path.
+    that shares only :func:`~qrep.grid.log_resample` with the fast path; a
+    ``|gamma| > pi/du`` of that lattice is refused with ``oracle_gamma_range``.
     """
     require_label(psi, POSITION, "quadrature_oracle")
     if family not in _ORACLE_FAMILIES:
@@ -320,6 +321,10 @@ def quadrature_oracle(
         if u_window is None:
             u_window = _default_u_window(psi.grid)
         ugrid = log_grid(4 * psi.grid.n, float(u_window[0]), float(u_window[1]))
+        limit, top = np.pi / ugrid.dx, np.abs(lambdas).max(initial=0.0)
+        if not top <= limit * (1 + 1e-12):
+            raise ValueError(f"oracle_gamma_range: |gamma| = {top:.6g} exceeds pi/du = "
+                             f"{limit:.6g} of the {ugrid.n}-point log lattice")
         h = log_resample(psi, ugrid)[family == "correlation_odd"]
         target, kernel = Wavefunction(ugrid, h, POSITION), partial(plane_wave, ugrid)
     return np.array([inner(kernel(l), target) for l in lambdas])

@@ -4,11 +4,12 @@ Each suite is a pure function from a base grid to a list of `CheckReport`,
 so `qrep verify` and the pytest suite execute the identical code path.  A
 check passes iff its observed defect is at most its tolerance.  Each check
 runs once, on the grid its claim needs: fixed grids for the finite-difference
-residuals, the Fresnel ladder and the windowed conjugation diagnostic; grids
-that resolve the kernel chirp for the oracle sums (never more eigenvalues
-than at n = 1024); the base grid for the rest.  Operator products are read
-from single applications, ``<psi, A B psi> = <A psi, B psi>``, so state guards
-see only states.  Deterministic; every check passes at L = 40, n = 512 to 2^18.
+residuals, the Fresnel ladder, the windowed conjugation diagnostic and the Gram
+check; grids that resolve the kernel chirp for the oracle sums, read at up to 32
+eigenvalues where the expansion carries weight; the base grid for the rest.
+Operator products are read from single applications, ``<psi, A B psi> =
+<A psi, B psi>``, so state guards see only states.  Deterministic; every check
+passes at L = 40, n = 512 to 2^18.
 """
 
 from __future__ import annotations
@@ -90,11 +91,18 @@ def _factory_states(g: Grid) -> list[tuple[str, Wavefunction]]:
 _ANGLES = tuple(np.pi * k / 10.0 for k in (1, 2, 3, 4, 5))
 
 
-def _stride(g: Grid, stride: int) -> int:
-    """The lambda stride of an oracle or Gram subset: ``stride`` up to
-    n = 1024 and scaled with n above it, so a record never checks more
-    eigenvalues than at n = 1024 and its O(n)-per-lambda sums stay O(n)."""
-    return stride * max(1, g.n // 1024)
+_ORACLE_POINTS = 32  # eigenvalues per oracle record
+_SUPPORT_FLOOR = 1e-3  # of the peak coefficient modulus
+
+
+def _support(values: np.ndarray) -> np.ndarray:
+    """Up to ``_ORACLE_POINTS`` indices spread evenly over the coefficients that
+    reach ``_SUPPORT_FLOOR`` of the peak modulus (all of them if every one is
+    zero): an oracle record checks where the expansion carries weight, at any n."""
+    mod = np.abs(values)
+    idx = np.flatnonzero(mod >= _SUPPORT_FLOOR * mod.max())
+    k = min(_ORACLE_POINTS, len(idx))
+    return idx[np.arange(k) * (len(idx) - 1) // max(k - 1, 1)]
 
 
 def _monotone(name: str, errs: list[float]) -> CheckReport:
@@ -223,10 +231,10 @@ def _suite_roundtrips(g: Grid) -> list[CheckReport]:
         reports.append(
             CheckReport(f"{family}_unitarity", params, abs(norm(out) - 1.0), 1e-8)
         )
-        reports.append(_member_oracle(g, family, value, 8, "gaussian", out))
+        reports.append(_member_oracle(g, family, value, "gaussian", out))
 
     window = _correlation_window(g)
-    spec = correlation_transform(psi, u_window=window, n_gamma=2 * g.n)
+    spec = correlation_transform(psi, u_window=window)
     rec = correlation_inverse(spec, g)
     x = g.points
     annulus = (np.abs(x) >= 4.0 * g.dx) & (np.abs(x) <= 10.0)
@@ -365,14 +373,13 @@ def _oracle_grid(g: Grid, chirp: _Chirp) -> Grid:
     return make_grid(n, g.length)
 
 
-def _member_oracle(g: Grid, family: str, value: float, stride: int, name: str,
+def _member_oracle(g: Grid, family: str, value: float, name: str,
                    out: Wavefunction) -> CheckReport:
     """``out``, the member's output for the factory state ``name``, against the
-    oracle on the ``_stride(g, stride)`` subset of eigenvalues, summed on a
-    grid that resolves the kernel chirp."""
+    oracle on its ``_support``, summed on a grid that resolves the kernel chirp."""
     member = _CHIRP_FAMILIES[family]
     fine = _state(_oracle_grid(g, member.chirp(value)), name)
-    sub = slice(None, None, _stride(g, stride))
+    sub = _support(out.samples)
     oracle = quadrature_oracle(fine, family, out.grid.points[sub], **{member.param: value})
     err = float(np.abs(out.samples[sub] - oracle).max())
     params = {member.param: round(value, 12), "state": name}
@@ -382,48 +389,35 @@ def _member_oracle(g: Grid, family: str, value: float, stride: int, name: str,
 def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
     reports = []
     states = dict(_factory_states(g))
-    sub = np.arange(0, g.n, _stride(g, 8))
     for name, psi in states.items():
         ft = to_momentum(psi)
+        sub = _support(ft.samples)
         oracle = quadrature_oracle(psi, "plane_wave", ft.grid.points[sub])
-        reports.append(
-            CheckReport(
-                "fourier_oracle",
-                {"state": name},
-                float(np.abs(ft.samples[sub] - oracle).max()),
-                1e-10,
-            )
-        )
-    # (family, value, lambda stride, states); the Gaussian's alpha = 0.5 and
-    # theta = pi/4 records are in roundtrips.  On the default grid the last
-    # two members take the transform's momentum side.
-    for family, value, stride, names in (
-        ("interp", 0.5, 8, ("gaussian_chirped", "gaussian_moved", "hermite_1", "hermite_2",
-                            "hermite_3")),
-        ("rotation", np.pi / 6, 8, ("gaussian",)),
-        ("interp", 0.85, 64, ("gaussian",)),
-        ("rotation", 0.15, 64, ("gaussian",)),
+        err = float(np.abs(ft.samples[sub] - oracle).max())
+        reports.append(CheckReport("fourier_oracle", {"state": name}, err, 1e-10))
+    # (family, value, states); the Gaussian's alpha = 0.5 and theta = pi/4 records
+    # are in roundtrips.  On the default grid the last two take the momentum side.
+    for family, value, names in (
+        ("interp", 0.5, tuple(_STATES)[1:]),
+        ("rotation", np.pi / 6, ("gaussian",)),
+        ("interp", 0.85, ("gaussian",)),
+        ("rotation", 0.15, ("gaussian",)),
     ):
         for name in names:
             out = _CHIRP_FAMILIES[family].transform(states[name], value)
-            reports.append(_member_oracle(g, family, value, stride, name, out))
+            reports.append(_member_oracle(g, family, value, name, out))
 
     window = _correlation_window(g)
     for name in ("gaussian", "gaussian_moved", "hermite_1"):
         psi = states[name]
-        spec = correlation_transform(psi, u_window=window, n_gamma=2 * g.n)
-        gsub = np.arange(0, spec.gamma_grid.n, _stride(g, 64))
-        gams = spec.gamma_grid.points[gsub]
+        spec = correlation_transform(psi, u_window=window)
         for channel, values in (("even", spec.even), ("odd", spec.odd)):
+            sub = _support(values)
+            gams = spec.gamma_grid.points[sub]
             oracle = quadrature_oracle(psi, f"correlation_{channel}", gams, u_window=window)
-            reports.append(
-                CheckReport(
-                    f"correlation_oracle_{channel}",
-                    {"state": name},
-                    float(np.abs(values[gsub] - oracle).max()),
-                    1e-5,
-                )
-            )
+            err = float(np.abs(values[sub] - oracle).max())
+            params = {"state": name}
+            reports.append(CheckReport(f"correlation_oracle_{channel}", params, err, 1e-5))
 
     for name, psi in states.items():
         reports.append(
@@ -459,14 +453,14 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
     )
 
     # diagonal dominance of the windowed kernel overlap matrix: the discrete
-    # shadow of continuum orthogonality
+    # shadow of continuum orthogonality, a kernel-family check on a fixed grid
     alpha = 0.5
-    lam_grid = (1.0 - alpha) * dual_grid(g).points
-    lams = lam_grid[np.arange(0, g.n, _stride(g, 32))]
-    window_arr = np.exp(-g.points**2 / (2.0 * (g.length / 8.0) ** 2))
-    kernels = [interp_kernel(g, alpha, l).samples for l in lams]
+    gk = make_grid(1024, 40.0)
+    lams = (1.0 - alpha) * dual_grid(gk).points[::32]
+    window_arr = np.exp(-gk.points**2 / (2.0 * (gk.length / 8.0) ** 2))
+    kernels = [interp_kernel(gk, alpha, l).samples for l in lams]
     gram = np.array(
-        [[np.vdot(ka, window_arr * kb) * g.dx for kb in kernels] for ka in kernels]
+        [[np.vdot(ka, window_arr * kb) * gk.dx for kb in kernels] for ka in kernels]
     )
     agram = np.abs(gram)
     diag = np.diag(agram)

@@ -16,6 +16,7 @@ from qrep import (
     interp_kernel,
     log_grid,
     make_grid,
+    quadrature_oracle,
     rotation_kernel,
 )
 from qrep.cli import build_parser
@@ -54,9 +55,13 @@ def _cli(*argv):
         (lambda: correlation_kernel(G, np.nan, "even"), "eigenvalue_finite"),
         (lambda: correlation_kernel(G, 0.0, "even"), "parity_label"),
         (lambda: apply_s(PSI, np.nan), "interp_alpha_finite"),
+        (lambda: apply_s(Wavefunction(G, np.ones(64), POSITION), 1.0), "boundary_decay"),
         (lambda: apply_s_theta(PSI, np.inf), "rotation_theta_finite"),
         (lambda: _cli("kernel", "--family", "interp"), "kernel_parameter"),
         (lambda: _cli("kernel", "--family", "fresnel"), "kernel_parameter"),
+        (lambda: quadrature_oracle(gaussian(make_grid(1024, 40.0), GaussianSpec()),
+                                   "correlation_even", [1e4], u_window=(-14.0, np.log(18.0))),
+         "oracle_gamma_range"),
     ],
 )
 def test_guard_raises_its_code(call, code):

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from qrep import SUITE_NAMES, make_grid, run_all_suites, run_suite, verify
+from qrep import (
+    POSITION,
+    SUITE_NAMES,
+    Wavefunction,
+    correlation_transform,
+    make_grid,
+    run_all_suites,
+    run_suite,
+    to_momentum,
+    verify,
+)
+from qrep.transforms import _CHIRP_FAMILIES
 from qrep.verify import REQUIRED_COVERAGE
 
 
@@ -128,3 +139,71 @@ def test_oracle_records_check_no_more_eigenvalues_above_1024(g1024, monkeypatch)
         for suite in ("roundtrips", "oracle_agreement"):
             run_suite(suite, g)
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+def test_gram_check_ignores_base_grid(all_reports, n):
+    # the Gram check tests the kernel family on the grid its tolerance was set on
+    def gram(reports):
+        return [(r.parameters, r.observed) for r in reports if r.name == "delta_normalization_gram"]
+
+    assert gram(run_suite("oracle_agreement", make_grid(n, 40.0))) == gram(
+        all_reports["oracle_agreement"]
+    )
+
+
+def _checked_coefficients(g, psi, family, kwargs):
+    """The lattice and coefficients a verify record holds against the oracle."""
+    if family == "plane_wave":
+        out = to_momentum(psi)
+    elif family in _CHIRP_FAMILIES:
+        # the oracle sums on a refinement of g, whose every (n'/n)-th point is g's
+        member = _CHIRP_FAMILIES[family]
+        base = Wavefunction(g, psi.samples[:: psi.grid.n // g.n], POSITION)
+        out = member.transform(base, kwargs[member.param])
+    else:
+        spec = correlation_transform(psi, u_window=kwargs["u_window"])
+        return spec.gamma_grid.points, spec.even if family == "correlation_even" else spec.odd
+    return out.grid.points, out.samples
+
+
+@pytest.mark.parametrize("n", [4096, 2**14])
+def test_oracle_records_check_where_the_coefficient_carries_weight(n, monkeypatch):
+    # a stride over the whole lattice read the empty tails at large n: from
+    # n = 4096 the Hermite fourier_oracle records checked no eigenvalue where
+    # the transform reaches 1e-3 of its peak
+    g = make_grid(n, 40.0)
+    real = verify.quadrature_oracle
+    records = []
+
+    def recording(psi, family, lams, **kwargs):
+        points, values = _checked_coefficients(g, psi, family, kwargs)
+        idx = np.searchsorted(points, lams)
+        mod = np.abs(values)
+        weighty = mod >= 1e-3 * mod.max()
+        records.append((family, np.array_equal(points[idx], lams), len(lams),
+                        int(weighty[idx].sum()), int(weighty.sum())))
+        return real(psi, family, lams, **kwargs)
+
+    monkeypatch.setattr(verify, "quadrature_oracle", recording)
+    for suite in ("roundtrips", "oracle_agreement"):
+        run_suite(suite, g)
+    assert len(records) == 22
+    for family, on_lattice, checked, in_support, support in records:
+        assert on_lattice and in_support == checked == min(32, support), records
+
+
+def test_support_of_an_all_zero_channel_spans_the_lattice():
+    idx = verify._support(np.zeros(1024, dtype=complex))
+    assert len(idx) == 32 and idx[0] == 0 and idx[-1] == 1023
+    assert np.all(np.diff(idx) >= 32)
+
+
+@pytest.mark.parametrize("width", [1, 20, 100])
+def test_support_spreads_over_the_weighty_coefficients(width):
+    values = np.zeros(1024, dtype=complex)
+    values[500 : 500 + width] = 1.0
+    values[[100, 900]] = 0.999e-3  # under the floor
+    idx = verify._support(values)
+    assert len(idx) == min(32, width)
+    assert idx[0] == 500 and idx[-1] == 499 + width and np.all(np.diff(idx) > 0)
