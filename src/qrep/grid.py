@@ -14,6 +14,7 @@ Every other module builds on the conventions fixed here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -234,6 +235,61 @@ def _spline_slopes(y: np.ndarray) -> np.ndarray:
     return m
 
 
+def _spline_fit(grid: Grid, samples: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cell coefficients ``(c3, c2, m, y)`` of the spline through ``samples``."""
+    y = np.asarray(samples)
+    if y.shape != (grid.n,):
+        raise ValueError(f"sample_count: expected {grid.n} samples, got shape {y.shape}")
+    y = y.astype(np.result_type(y.dtype, float), copy=False)
+    # Cell k holds y_k + tau (m_k + tau (c2_k + tau c3_k)), tau in [0, 1].
+    m = _spline_slopes(y)
+    c2 = np.diff(y)
+    c3 = m[:-1] + m[1:]
+    c3 -= 2.0 * c2
+    c2 -= m[:-1]
+    c2 -= c3
+    return c3, c2, m, y
+
+
+# Queries per evaluation block: the block's index and offset buffers stay in
+# cache, and no query-sized temporary is allocated.
+_SPLINE_BLOCK = 2**14
+
+
+def _spline_eval(grid: Grid, coeffs: tuple[np.ndarray, ...], t: np.ndarray) -> np.ndarray:
+    """Evaluate the :func:`_spline_fit` coefficients at ``t``, block by block."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape, dtype=coeffs[0].dtype)
+    flat_t, flat_out = t.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_t.size, _SPLINE_BLOCK):
+        block = slice(start, start + _SPLINE_BLOCK)
+        _spline_eval_block(grid, coeffs, flat_t[block], flat_out[block])
+    return out
+
+
+def _spline_eval_block(grid: Grid, coeffs: tuple[np.ndarray, ...], t: np.ndarray,
+                       out: np.ndarray) -> None:
+    # Offsets are taken from the nearest knot as ``points`` computes it, so a
+    # query at a knot gives tau = 0 exactly on any grid.
+    tau = t - grid.x_min
+    tau /= grid.dx
+    j = np.rint(tau, out=tau).astype(np.intp)
+    np.multiply(grid.dx, j, out=tau)
+    tau += grid.x_min
+    np.subtract(t, tau, out=tau)
+    tau /= grid.dx
+    k = j - (tau < 0.0)
+    np.clip(k, 0, grid.n - 2, out=k)
+    j -= k
+    tau += j
+    # k is in range already; mode="clip" lets take write straight into its out
+    np.take(coeffs[0], k, out=out, mode="clip")
+    buf = np.empty_like(out)
+    for c in coeffs[1:]:
+        out *= tau
+        out += np.take(c, k, out=buf, mode="clip")
+
+
 def cubic_interpolate(grid: Grid, samples: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Cubic spline through ``samples`` on the knots ``grid.points``, evaluated at ``t``.
 
@@ -242,28 +298,7 @@ def cubic_interpolate(grid: Grid, samples: np.ndarray, t: np.ndarray) -> np.ndar
     boundary condition.  Points outside the knots are extrapolated with the
     cubic of the nearest end cell.  Real and complex samples are accepted.
     """
-    y = np.asarray(samples)
-    if y.shape != (grid.n,):
-        raise ValueError(f"sample_count: expected {grid.n} samples, got shape {y.shape}")
-    y = y.astype(np.result_type(y.dtype, float), copy=False)
-    # Cell k holds y_k + tau (m_k + tau (c2_k + tau c3_k)), tau in [0, 1].
-    m = _spline_slopes(y)
-    d = np.diff(y)
-    c3 = m[:-1] + m[1:] - 2.0 * d
-    c2 = d - m[:-1] - c3
-    t = np.asarray(t, dtype=float)
-    # Offsets are taken from the nearest knot as ``points`` computes it, so a
-    # query at a knot gives tau = 0 exactly on any grid.
-    j = np.rint((t - grid.x_min) / grid.dx)
-    tau = (t - (grid.x_min + grid.dx * j)) / grid.dx
-    k = np.clip(j - (tau < 0.0), 0, grid.n - 2)
-    tau += j - k
-    k = k.astype(np.intp)
-    out = c3[k]
-    for c in (c2, m, y):
-        out *= tau
-        out += c[k]
-    return out
+    return _spline_eval(grid, _spline_fit(grid, samples), t)
 
 
 def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -271,8 +306,8 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
 
         h_even(u), h_odd(u) = e^(u/2) (psi(e^u) +- psi(-e^u)) / sqrt(2).
 
-    Both half-lines are read in one :func:`cubic_interpolate` call, the
-    not-a-knot cubic spline on the uniform position knots (SciPy's
+    Both half-lines are read from one fit of :func:`cubic_interpolate`'s
+    spline, the not-a-knot cubic spline on the uniform position knots (SciPy's
     ``CubicSpline`` default), so the result is accurate to that spline's
     interpolation error.  ``psi`` must be position-labelled.  The window must
     stay within the samples of both half-lines, ``e^u_max <= min(x_max,
@@ -286,11 +321,19 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
             f"log_window_support: e^u_max = {np.exp(u[-1]):.6g} exceeds the last sample "
             f"{x_edge:.6g} of the shorter half-line"
         )
+    coeffs = _spline_fit(psi.grid, psi.samples)
     r = np.exp(u)
-    values = cubic_interpolate(psi.grid, psi.samples, np.concatenate([r, -r]))
-    plus, minus = values[: u_grid.n], values[u_grid.n :]
+    plus = _spline_eval(psi.grid, coeffs, r)
+    minus = _spline_eval(psi.grid, coeffs, np.negative(r, out=r))
+    del coeffs, r
+    # The odd channel takes minus's buffer.
+    h_even = plus + minus
+    h_odd = np.subtract(plus, minus, out=minus)
+    del plus
     weight = np.exp(u / 2.0) / np.sqrt(2.0)
-    return weight * (plus + minus), weight * (plus - minus)
+    h_even *= weight
+    h_odd *= weight
+    return h_even, h_odd
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +342,9 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
 # With x_j = x0 + j*dx and a symmetric output lattice k_m = -(n/2)*dk + m*dk,
 # dk = 2*pi/(n*dx), the phase factor splits as
 #     e^{-i k_m x_j} = e^{-i k_m x0} * (-1)^j * e^{-2*pi*i*j*m/n},
-# so the lattice sum is one FFT plus two cheap phase multiplications.
+# so the lattice sum is one FFT plus two cheap phase multiplications.  The
+# table e^{-i k_m x0} is the costly factor; the forward and the inverse sum
+# of one lattice pair share it, and the last few tables are kept.
 # ---------------------------------------------------------------------------
 
 
@@ -309,11 +354,22 @@ def _alternating(n: int) -> np.ndarray:
     return s
 
 
+@lru_cache(maxsize=4)
+def _phase_table(k_grid: Grid, x0: float) -> np.ndarray:
+    """Read-only ``exp(-i k x0)`` on the points of ``k_grid``.
+
+    Grids that compare equal have the same points, so the pair is the key.
+    ``x0 = 0.0`` and ``-0.0`` share an entry: their tables are bit-identical.
+    """
+    table = np.exp(-1j * k_grid.points * x0)
+    table.setflags(write=False)
+    return table
+
+
 def fourier_sum(values: np.ndarray, g: Grid) -> tuple[Grid, np.ndarray]:
     """``sum_j values_j exp(-i k x_j) dx`` on the monotone dual lattice of ``g``."""
     dual = dual_grid(g)
-    k = dual.points
-    out = g.dx * np.exp(-1j * k * g.x_min) * np.fft.fft(_alternating(g.n) * values)
+    out = g.dx * _phase_table(dual, g.x_min) * np.fft.fft(_alternating(g.n) * values)
     return dual, out
 
 
@@ -328,10 +384,11 @@ def inverse_fourier_sum(values: np.ndarray, k_grid: Grid, x_grid: Grid) -> np.nd
         raise ValueError("grid_mismatch: lattices must have equal point counts")
     if abs(k_grid.dx * x_grid.dx * n - 2.0 * np.pi) > 1e-9 * 2.0 * np.pi:
         raise ValueError("grid_mismatch: lattices are not a Fourier-dual pair")
-    k = k_grid.points
+    # The temporary comes first: NumPy swaps the operands of
+    # ``values * temporary`` from 256 KiB on, which changes the rounding.
     return (
         k_grid.dx
         * n
         * _alternating(n)
-        * np.fft.ifft(values * np.exp(1j * k * x_grid.x_min))
+        * np.fft.ifft(np.conj(_phase_table(k_grid, x_grid.x_min)) * values)
     )

@@ -48,15 +48,20 @@ class Parity(enum.Enum):
     ODD = "odd"
 
 
+def _plane_wave_samples(g: Grid, x: np.ndarray, p: float) -> np.ndarray:
+    """:func:`plane_wave`'s samples at ``x``, the points of ``g``, read once by the caller."""
+    limit = np.pi / g.dx
+    if not np.isfinite(p) or abs(p) > limit * (1 + 1e-12):
+        raise ValueError(f"momentum_aliasing: |p| = {abs(p):.6g} exceeds pi/dx = {limit:.6g}")
+    return np.exp(1j * (p * x)) / _TWO_PI_SQRT
+
+
 def plane_wave(g: Grid, p: float) -> Wavefunction:
     """Momentum eigenfunction sampled in position space: ``(2 pi)^(-1/2) e^(i p x)``.
 
     The eigenvalue must be representable on the lattice, ``|p| <= pi/dx``.
     """
-    limit = np.pi / g.dx
-    if not np.isfinite(p) or abs(p) > limit * (1 + 1e-12):
-        raise ValueError(f"momentum_aliasing: |p| = {abs(p):.6g} exceeds pi/dx = {limit:.6g}")
-    return Wavefunction(g, np.exp(1j * (p * g.points)) / _TWO_PI_SQRT, POSITION)
+    return Wavefunction(g, _plane_wave_samples(g, g.points, p), POSITION)
 
 
 def position_kernel_in_momentum(g: Grid, a: float) -> Wavefunction:
@@ -132,14 +137,22 @@ def _require_finite_eigenvalue(name: str, value: float) -> None:
         raise ValueError(f"eigenvalue_finite: {name} must be finite, got {value}")
 
 
-def _chirp_kernel(g: Grid, chirp: _Chirp, lam: float) -> Wavefunction:
-    """Sample the unit-modulus chirp eigenfunction of ``chirp`` (``b > 0``)."""
+def _member_samples(g: Grid, x: np.ndarray, chirp: _Chirp, lam: float) -> np.ndarray:
+    """Eigenfunction samples of one ``a X + b P`` member at ``x``, the points of ``g``.
+
+    For ``b > 0`` the unit-modulus chirp; at ``b = 0`` (only ``alpha = 1``
+    reaches it) the discrete point mass of :func:`interp_kernel`.
+    """
     _require_finite_eigenvalue("lam", lam)
     a, b, kappa = chirp.a, chirp.b, chirp.kappa
-    x = g.points
-    amp = 1.0 / np.sqrt(2.0 * np.pi * b)
-    phase = np.pi / 4.0 - kappa * lam**2 - a * x**2 / (2.0 * b) + lam * x / b
-    return Wavefunction(g, amp * np.exp(1j * phase), POSITION)
+    if b > 0.0:
+        amp = 1.0 / np.sqrt(2.0 * np.pi * b)
+        phase = np.pi / 4.0 - kappa * lam**2 - a * x**2 / (2.0 * b) + lam * x / b
+        return amp * np.exp(1j * phase)
+    samples = np.zeros(g.n, dtype=complex)
+    j = int(np.clip(round((lam - g.x_min) / g.dx), 0, g.n - 1))
+    samples[j] = np.exp(0.5j * lam**2) / g.dx
+    return samples
 
 
 def interp_kernel(g: Grid, alpha: float, lam: float) -> Wavefunction:
@@ -162,14 +175,7 @@ def interp_kernel(g: Grid, alpha: float, lam: float) -> Wavefunction:
     ``e^(i lam^2/2) / dx`` and all others are zero, which reproduces the
     inner-product action of the delta to first order in ``dx``.
     """
-    chirp = _interp_chirp(alpha)
-    if chirp.b > 0.0:
-        return _chirp_kernel(g, chirp, lam)
-    _require_finite_eigenvalue("lam", lam)
-    samples = np.zeros(g.n, dtype=complex)
-    j = int(np.clip(round((lam - g.x_min) / g.dx), 0, g.n - 1))
-    samples[j] = np.exp(0.5j * lam**2) / g.dx
-    return Wavefunction(g, samples, POSITION)
+    return Wavefunction(g, _member_samples(g, g.points, _interp_chirp(alpha), lam), POSITION)
 
 
 def rotation_kernel(g: Grid, theta: float, lam: float) -> Wavefunction:
@@ -179,7 +185,7 @@ def rotation_kernel(g: Grid, theta: float, lam: float) -> Wavefunction:
     ``(cos theta, sin theta)``; at ``theta = pi/2`` it is the constant-phase
     plane wave.
     """
-    return _chirp_kernel(g, _rotation_chirp(theta), lam)
+    return Wavefunction(g, _member_samples(g, g.points, _rotation_chirp(theta), lam), POSITION)
 
 
 def correlation_kernel(g: Grid, gamma: float, par: Parity) -> Wavefunction:
@@ -220,7 +226,8 @@ def fresnel_delta(g: Grid, eps: float) -> Wavefunction:
             f"fresnel_resolution: eps = {eps:.4g} is below the bound 4*dx^2 = {4.0 * g.dx**2:.4g}"
         )
     label = RepresentationLabel("fresnel", float(eps))
-    return _chirp_kernel(g, _Chirp(1.0, eps / 2.0, 0.0, np.inf, label), 0.0)
+    chirp = _Chirp(1.0, eps / 2.0, 0.0, np.inf, label)
+    return Wavefunction(g, _member_samples(g, g.points, chirp, 0.0), POSITION)
 
 
 def chirp_step_bound(rate: float, g: Grid) -> None:

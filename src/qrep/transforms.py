@@ -29,7 +29,6 @@ from .grid import (
     cubic_interpolate,
     dual_grid,
     fourier_sum,
-    inner,
     inverse_fourier_sum,
     log_grid,
     log_resample,
@@ -42,11 +41,12 @@ from .kernels import (
     _Chirp,
     _chirp_resolved,
     _interp_chirp,
+    _member_samples,
+    _plane_wave_samples,
     _require_chirp_resolved,
     _rotation_chirp,
     correlation_kernel,
     interp_kernel,
-    plane_wave,
     rotation_kernel,
 )
 from .operators import apply_c, apply_c_momentum
@@ -235,17 +235,22 @@ def correlation_transform(
     u_min, u_max = float(u_window[0]), float(u_window[1])
     ugrid = log_grid(n_gamma, u_min, u_max)
 
+    # Each channel is dropped once it is summed; the sums are scaled in place.
     h_even, h_odd = log_resample(psi, ugrid)
-    gamma_grid, even_raw = fourier_sum(h_even, ugrid)
-    _, odd_raw = fourier_sum(h_odd, ugrid)
+    gamma_grid, even = fourier_sum(h_even, ugrid)
+    del h_even
+    _, odd = fourier_sum(h_odd, ugrid)
+    del h_odd
+    even /= _SQRT_2PI
+    odd /= _SQRT_2PI
 
     x = g.points
     outer = float(np.sum(np.abs(psi.samples[np.abs(x) > np.exp(u_max)]) ** 2) * g.dx)
     origin = float(2.0 * np.exp(u_min) * np.abs(psi.samples[g.n // 2]) ** 2)
     return CorrelationSpectrum(
         gamma_grid=gamma_grid,
-        even=even_raw / _SQRT_2PI,
-        odd=odd_raw / _SQRT_2PI,
+        even=even,
+        odd=odd,
         tail_mass=outer + origin,
         u_grid=ugrid,
     )
@@ -269,11 +274,16 @@ def correlation_inverse(spec: CorrelationSpectrum, g: Grid) -> Wavefunction:
         )
     h_even = inverse_fourier_sum(spec.even, spec.gamma_grid, spec.u_grid) / _SQRT_2PI
     h_odd = inverse_fourier_sum(spec.odd, spec.gamma_grid, spec.u_grid) / _SQRT_2PI
-    u = spec.u_grid.points
+    # The difference takes h_even's buffer, so only two channel-sized arrays
+    # outlive this line.
+    h_sum = h_even + h_odd
+    h_diff = np.subtract(h_even, h_odd, out=h_even)
+    del h_odd
+    r_min, r_max = np.exp(spec.u_grid.x_min), np.exp(spec.u_grid.x_max)
 
     out = np.zeros(g.n, dtype=complex)
-    for x, h in ((g.points, h_even + h_odd), (-g.points, h_even - h_odd)):
-        covered = (x >= np.exp(u[0])) & (x <= np.exp(u[-1])) & (x > 0.0)
+    for x, h in ((g.points, h_sum), (-g.points, h_diff)):
+        covered = (x >= r_min) & (x <= r_max) & (x > 0.0)
         r = x[covered]
         out[covered] = cubic_interpolate(spec.u_grid, h, np.log(r)) / np.sqrt(2.0 * r)
     return Wavefunction(g, out, POSITION)
@@ -292,8 +302,10 @@ def quadrature_oracle(
 ) -> np.ndarray:
     """Ground-truth expansion coefficients by direct summation.
 
-    Every family is ``inner(kernel_lam, target)``, one eigenvalue at a time:
-    O(n) time and memory each, in a fixed order, so results are deterministic.
+    Every family is the rectangle sum ``sum conj(kernel_lam) target dx``, as
+    :func:`~qrep.grid.inner` takes it, one eigenvalue at a time: O(n) time and
+    memory each, in a fixed order, so results are deterministic.  A
+    non-finite coefficient is refused with ``sample_finite``.
     The chirp families share only the kernel with the fast transforms; their
     rectangle sum aliases where ``psi``'s lattice does not resolve the chirp
     ``e^(-i a x^2/(2b))`` (``a dx > b dp``), which is refused with
@@ -308,26 +320,32 @@ def quadrature_oracle(
         raise ValueError(f"oracle_family: unknown kernel family {family!r}")
     lambdas = np.asarray(lambdas, dtype=float)
 
-    target, kernel = psi, partial(plane_wave, psi.grid)
+    # Each eigenvalue samples its kernel through the public sampler's formula
+    # and guards, on lattice points read once per call.
+    g, target, x = psi.grid, psi.samples, psi.grid.points
+    kernel = partial(_plane_wave_samples, g, x)
     if family in _CHIRP_FAMILIES:
         member = _CHIRP_FAMILIES[family]
         value = {"alpha": alpha, "theta": theta}[member.param]
         if value is None:
             raise ValueError(f"oracle_family: {family} family requires {member.param}")
         chirp = member.chirp(value)
-        _require_chirp_resolved(chirp.a, chirp.b, psi.grid)
-        kernel = partial(member.sample, psi.grid, value)
+        _require_chirp_resolved(chirp.a, chirp.b, g)
+        kernel = partial(_member_samples, g, x, chirp)
     elif family != "plane_wave":
         if u_window is None:
-            u_window = _default_u_window(psi.grid)
-        ugrid = log_grid(4 * psi.grid.n, float(u_window[0]), float(u_window[1]))
+            u_window = _default_u_window(g)
+        ugrid = log_grid(4 * g.n, float(u_window[0]), float(u_window[1]))
         limit, top = np.pi / ugrid.dx, np.abs(lambdas).max(initial=0.0)
         if not top <= limit * (1 + 1e-12):
             raise ValueError(f"oracle_gamma_range: |gamma| = {top:.6g} exceeds pi/du = "
                              f"{limit:.6g} of the {ugrid.n}-point log lattice")
-        h = log_resample(psi, ugrid)[family == "correlation_odd"]
-        target, kernel = Wavefunction(ugrid, h, POSITION), partial(plane_wave, ugrid)
-    return np.array([inner(kernel(l), target) for l in lambdas])
+        target = log_resample(psi, ugrid)[family == "correlation_odd"]
+        g, kernel = ugrid, partial(_plane_wave_samples, ugrid, ugrid.points)
+    out = np.array([np.vdot(kernel(l), target) * g.dx for l in lambdas])
+    if not np.isfinite(out).all():
+        raise ValueError("sample_finite: oracle coefficients must all be finite")
+    return out
 
 
 def conjugation_defect(psi: Wavefunction) -> float:

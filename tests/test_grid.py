@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,6 +7,8 @@ from scipy.interpolate import CubicSpline
 
 from qrep import (
     GaussianSpec,
+    correlation_inverse,
+    correlation_transform,
     POSITION,
     Wavefunction,
     Grid,
@@ -17,7 +21,15 @@ from qrep import (
     make_grid,
     norm,
 )
-from qrep.grid import MOMENTUM, cubic_interpolate, fourier_sum, inverse_fourier_sum, require_label
+from qrep.grid import (
+    MOMENTUM,
+    _phase_table,
+    _spline_slopes,
+    cubic_interpolate,
+    fourier_sum,
+    inverse_fourier_sum,
+    require_label,
+)
 from qrep.operators import parity_flip
 from qrep.verify import _factory_states
 
@@ -249,6 +261,33 @@ def test_cubic_interpolate_rejects_wrong_sample_count():
         cubic_interpolate(make_grid(8, 8.0), np.zeros(7), np.zeros(3))
 
 
+def _cubic_interpolate_reference(grid, y, t):
+    # the spline read as one expression per step, with float indices
+    m = _spline_slopes(y)
+    d = np.diff(y)
+    c3 = m[:-1] + m[1:] - 2.0 * d
+    c2 = d - m[:-1] - c3
+    j = np.rint((t - grid.x_min) / grid.dx)
+    tau = (t - (grid.x_min + grid.dx * j)) / grid.dx
+    k = np.clip(j - (tau < 0.0), 0, grid.n - 2)
+    tau += j - k
+    k = k.astype(np.intp)
+    out = c3[k]
+    for c in (c2, m, y):
+        out *= tau
+        out += c[k]
+    return out
+
+
+@pytest.mark.parametrize("g", [make_grid(8, 8.0), Grid(1024, 0.013, -7.31), make_grid(2**14, 40.0)])
+def test_cubic_interpolate_is_bit_identical_to_reference(g):
+    rng = np.random.default_rng(g.n)
+    y = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+    t = _spline_queries(g, rng)
+    got = cubic_interpolate(g, y, t).view(np.uint64)
+    assert np.array_equal(got, _cubic_interpolate_reference(g, y, t).view(np.uint64))
+
+
 def test_wavefunction_rejects_nonfinite(g1024):
     bad = np.zeros(g1024.n, dtype=complex)
     bad[3] = np.nan
@@ -287,3 +326,99 @@ def test_inverse_fourier_sum_matches_direct_sum_offset_grid():
         [np.sum(F * np.exp(1j * kgrid.points * uj)) * kgrid.dx for uj in u.points]
     )
     assert np.abs(fast - direct).max() < 1e-11
+
+
+def _fourier_sum_reference(f, g):
+    # one fresh phase table per call, as the sum reads without a kept table
+    k = dual_grid(g).points
+    return g.dx * np.exp(-1j * k * g.x_min) * np.fft.fft((-1.0) ** np.arange(g.n) * f)
+
+
+def _inverse_fourier_sum_reference(F, k_grid, x_grid):
+    n, k = k_grid.n, k_grid.points
+    return k_grid.dx * n * (-1.0) ** np.arange(n) * np.fft.ifft(F * np.exp(1j * k * x_grid.x_min))
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024, 2**14])
+@pytest.mark.parametrize("lattice", ["centred", "offset", "log"])
+def test_fourier_sums_match_uncached_expression(n, lattice):
+    g = {
+        "centred": make_grid(n, 40.0),
+        "offset": Grid(n, 0.037, -1.7),
+        "log": log_grid(n, -14.0, np.log(18.0)),
+    }[lattice]
+    rng = np.random.default_rng(n)
+    f = rng.normal(size=n) + 1j * rng.normal(size=n)
+    kgrid, fast = fourier_sum(f, g)
+    ref = _fourier_sum_reference(f, g)
+    assert np.abs(fast - ref).max() <= 1e-15 * np.abs(ref).max()
+    back = inverse_fourier_sum(fast, kgrid, g)
+    ref = _inverse_fourier_sum_reference(fast, kgrid, g)
+    assert np.abs(back - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_equal_grids_with_different_tables_keep_their_own():
+    # compare=False: the two grids are equal, but their dual lattices are not
+    g = make_grid(64, 16.0)
+    h = Grid(g.n, g.dx, g.x_min, _dual_dx=1.01 * dual_grid(g).dx)
+    assert g == h and dual_grid(g) != dual_grid(h)
+    f = np.random.default_rng(3).normal(size=g.n) + 0j
+    for grid in (g, h, g):
+        assert np.array_equal(fourier_sum(f, grid)[1], _fourier_sum_reference(f, grid))
+    # 0.0 == -0.0 and they hash alike, so they share an entry: it must be
+    # bit-identical to the table each builds
+    k_grid = dual_grid(make_grid(64, 16.0))
+    for x0 in (0.0, -0.0, 0.0):
+        table = _phase_table(k_grid, x0)
+        ref = np.exp(-1j * k_grid.points * x0)
+        assert np.array_equal(table.view(np.uint64), ref.view(np.uint64))
+
+
+def test_sums_return_fresh_writable_arrays():
+    g = make_grid(256, 20.0)
+    f = np.random.default_rng(4).normal(size=g.n) + 0j
+    kgrid, first = fourier_sum(f, g)
+    back = inverse_fourier_sum(first, kgrid, g)
+    expected, expected_back = first.copy(), back.copy()
+    table = _phase_table(kgrid, g.x_min)
+    for out in (first, back):
+        assert out.flags.writeable and not np.shares_memory(out, table)
+        out[:] = np.nan
+    assert np.array_equal(fourier_sum(f, g)[1], expected)
+    assert np.array_equal(inverse_fourier_sum(expected, kgrid, g), expected_back)
+
+
+def test_phase_table_cache_stays_bounded_and_read_only():
+    _phase_table.cache_clear()
+    bound = _phase_table.cache_info().maxsize
+    grids = [make_grid(64, 10.0 + i) for i in range(bound + 3)]
+    for g in grids:
+        fourier_sum(np.ones(g.n), g)
+        assert _phase_table.cache_info().currsize <= bound
+    assert _phase_table.cache_info().currsize == bound
+    for g in grids[-bound:]:
+        table = _phase_table(dual_grid(g), g.x_min)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    assert _phase_table.cache_info().misses == len(grids)
+
+
+def test_correlation_round_trip_peak_memory():
+    # In units of n_gamma * 16 bytes, one channel: measured 6.01 for the
+    # transform and 9.28 for the round trip (spectrum included) at n = 2^14.
+    # Query-sized temporaries in the spline reads, or a channel difference
+    # in a buffer of its own, cost a unit or more.
+    g = make_grid(2**14, 40.0)
+    psi = gaussian(g, GaussianSpec(s=1.0, x0=0.3))
+    window, unit = (-14.0, np.log(18.0)), 2 * g.n * 16
+    correlation_inverse(correlation_transform(psi, window), g)  # keeps the phase table
+    tracemalloc.start()
+    try:
+        spec = correlation_transform(psi, window)
+        transform_peak = tracemalloc.get_traced_memory()[1]
+        correlation_inverse(spec, g)
+        round_trip_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert transform_peak <= 7.0 * unit
+    assert round_trip_peak <= 10.0 * unit

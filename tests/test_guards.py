@@ -33,6 +33,12 @@ def _spectrum(n_gamma: int, n_u: int, du: float) -> CorrelationSpectrum:
     return CorrelationSpectrum(gamma_grid, zeros, zeros, 0.0, Grid(n_u, du, -10.0))
 
 
+def _overflowing_oracle():
+    # lam^2 overflows, so the kernel and its coefficient are not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        return quadrature_oracle(PSI, "interp", [0.0, 1e155], alpha=0.5)
+
+
 def _cli(*argv):
     args = build_parser().parse_args(list(argv))
     return args.func(args)
@@ -62,6 +68,9 @@ def _cli(*argv):
         (lambda: quadrature_oracle(gaussian(make_grid(1024, 40.0), GaussianSpec()),
                                    "correlation_even", [1e4], u_window=(-14.0, np.log(18.0))),
          "oracle_gamma_range"),
+        (lambda: quadrature_oracle(PSI, "plane_wave", [0.0, 1e4]), "momentum_aliasing"),
+        (lambda: quadrature_oracle(PSI, "interp", [0.0, np.nan], alpha=0.5), "eigenvalue_finite"),
+        (_overflowing_oracle, "sample_finite"),
     ],
 )
 def test_guard_raises_its_code(call, code):
