@@ -199,15 +199,30 @@ def require_momentum_decay(tilde: np.ndarray) -> None:
 # |z|^32 ~ 5e-19 of its input.  The not-a-knot end conditions (third
 # derivative continuous at the second and the second-to-last knot) then fix
 # the homogeneous part a z^i + b z^(n-1-i) through a 2x2 system.
+#
+# So the slope at a knot is read from the knots within 33 of it, plus the
+# homogeneous part, which is added within 64 knots of each end.  A fit on
+# the knots [lo, hi) therefore gives the whole-lattice slopes, operation for
+# operation, at every knot 64 or more from a cut end, provided z^(n-3)
+# underflows to zero on the window as on the whole lattice: then neither
+# end's homogeneous part reads the other end.  That holds from 569 knots.
 # ---------------------------------------------------------------------------
 
 _Z = np.sqrt(3.0) - 2.0
+_FIT_MARGIN = 64
+_MIN_FIT_KNOTS = 569
 
 
-def _geometric_filter(y: np.ndarray) -> None:
-    """In place: ``y_i <- sum_{k<32} z^k y_(i-k)``, by five doubling passes."""
+def _geometric_filter(y: np.ndarray, scratch: np.ndarray) -> None:
+    """In place: ``y_i <- sum_{k<32} z^k y_(i-k)``, by five doubling passes.
+
+    Each pass's product is formed in ``scratch``, a buffer of ``len(y)``.
+    """
+    n = len(y)
     for k in (1, 2, 4, 8, 16):
-        y[k:] += _Z**k * y[:-k]
+        if k >= n:
+            break
+        y[k:] += np.multiply(_Z**k, y[:-k], out=scratch[: n - k])
 
 
 def _spline_slopes(y: np.ndarray) -> np.ndarray:
@@ -215,8 +230,9 @@ def _spline_slopes(y: np.ndarray) -> np.ndarray:
     n = len(y)
     m = np.zeros_like(y)
     m[1:-1] = 3.0 * (y[2:] - y[:-2])
-    _geometric_filter(m)
-    _geometric_filter(m[::-1])
+    scratch = np.empty_like(m)
+    _geometric_filter(m, scratch)
+    _geometric_filter(m[::-1], scratch)
     m *= -_Z
     # Not-a-knot: m_0 - m_2 = 2 (2 y_1 - y_0 - y_2) at the left end and
     # m_(n-1) - m_(n-3) = 2 (y_(n-1) - 2 y_(n-2) + y_(n-3)) at the right; the
@@ -229,18 +245,20 @@ def _spline_slopes(y: np.ndarray) -> np.ndarray:
     a = (r_left + q * r_right) / scale
     b = (r_right + q * r_left) / scale
     # z^k < 1e-36 beyond 64 terms, so the homogeneous part lives at the ends.
-    w = _Z ** np.arange(min(n, 64))
+    w = _Z ** np.arange(min(n, _FIT_MARGIN))
     m[: len(w)] += a * w
     m[n - len(w) :] += b * w[::-1]
     return m
 
 
-def _spline_fit(grid: Grid, samples: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Cell coefficients ``(c3, c2, m, y)`` of the spline through ``samples``."""
+def _spline_fit(grid: Grid, samples: np.ndarray, lo: int = 0,
+                hi: int | None = None) -> tuple[np.ndarray, ...]:
+    """Cell coefficients ``(c3, c2, m, y)`` of the spline through ``samples``,
+    fitted on the knots ``[lo, hi)`` (by default all of them)."""
     y = np.asarray(samples)
     if y.shape != (grid.n,):
         raise ValueError(f"sample_count: expected {grid.n} samples, got shape {y.shape}")
-    y = y.astype(np.result_type(y.dtype, float), copy=False)
+    y = y[lo:hi].astype(np.result_type(y.dtype, float), copy=False)
     # Cell k holds y_k + tau (m_k + tau (c2_k + tau c3_k)), tau in [0, 1].
     m = _spline_slopes(y)
     c2 = np.diff(y)
@@ -251,24 +269,9 @@ def _spline_fit(grid: Grid, samples: np.ndarray) -> tuple[np.ndarray, ...]:
     return c3, c2, m, y
 
 
-# Queries per evaluation block: the block's index and offset buffers stay in
-# cache, and no query-sized temporary is allocated.
-_SPLINE_BLOCK = 2**14
-
-
-def _spline_eval(grid: Grid, coeffs: tuple[np.ndarray, ...], t: np.ndarray) -> np.ndarray:
-    """Evaluate the :func:`_spline_fit` coefficients at ``t``, block by block."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty(t.shape, dtype=coeffs[0].dtype)
-    flat_t, flat_out = t.reshape(-1), out.reshape(-1)
-    for start in range(0, flat_t.size, _SPLINE_BLOCK):
-        block = slice(start, start + _SPLINE_BLOCK)
-        _spline_eval_block(grid, coeffs, flat_t[block], flat_out[block])
-    return out
-
-
-def _spline_eval_block(grid: Grid, coeffs: tuple[np.ndarray, ...], t: np.ndarray,
-                       out: np.ndarray) -> None:
+def _spline_cells(grid: Grid, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell ``k`` of each query ``t`` on the whole lattice, and the offset
+    ``tau`` of ``t`` from knot ``k`` in cells."""
     # Offsets are taken from the nearest knot as ``points`` computes it, so a
     # query at a knot gives tau = 0 exactly on any grid.
     tau = t - grid.x_min
@@ -282,6 +285,51 @@ def _spline_eval_block(grid: Grid, coeffs: tuple[np.ndarray, ...], t: np.ndarray
     np.clip(k, 0, grid.n - 2, out=k)
     j -= k
     tau += j
+    return k, tau
+
+
+def _spline_window(grid: Grid, t_min: float, t_max: float) -> tuple[int, int]:
+    """Knots ``[lo, hi)`` whose fit gives the whole-lattice coefficients on
+    every cell that a query in ``[t_min, t_max]`` reads.
+
+    The cells come from the extreme queries, since the cell is monotone in
+    ``t``; each cut end lies ``_FIT_MARGIN`` knots beyond them, and a window
+    of fewer than ``_MIN_FIT_KNOTS`` knots is widened to the whole lattice.
+    """
+    if not (np.isfinite(t_min) and np.isfinite(t_max)):
+        raise ValueError(
+            f"spline_query_finite: queries must be finite, got the range [{t_min}, {t_max}]"
+        )
+    (k_min, k_max), _ = _spline_cells(grid, np.array([t_min, t_max]))
+    lo = max(int(k_min) - _FIT_MARGIN, 0)
+    hi = min(int(k_max) + 2 + _FIT_MARGIN, grid.n)
+    if hi - lo < _MIN_FIT_KNOTS:
+        return 0, grid.n
+    return lo, hi
+
+
+# Queries per evaluation block: the block's index and offset buffers stay in
+# cache, and no query-sized temporary is allocated.
+_SPLINE_BLOCK = 2**14
+
+
+def _spline_eval(grid: Grid, coeffs: tuple[np.ndarray, ...], t: np.ndarray,
+                 lo: int = 0) -> np.ndarray:
+    """Evaluate at ``t`` the :func:`_spline_fit` coefficients fitted from knot
+    ``lo`` on, block by block."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape, dtype=coeffs[0].dtype)
+    flat_t, flat_out = t.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_t.size, _SPLINE_BLOCK):
+        block = slice(start, start + _SPLINE_BLOCK)
+        _spline_eval_block(grid, coeffs, flat_t[block], flat_out[block], lo)
+    return out
+
+
+def _spline_eval_block(grid: Grid, coeffs: tuple[np.ndarray, ...], t: np.ndarray,
+                       out: np.ndarray, lo: int) -> None:
+    k, tau = _spline_cells(grid, t)
+    k -= lo
     # k is in range already; mode="clip" lets take write straight into its out
     np.take(coeffs[0], k, out=out, mode="clip")
     buf = np.empty_like(out)
@@ -297,8 +345,13 @@ def cubic_interpolate(grid: Grid, samples: np.ndarray, t: np.ndarray) -> np.ndar
     function as SciPy's ``CubicSpline(grid.points, samples)`` with its default
     boundary condition.  Points outside the knots are extrapolated with the
     cubic of the nearest end cell.  Real and complex samples are accepted.
+    Only the knots within ``_FIT_MARGIN`` of the queried cells are fitted,
+    which gives the whole-lattice result bit for bit.  Queries must be
+    finite (``spline_query_finite``).
     """
-    return _spline_eval(grid, _spline_fit(grid, samples), t)
+    t = np.asarray(t, dtype=float)
+    lo, hi = _spline_window(grid, t.min(), t.max()) if t.size else (0, grid.n)
+    return _spline_eval(grid, _spline_fit(grid, samples, lo, hi), t, lo)
 
 
 def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -321,10 +374,12 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
             f"log_window_support: e^u_max = {np.exp(u[-1]):.6g} exceeds the last sample "
             f"{x_edge:.6g} of the shorter half-line"
         )
-    coeffs = _spline_fit(psi.grid, psi.samples)
     r = np.exp(u)
-    plus = _spline_eval(psi.grid, coeffs, r)
-    minus = _spline_eval(psi.grid, coeffs, np.negative(r, out=r))
+    r_max = r.max()
+    lo, hi = _spline_window(psi.grid, -r_max, r_max)
+    coeffs = _spline_fit(psi.grid, psi.samples, lo, hi)
+    plus = _spline_eval(psi.grid, coeffs, r, lo)
+    minus = _spline_eval(psi.grid, coeffs, np.negative(r, out=r), lo)
     del coeffs, r
     # The odd channel takes minus's buffer.
     h_even = plus + minus
@@ -348,12 +403,6 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _alternating(n: int) -> np.ndarray:
-    s = np.ones(n)
-    s[1::2] = -1.0
-    return s
-
-
 @lru_cache(maxsize=4)
 def _phase_table(k_grid: Grid, x0: float) -> np.ndarray:
     """Read-only ``exp(-i k x0)`` on the points of ``k_grid``.
@@ -369,7 +418,13 @@ def _phase_table(k_grid: Grid, x0: float) -> np.ndarray:
 def fourier_sum(values: np.ndarray, g: Grid) -> tuple[Grid, np.ndarray]:
     """``sum_j values_j exp(-i k x_j) dx`` on the monotone dual lattice of ``g``."""
     dual = dual_grid(g)
-    out = g.dx * _phase_table(dual, g.x_min) * np.fft.fft(_alternating(g.n) * values)
+    # One copy of ``values`` holds the sum from the sign flips to the table
+    # product; the table product stays the first operand, as NumPy's complex
+    # multiply rounds by operand order.
+    out = np.array(values, dtype=complex)
+    np.negative(out[1::2], out=out[1::2])
+    np.fft.fft(out, out=out)
+    np.multiply(g.dx * _phase_table(dual, g.x_min), out, out=out)
     return dual, out
 
 
@@ -384,11 +439,13 @@ def inverse_fourier_sum(values: np.ndarray, k_grid: Grid, x_grid: Grid) -> np.nd
         raise ValueError("grid_mismatch: lattices must have equal point counts")
     if abs(k_grid.dx * x_grid.dx * n - 2.0 * np.pi) > 1e-9 * 2.0 * np.pi:
         raise ValueError("grid_mismatch: lattices are not a Fourier-dual pair")
-    # The temporary comes first: NumPy swaps the operands of
-    # ``values * temporary`` from 256 KiB on, which changes the rounding.
-    return (
-        k_grid.dx
-        * n
-        * _alternating(n)
-        * np.fft.ifft(np.conj(_phase_table(k_grid, x_grid.x_min)) * values)
-    )
+    # The conjugated table is the first operand and the sum's one buffer.
+    out = np.conj(_phase_table(k_grid, x_grid.x_min))
+    out *= values
+    np.fft.ifft(out, out=out)
+    # (-1)^j rides on the scale: multiplying by -n dk, unlike negating the
+    # product, keeps the sign of an exact zero as a real factor would.
+    scale = k_grid.dx * n
+    np.multiply(scale, out[::2], out=out[::2])
+    np.multiply(-scale, out[1::2], out=out[1::2])
+    return out

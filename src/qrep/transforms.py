@@ -272,8 +272,10 @@ def correlation_inverse(spec: CorrelationSpectrum, g: Grid) -> Wavefunction:
             f"inverse_tail_mass: tail mass {spec.tail_mass:.3e} exceeds {INVERSE_TAIL_TOL:g}; "
             "widen the log window before inverting"
         )
-    h_even = inverse_fourier_sum(spec.even, spec.gamma_grid, spec.u_grid) / _SQRT_2PI
-    h_odd = inverse_fourier_sum(spec.odd, spec.gamma_grid, spec.u_grid) / _SQRT_2PI
+    h_even = inverse_fourier_sum(spec.even, spec.gamma_grid, spec.u_grid)
+    h_even /= _SQRT_2PI
+    h_odd = inverse_fourier_sum(spec.odd, spec.gamma_grid, spec.u_grid)
+    h_odd /= _SQRT_2PI
     # The difference takes h_even's buffer, so only two channel-sized arrays
     # outlive this line.
     h_sum = h_even + h_odd
