@@ -309,9 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="state spec, e.g. gaussian:s=1,c=2 or hermite:k=1")
     pt.add_argument("--config", default=None,
                     help="JSON file with the same fields as --state")
-    pt.add_argument("--u-min", dest="u_min", type=float, default=None)
-    pt.add_argument("--u-max", dest="u_max", type=float, default=None)
-    pt.add_argument("--n-gamma", dest="n_gamma", type=int, default=None)
+    pt.add_argument("--u-min", dest="u_min", type=float, default=None,
+                    help="correlation window start in ln|x| (default min(-14, ln(4 dx)))")
+    pt.add_argument("--u-max", dest="u_max", type=float, default=None,
+                    help="correlation window end in ln|x| (default ln(min(0.45 length, x_max)))")
+    pt.add_argument("--n-gamma", dest="n_gamma", type=int, default=None,
+                    help="correlation lattice size, a power of two (default 2 n)")
     _add_common(pt)
     pt.set_defaults(func=cmd_transform)
 

@@ -211,6 +211,9 @@ def require_momentum_decay(tilde: np.ndarray) -> None:
 _Z = np.sqrt(3.0) - 2.0
 _FIT_MARGIN = 64
 _MIN_FIT_KNOTS = 569
+# Farthest a query may lie from the first knot, in cells: its cell offset
+# must fit in ``intp``, with room for the index arithmetic of _spline_cells.
+_MAX_QUERY_CELLS = 2.0**62
 
 
 def _geometric_filter(y: np.ndarray, scratch: np.ndarray) -> None:
@@ -295,10 +298,18 @@ def _spline_window(grid: Grid, t_min: float, t_max: float) -> tuple[int, int]:
     The cells come from the extreme queries, since the cell is monotone in
     ``t``; each cut end lies ``_FIT_MARGIN`` knots beyond them, and a window
     of fewer than ``_MIN_FIT_KNOTS`` knots is widened to the whole lattice.
+    Queries must be finite and within ``_MAX_QUERY_CELLS`` cells of the
+    first knot, so that no cell offset overflows its cast.
     """
     if not (np.isfinite(t_min) and np.isfinite(t_max)):
         raise ValueError(
             f"spline_query_finite: queries must be finite, got the range [{t_min}, {t_max}]"
+        )
+    reach = _MAX_QUERY_CELLS * grid.dx
+    if not (abs(t_min - grid.x_min) < reach and abs(t_max - grid.x_min) < reach):
+        raise ValueError(
+            f"spline_query_range: queries must lie within {reach:.6g} of the first knot, "
+            f"got the range [{t_min}, {t_max}]"
         )
     (k_min, k_max), _ = _spline_cells(grid, np.array([t_min, t_max]))
     lo = max(int(k_min) - _FIT_MARGIN, 0)
@@ -347,7 +358,8 @@ def cubic_interpolate(grid: Grid, samples: np.ndarray, t: np.ndarray) -> np.ndar
     cubic of the nearest end cell.  Real and complex samples are accepted.
     Only the knots within ``_FIT_MARGIN`` of the queried cells are fitted,
     which gives the whole-lattice result bit for bit.  Queries must be
-    finite (``spline_query_finite``).
+    finite (``spline_query_finite``) and within ``2^62`` cells of the knots
+    (``spline_query_range``).
     """
     t = np.asarray(t, dtype=float)
     lo, hi = _spline_window(grid, t.min(), t.max()) if t.size else (0, grid.n)

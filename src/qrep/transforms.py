@@ -173,6 +173,8 @@ _CHIRP_FAMILIES = {
 class CorrelationSpectrum:
     """Even/odd channel coefficients of the correlation-operator expansion.
 
+    The coefficients sit on ``gamma_grid``, the Fourier dual of the log
+    lattice ``u_grid``, so the two lattices are always a Fourier pair.
     ``tail_mass`` is the position-space probability the finite log window
     could not see (outside ``e^u_min <= |x| <= e^u_max``); it is reported
     rather than silently dropped, and the channel power satisfies
@@ -180,19 +182,22 @@ class CorrelationSpectrum:
     error for a normalized input.
     """
 
-    gamma_grid: Grid
     even: np.ndarray
     odd: np.ndarray
     tail_mass: float
     u_grid: Grid
 
     def __post_init__(self):
-        n = self.gamma_grid.n
+        n = self.u_grid.n
         if self.even.shape != (n,) or self.odd.shape != (n,):
             raise ValueError(
                 f"channel_length: expected {n} coefficients per parity channel, "
                 f"got {self.even.shape} and {self.odd.shape}"
             )
+
+    @property
+    def gamma_grid(self) -> Grid:
+        return dual_grid(self.u_grid)
 
     def channel_power(self) -> float:
         dg = self.gamma_grid.dx
@@ -200,9 +205,12 @@ class CorrelationSpectrum:
 
 
 def _default_u_window(g: Grid) -> tuple[float, float]:
-    # 0.45 length lies inside the last positive sample only for n >= 32;
-    # smaller grids stop at x_max so that log_resample never extrapolates.
-    return float(np.log(4.0 * g.dx)), float(np.log(min(0.45 * g.length, g.x_max)))
+    # u_min = -14 leaves ~1e-6 of a unit-width state unseen near the origin;
+    # ln(4 dx) takes over only on grids finer than that.  0.45 length lies
+    # inside the last positive sample only for n >= 32; smaller grids stop at
+    # x_max so that log_resample never extrapolates.
+    return (min(-14.0, float(np.log(4.0 * g.dx))),
+            float(np.log(min(0.45 * g.length, g.x_max))))
 
 
 def correlation_transform(
@@ -219,11 +227,13 @@ def correlation_transform(
         channel(gamma) = (2 pi)^(-1/2) sum_i h(u_i) e^(-i gamma u_i) du,
         h(u) = e^(u/2) (psi(e^u) +- psi(-e^u)) / sqrt(2).
 
-    Defaults: ``u_window = (ln(4 dx), ln(min(0.45 length, x_max)))`` and
-    ``n_gamma = 2 n``.  States with appreciable probability near the origin
-    need a lower ``u_min`` than the default; the unseen probability is
-    always reported in ``tail_mass``.  The state must have decayed at both
-    domain edges (``boundary_decay``), as the spline read presumes.
+    Defaults: ``u_window = (min(-14, ln(4 dx)), ln(min(0.45 length, x_max)))``
+    and ``n_gamma = 2 n``.  The default ``u_min`` leaves about 1e-6 of a
+    unit-width state unseen near the origin, so a state of that scale can be
+    read back by :func:`correlation_inverse`; narrower states need a lower
+    ``u_min``.  The unseen probability is always reported in ``tail_mass``.
+    The state must have decayed at both domain edges (``boundary_decay``), as
+    the spline read presumes.
     """
     require_label(psi, POSITION, "correlation_transform")
     require_contained(psi)
@@ -237,7 +247,7 @@ def correlation_transform(
 
     # Each channel is dropped once it is summed; the sums are scaled in place.
     h_even, h_odd = log_resample(psi, ugrid)
-    gamma_grid, even = fourier_sum(h_even, ugrid)
+    _, even = fourier_sum(h_even, ugrid)
     del h_even
     _, odd = fourier_sum(h_odd, ugrid)
     del h_odd
@@ -248,7 +258,6 @@ def correlation_transform(
     outer = float(np.sum(np.abs(psi.samples[np.abs(x) > np.exp(u_max)]) ** 2) * g.dx)
     origin = float(2.0 * np.exp(u_min) * np.abs(psi.samples[g.n // 2]) ** 2)
     return CorrelationSpectrum(
-        gamma_grid=gamma_grid,
         even=even,
         odd=odd,
         tail_mass=outer + origin,
@@ -272,9 +281,10 @@ def correlation_inverse(spec: CorrelationSpectrum, g: Grid) -> Wavefunction:
             f"inverse_tail_mass: tail mass {spec.tail_mass:.3e} exceeds {INVERSE_TAIL_TOL:g}; "
             "widen the log window before inverting"
         )
-    h_even = inverse_fourier_sum(spec.even, spec.gamma_grid, spec.u_grid)
+    gamma_grid = spec.gamma_grid
+    h_even = inverse_fourier_sum(spec.even, gamma_grid, spec.u_grid)
     h_even /= _SQRT_2PI
-    h_odd = inverse_fourier_sum(spec.odd, spec.gamma_grid, spec.u_grid)
+    h_odd = inverse_fourier_sum(spec.odd, gamma_grid, spec.u_grid)
     h_odd /= _SQRT_2PI
     # The difference takes h_even's buffer, so only two channel-sized arrays
     # outlive this line.
@@ -300,7 +310,6 @@ def quadrature_oracle(
     lambdas: np.ndarray,
     alpha: float | None = None,
     theta: float | None = None,
-    u_window: tuple[float, float] | None = None,
 ) -> np.ndarray:
     """Ground-truth expansion coefficients by direct summation.
 
@@ -313,8 +322,9 @@ def quadrature_oracle(
     ``e^(-i a x^2/(2b))`` (``a dx > b dp``), which is refused with
     ``nyquist_chirp_step`` before any kernel is sampled.  The correlation
     eigenfunctions are plane waves in ``u = ln|x|``, summed against a parity
-    channel on a log lattice of ``4 n`` points (twice the default density)
-    that shares only :func:`~qrep.grid.log_resample` with the fast path; a
+    channel on a log lattice of ``4 n`` points over the default window of
+    :func:`correlation_transform` (twice its default density) that shares
+    only :func:`~qrep.grid.log_resample` with the fast path; a
     ``|gamma| > pi/du`` of that lattice is refused with ``oracle_gamma_range``.
     """
     require_label(psi, POSITION, "quadrature_oracle")
@@ -335,9 +345,7 @@ def quadrature_oracle(
         _require_chirp_resolved(chirp.a, chirp.b, g)
         kernel = partial(_member_samples, g, x, chirp)
     elif family != "plane_wave":
-        if u_window is None:
-            u_window = _default_u_window(g)
-        ugrid = log_grid(4 * g.n, float(u_window[0]), float(u_window[1]))
+        ugrid = log_grid(4 * g.n, *_default_u_window(g))
         limit, top = np.pi / ugrid.dx, np.abs(lambdas).max(initial=0.0)
         if not top <= limit * (1 + 1e-12):
             raise ValueError(f"oracle_gamma_range: |gamma| = {top:.6g} exceeds pi/du = "

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,16 +9,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qrep
+
+QREP_ROOT = str(Path(qrep.__file__).resolve().parents[1])
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(*args, cwd=None):
-    # -W error: a warning on any CLI path fails the test, as in-process ones do
+    # -W error: a warning on any CLI path fails the test, as in-process ones do.
+    # The child imports the qrep under test from any working directory.
+    path = os.pathsep.join(filter(None, (QREP_ROOT, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-W", "error", "-m", "qrep", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -130,6 +138,27 @@ def test_transform_correlation_even_state(tmp_path):
     assert even_max <= 1e-14
     meta = json.loads(Path(str(out) + ".meta.json").read_text())
     assert meta["tail_mass"] < 1e-4
+
+
+def test_transform_correlation_default_window_sees_the_state(tmp_path):
+    out = tmp_path / "c.csv"
+    r = run_cli("transform", "--rep", "correlation", "--state", "gaussian:s=1", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    meta = json.loads(Path(str(out) + ".meta.json").read_text())
+    assert meta["tail_mass"] <= 1e-6
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    """The commands of the README's CLI block, one argv each."""
+    block = README.read_text().split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_commands(), ids=" ".join)
+def test_readme_cli_command_runs(argv, tmp_path):
+    assert argv[0] == "qrep"
+    r = run_cli(*argv[1:], cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
 
 
 def test_moments_json(tmp_path):

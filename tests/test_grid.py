@@ -276,6 +276,17 @@ def test_cubic_interpolate_refuses_nonfinite_queries(n, bad):
             cubic_interpolate(g, np.ones(n), [0.1, bad, 0.2])
 
 
+@pytest.mark.parametrize("far", [1e20, -1e20, 2.0**62 * 0.125 - 4.0])
+def test_cubic_interpolate_refuses_queries_past_the_index_range(far):
+    # the cell offset of such a query does not fit in intp: an unchecked cast
+    # warns and reads 4.5e47 at 1e20.  The last case sits at the 2^62-cell edge.
+    g = make_grid(64, 8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^spline_query_range:"):
+            cubic_interpolate(g, np.arange(64.0), [0.1, far])
+
+
 @pytest.mark.parametrize("complex_data", [False, True])
 @pytest.mark.parametrize(
     "n,span,windowed",

@@ -20,17 +20,17 @@ from qrep import (
     rotation_kernel,
 )
 from qrep.cli import build_parser
+from qrep.grid import inverse_fourier_sum
 from qrep.transforms import CorrelationSpectrum
 
 G = make_grid(64, 16.0)
 PSI = gaussian(G, GaussianSpec())
 
 
-def _spectrum(n_gamma: int, n_u: int, du: float) -> CorrelationSpectrum:
-    # hand-built, so the two lattices need not be a Fourier-dual pair
-    gamma_grid = make_grid(n_gamma, 10.0)
+def _spectrum(n_gamma: int, n_u: int) -> CorrelationSpectrum:
+    # hand-built, with channels that need not match the log lattice
     zeros = np.zeros(n_gamma, dtype=complex)
-    return CorrelationSpectrum(gamma_grid, zeros, zeros, 0.0, Grid(n_u, du, -10.0))
+    return CorrelationSpectrum(zeros, zeros, 0.0, Grid(n_u, 0.1, -10.0))
 
 
 def _overflowing_oracle():
@@ -53,8 +53,11 @@ def _cli(*argv):
         (lambda: Grid(1024, 0.04, np.nan), "grid_origin_finite"),
         (lambda: Wavefunction(G, np.zeros(5), POSITION), "sample_count"),
         (lambda: log_grid(64, 1.0, 0.0), "log_window_order"),
-        (lambda: correlation_inverse(_spectrum(64, 128, 0.1), G), "grid_mismatch"),
-        (lambda: correlation_inverse(_spectrum(64, 64, 0.1), G), "grid_mismatch"),
+        (lambda: correlation_inverse(_spectrum(64, 128), G), "channel_length"),
+        (lambda: inverse_fourier_sum(np.zeros(64), make_grid(64, 10.0), Grid(128, 0.1, -10.0)),
+         "grid_mismatch"),
+        (lambda: inverse_fourier_sum(np.zeros(64), make_grid(64, 10.0), Grid(64, 0.1, -10.0)),
+         "grid_mismatch"),
         (lambda: interp_kernel(G, 0.5, np.nan), "eigenvalue_finite"),
         (lambda: interp_kernel(G, 1.0, np.nan), "eigenvalue_finite"),
         (lambda: rotation_kernel(G, 0.5, np.inf), "eigenvalue_finite"),
@@ -66,7 +69,7 @@ def _cli(*argv):
         (lambda: _cli("kernel", "--family", "interp"), "kernel_parameter"),
         (lambda: _cli("kernel", "--family", "fresnel"), "kernel_parameter"),
         (lambda: quadrature_oracle(gaussian(make_grid(1024, 40.0), GaussianSpec()),
-                                   "correlation_even", [1e4], u_window=(-14.0, np.log(18.0))),
+                                   "correlation_even", [1e4]),
          "oracle_gamma_range"),
         (lambda: quadrature_oracle(PSI, "plane_wave", [0.0, 1e4]), "momentum_aliasing"),
         (lambda: quadrature_oracle(PSI, "interp", [0.0, np.nan], alpha=0.5), "eigenvalue_finite"),

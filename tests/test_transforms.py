@@ -31,6 +31,7 @@ from qrep import (
 )
 from qrep.kernels import chirp_step_bound
 
+# the default correlation window at length 40
 CORR_WINDOW = (-14.0, float(np.log(18.0)))
 
 
@@ -321,18 +322,18 @@ def test_rotation_lattice_scaling(g1024, unit_gaussian):
 
 
 def test_correlation_even_state_has_zero_odd_channel(g1024, unit_gaussian):
-    spec = correlation_transform(unit_gaussian, u_window=CORR_WINDOW)
+    spec = correlation_transform(unit_gaussian)
     assert np.abs(spec.odd).max() <= 1e-14
     assert np.abs(spec.even).max() > 0.1
 
 
 def test_correlation_odd_state_has_zero_even_channel(g1024):
-    spec = correlation_transform(hermite(g1024, 1), u_window=CORR_WINDOW)
+    spec = correlation_transform(hermite(g1024, 1))
     assert np.abs(spec.even).max() <= 1e-14
 
 
 def test_correlation_parseval(g1024, unit_gaussian):
-    spec = correlation_transform(unit_gaussian, u_window=CORR_WINDOW, n_gamma=2048)
+    spec = correlation_transform(unit_gaussian, n_gamma=2048)
     assert abs(spec.channel_power() - (1.0 - spec.tail_mass)) <= 1e-6
     assert spec.tail_mass < 1e-6
 
@@ -349,16 +350,16 @@ def test_correlation_mean_from_spectrum(g1024):
 
 def test_correlation_oracle_agreement(g1024, factory_states):
     for name, psi in [factory_states[0], factory_states[2], factory_states[3]]:
-        spec = correlation_transform(psi, u_window=CORR_WINDOW)
+        spec = correlation_transform(psi)
         sub = np.arange(0, spec.gamma_grid.n, 64)
         gams = spec.gamma_grid.points[sub]
         for channel, values in (("even", spec.even), ("odd", spec.odd)):
-            oracle = quadrature_oracle(psi, f"correlation_{channel}", gams, u_window=CORR_WINDOW)
+            oracle = quadrature_oracle(psi, f"correlation_{channel}", gams)
             assert np.abs(values[sub] - oracle).max() < 1e-5, (name, channel)
 
 
 def test_correlation_roundtrip(g1024, unit_gaussian):
-    spec = correlation_transform(unit_gaussian, u_window=CORR_WINDOW)
+    spec = correlation_transform(unit_gaussian)
     rec = correlation_inverse(spec, g1024)
     x = g1024.points
     window = (np.abs(x) >= 4 * g1024.dx) & (np.abs(x) <= 10.0)
@@ -370,7 +371,7 @@ def test_correlation_roundtrip(g1024, unit_gaussian):
 
 def test_correlation_roundtrip_asymmetric_state(g1024):
     psi = gaussian(g1024, GaussianSpec(s=1.5, x0=1.0, p0=-0.5))
-    spec = correlation_transform(psi, u_window=CORR_WINDOW)
+    spec = correlation_transform(psi)
     rec = correlation_inverse(spec, g1024)
     x = g1024.points
     window = (np.abs(x) >= 4 * g1024.dx) & (np.abs(x) <= 10.0)
@@ -378,9 +379,8 @@ def test_correlation_roundtrip_asymmetric_state(g1024):
 
 
 def test_correlation_inverse_zero_spectrum(g1024, unit_gaussian):
-    spec = correlation_transform(unit_gaussian, u_window=CORR_WINDOW)
+    spec = correlation_transform(unit_gaussian)
     zeroed = type(spec)(
-        gamma_grid=spec.gamma_grid,
         even=np.zeros_like(spec.even),
         odd=np.zeros_like(spec.odd),
         tail_mass=spec.tail_mass,
@@ -391,18 +391,40 @@ def test_correlation_inverse_zero_spectrum(g1024, unit_gaussian):
 
 
 def test_correlation_spectrum_rejects_short_channel(unit_gaussian):
-    spec = correlation_transform(unit_gaussian, u_window=CORR_WINDOW)
+    spec = correlation_transform(unit_gaussian)
     with pytest.raises(ValueError, match="channel_length"):
         dataclasses.replace(spec, odd=spec.odd[:-1])
 
 
 def test_correlation_inverse_rejects_large_tail(g1024, unit_gaussian):
-    # default window starts at 4*dx, which leaves most of the near-origin
+    # a window that starts at 4*dx leaves most of the near-origin
     # probability of a unit Gaussian unseen
-    spec = correlation_transform(unit_gaussian)
+    window = (float(np.log(4.0 * g1024.dx)), float(np.log(18.0)))
+    spec = correlation_transform(unit_gaussian, u_window=window)
     assert spec.tail_mass > 1e-6
     with pytest.raises(ValueError, match="inverse_tail_mass"):
         correlation_inverse(spec, g1024)
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_default_window_sees_a_unit_state_and_reads_it_back(n):
+    g = make_grid(n, 40.0)
+    psi = gaussian(g, GaussianSpec())
+    spec = correlation_transform(psi)
+    assert spec.u_grid == log_grid(2 * n, *CORR_WINDOW)
+    assert spec.tail_mass <= 1e-6
+    rec = correlation_inverse(spec, g)
+    x = np.abs(g.points)
+    annulus = (x >= 4.0 * g.dx) & (x <= 10.0)
+    assert np.abs(rec.samples - psi.samples)[annulus].max() <= 1e-5
+
+
+def test_spectrum_gamma_lattice_is_the_dual_of_its_log_lattice(unit_gaussian):
+    # the gamma lattice is derived, so it follows any log lattice a spectrum holds
+    spec = correlation_transform(unit_gaussian)
+    assert spec.gamma_grid == dual_grid(spec.u_grid)
+    moved = dataclasses.replace(spec, u_grid=log_grid(spec.u_grid.n, -10.0, 2.0))
+    assert moved.gamma_grid == dual_grid(log_grid(spec.u_grid.n, -10.0, 2.0))
 
 
 def test_correlation_window_guard(g1024, unit_gaussian):
@@ -412,7 +434,7 @@ def test_correlation_window_guard(g1024, unit_gaussian):
 
 def test_correlation_rejects_bad_n_gamma(g1024, unit_gaussian):
     with pytest.raises(ValueError, match="power_of_two"):
-        correlation_transform(unit_gaussian, u_window=CORR_WINDOW, n_gamma=1000)
+        correlation_transform(unit_gaussian, n_gamma=1000)
 
 
 # --- conjugate-transform property and oracle misc ------------------------------
@@ -436,10 +458,10 @@ def test_correlation_oracle_equals_the_direct_block_sum(factory_states):
     # reference: the whole gamma-by-u phase matrix times the channel at once
     ugrid = log_grid(4 * 1024, *CORR_WINDOW)
     for name, psi in factory_states:
-        gams = correlation_transform(psi, u_window=CORR_WINDOW).gamma_grid.points[::64]
+        gams = correlation_transform(psi).gamma_grid.points[::64]
         for parity, h in zip(("even", "odd"), log_resample(psi, ugrid)):
             block = np.exp(-1j * np.outer(gams, ugrid.points)) @ h * ugrid.dx / np.sqrt(2 * np.pi)
-            oracle = quadrature_oracle(psi, f"correlation_{parity}", gams, u_window=CORR_WINDOW)
+            oracle = quadrature_oracle(psi, f"correlation_{parity}", gams)
             assert np.abs(oracle - block).max() <= 1e-15, (name, parity)
 
 
