@@ -314,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--u-max", dest="u_max", type=float, default=None,
                     help="correlation window end in ln|x| (default ln(min(0.45 length, x_max)))")
     pt.add_argument("--n-gamma", dest="n_gamma", type=int, default=None,
-                    help="correlation lattice size, a power of two (default 2 n)")
+                    help="correlation lattice size, a power of two (default 2 n with a "
+                         "given window; with the default window, 2 n doubled until du "
+                         "is no coarser than 2 n points from ln(4 dx) to u_max)")
     _add_common(pt)
     pt.set_defaults(func=cmd_transform)
 

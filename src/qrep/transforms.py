@@ -213,6 +213,19 @@ def _default_u_window(g: Grid) -> tuple[float, float]:
             float(np.log(min(0.45 * g.length, g.x_max))))
 
 
+def _default_n_gamma(g: Grid, u_window: tuple[float, float]) -> int:
+    # 2n points, doubled until du is no coarser than 2n points over
+    # (ln(4 dx), u_max): reaching down to the origin must not coarsen the
+    # lattice that states away from it need, since h(u) oscillates at the
+    # u-frequency p x.  Grids of under ten points have 4 dx past u_max.
+    u_min, u_max = u_window
+    reach = u_max - float(np.log(4.0 * g.dx))
+    n_gamma = 2 * g.n
+    while reach > 0.0 and n_gamma * reach < 2 * g.n * (u_max - u_min):
+        n_gamma *= 2
+    return n_gamma
+
+
 def correlation_transform(
     psi: Wavefunction,
     u_window: tuple[float, float] | None = None,
@@ -227,8 +240,12 @@ def correlation_transform(
         channel(gamma) = (2 pi)^(-1/2) sum_i h(u_i) e^(-i gamma u_i) du,
         h(u) = e^(u/2) (psi(e^u) +- psi(-e^u)) / sqrt(2).
 
-    Defaults: ``u_window = (min(-14, ln(4 dx)), ln(min(0.45 length, x_max)))``
-    and ``n_gamma = 2 n``.  The default ``u_min`` leaves about 1e-6 of a
+    Defaults: ``u_window = (min(-14, ln(4 dx)), ln(min(0.45 length, x_max)))``.
+    With a given window ``n_gamma = 2 n``; with the default window
+    ``n_gamma`` is ``2 n`` doubled until ``du`` is no coarser than that of
+    ``2 n`` points over ``(ln(4 dx), u_max)`` (8n at n = 1024, length 40),
+    since ``h`` oscillates at the u-frequency ``p x`` away from the origin.
+    The default ``u_min`` leaves about 1e-6 of a
     unit-width state unseen near the origin, so a state of that scale can be
     read back by :func:`correlation_inverse`; narrower states need a lower
     ``u_min``.  The unseen probability is always reported in ``tail_mass``.
@@ -240,6 +257,8 @@ def correlation_transform(
     g = psi.grid
     if u_window is None:
         u_window = _default_u_window(g)
+        if n_gamma is None:
+            n_gamma = _default_n_gamma(g, u_window)
     if n_gamma is None:
         n_gamma = 2 * g.n
     u_min, u_max = float(u_window[0]), float(u_window[1])
@@ -323,8 +342,9 @@ def quadrature_oracle(
     ``nyquist_chirp_step`` before any kernel is sampled.  The correlation
     eigenfunctions are plane waves in ``u = ln|x|``, summed against a parity
     channel on a log lattice of ``4 n`` points over the default window of
-    :func:`correlation_transform` (twice its default density) that shares
-    only :func:`~qrep.grid.log_resample` with the fast path; a
+    :func:`correlation_transform` (twice the density of its ``2 n``-point
+    lattice; the default lattice, from ``8 n`` points, reaches past it) that
+    shares only :func:`~qrep.grid.log_resample` with the fast path; a
     ``|gamma| > pi/du`` of that lattice is refused with ``oracle_gamma_range``.
     """
     require_label(psi, POSITION, "quadrature_oracle")

@@ -228,7 +228,8 @@ def _suite_roundtrips(g: Grid) -> list[CheckReport]:
         )
         reports.append(_member_oracle(g, family, value, "gaussian", out))
 
-    spec = correlation_transform(psi)
+    # The default window on 2n points, the lattice these tolerances were set on.
+    spec = correlation_transform(psi, n_gamma=2 * g.n)
     rec = correlation_inverse(spec, g)
     x = g.points
     annulus = (np.abs(x) >= 4.0 * g.dx) & (np.abs(x) <= 10.0)
@@ -406,7 +407,7 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
     zero_channel = {"gaussian": "odd", "hermite_1": "even"}
     for name in ("gaussian", "gaussian_moved", "hermite_1"):
         psi = states[name]
-        spec = correlation_transform(psi)
+        spec = correlation_transform(psi, n_gamma=2 * g.n)
         channels = {"even": spec.even, "odd": spec.odd}
         for channel, values in channels.items():
             sub = _support(values)

@@ -349,8 +349,9 @@ def test_correlation_mean_from_spectrum(g1024):
 
 
 def test_correlation_oracle_agreement(g1024, factory_states):
+    # on the 2n-point lattice, whose whole gamma range the 4n-point oracle reaches
     for name, psi in [factory_states[0], factory_states[2], factory_states[3]]:
-        spec = correlation_transform(psi)
+        spec = correlation_transform(psi, n_gamma=2048)
         sub = np.arange(0, spec.gamma_grid.n, 64)
         gams = spec.gamma_grid.points[sub]
         for channel, values in (("even", spec.even), ("odd", spec.odd)):
@@ -411,12 +412,42 @@ def test_default_window_sees_a_unit_state_and_reads_it_back(n):
     g = make_grid(n, 40.0)
     psi = gaussian(g, GaussianSpec())
     spec = correlation_transform(psi)
-    assert spec.u_grid == log_grid(2 * n, *CORR_WINDOW)
+    assert spec.u_grid == log_grid(spec.u_grid.n, *CORR_WINDOW)
     assert spec.tail_mass <= 1e-6
     rec = correlation_inverse(spec, g)
     x = np.abs(g.points)
     annulus = (x >= 4.0 * g.dx) & (x <= 10.0)
     assert np.abs(rec.samples - psi.samples)[annulus].max() <= 1e-5
+
+
+@pytest.mark.parametrize("n,n_gamma", [(256, 16 * 256), (1024, 8 * 1024), (4096, 8 * 4096)])
+def test_default_lattice_is_as_fine_as_the_window_that_starts_at_4dx(n, n_gamma):
+    # reaching down to u = -14 must not coarsen du: h(u) oscillates at the
+    # u-frequency p x away from the origin
+    g = make_grid(n, 40.0)
+    spec = correlation_transform(gaussian(g, GaussianSpec()))
+    assert spec.u_grid.n == n_gamma
+    assert spec.u_grid.dx <= (CORR_WINDOW[1] - np.log(4.0 * g.dx)) / (2 * n)
+
+
+def _outer_roundtrip_error(g, psi, **window):
+    rec = correlation_inverse(correlation_transform(psi, **window), g)
+    x = np.abs(g.points)
+    annulus = (x >= 4.0 * g.dx) & (x <= 17.0)
+    return np.abs(rec.samples - psi.samples)[annulus].max()
+
+
+@pytest.mark.parametrize("n,p0,tol", [(1024, 45.0, 2e-2), (4096, 20.0, 1e-5)])
+def test_default_lattice_reads_back_a_moving_state_away_from_the_origin(n, p0, tol):
+    # h(u) of a packet at x0 = 10 oscillates at p x up to ~600 (p0 = 45); on a
+    # 2n-point default lattice, pi/du = 381 at n = 1024, the round trip read 1.2.
+    # At p0 = 45 the position grid holds 3.6 points per wavelength, and its
+    # spline, not the log lattice, sets the 1e-2 scale.
+    g = make_grid(n, 40.0)
+    psi = gaussian(g, GaussianSpec(x0=10.0, p0=p0))
+    err = _outer_roundtrip_error(g, psi)
+    start_at_4dx = (float(np.log(4.0 * g.dx)), CORR_WINDOW[1])
+    assert err <= min(tol, _outer_roundtrip_error(g, psi, u_window=start_at_4dx))
 
 
 def test_spectrum_gamma_lattice_is_the_dual_of_its_log_lattice(unit_gaussian):
@@ -458,7 +489,7 @@ def test_correlation_oracle_equals_the_direct_block_sum(factory_states):
     # reference: the whole gamma-by-u phase matrix times the channel at once
     ugrid = log_grid(4 * 1024, *CORR_WINDOW)
     for name, psi in factory_states:
-        gams = correlation_transform(psi).gamma_grid.points[::64]
+        gams = correlation_transform(psi, n_gamma=2048).gamma_grid.points[::64]
         for parity, h in zip(("even", "odd"), log_resample(psi, ugrid)):
             block = np.exp(-1j * np.outer(gams, ugrid.points)) @ h * ugrid.dx / np.sqrt(2 * np.pi)
             oracle = quadrature_oracle(psi, f"correlation_{parity}", gams)

@@ -162,7 +162,7 @@ def _checked_coefficients(g, psi, family, kwargs):
         base = Wavefunction(g, psi.samples[:: psi.grid.n // g.n], POSITION)
         out = member.transform(base, kwargs[member.param])
     else:
-        spec = correlation_transform(psi)
+        spec = correlation_transform(psi, n_gamma=2 * g.n)
         return spec.gamma_grid.points, spec.even if family == "correlation_even" else spec.odd
     return out.grid.points, out.samples
 
