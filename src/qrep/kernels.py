@@ -48,12 +48,12 @@ class Parity(enum.Enum):
     ODD = "odd"
 
 
-def _plane_wave_samples(g: Grid, x: np.ndarray, p: float) -> np.ndarray:
-    """:func:`plane_wave`'s samples at ``x``, the points of ``g``, read once by the caller."""
+def _require_momentum_resolved(g: Grid, p) -> None:
+    """Refuse a momentum, or any of an array of them, beyond ``pi/dx`` or not finite."""
     limit = np.pi / g.dx
-    if not np.isfinite(p) or abs(p) > limit * (1 + 1e-12):
-        raise ValueError(f"momentum_aliasing: |p| = {abs(p):.6g} exceeds pi/dx = {limit:.6g}")
-    return np.exp(1j * (p * x)) / _TWO_PI_SQRT
+    top = np.max(np.abs(p), initial=0.0)
+    if not top <= limit * (1 + 1e-12):
+        raise ValueError(f"momentum_aliasing: |p| = {top:.6g} exceeds pi/dx = {limit:.6g}")
 
 
 def plane_wave(g: Grid, p: float) -> Wavefunction:
@@ -61,7 +61,8 @@ def plane_wave(g: Grid, p: float) -> Wavefunction:
 
     The eigenvalue must be representable on the lattice, ``|p| <= pi/dx``.
     """
-    return Wavefunction(g, _plane_wave_samples(g, g.points, p), POSITION)
+    _require_momentum_resolved(g, p)
+    return Wavefunction(g, np.exp(1j * (p * g.points)) / _TWO_PI_SQRT, POSITION)
 
 
 def position_kernel_in_momentum(g: Grid, a: float) -> Wavefunction:
@@ -132,13 +133,16 @@ def _require_chirp_resolved(a: float, b: float, g: Grid) -> None:
         )
 
 
-def _require_finite_eigenvalue(name: str, value: float) -> None:
-    if not np.isfinite(value):
-        raise ValueError(f"eigenvalue_finite: {name} must be finite, got {value}")
+def _require_finite_eigenvalue(name: str, value) -> None:
+    """Refuse a non-finite eigenvalue, or any in an array of them."""
+    finite = np.isfinite(value)
+    if not finite.all():
+        raise ValueError(f"eigenvalue_finite: {name} must be finite, "
+                         f"got {np.ravel(value)[~np.ravel(finite)][0]}")
 
 
-def _member_samples(g: Grid, x: np.ndarray, chirp: _Chirp, lam: float) -> np.ndarray:
-    """Eigenfunction samples of one ``a X + b P`` member at ``x``, the points of ``g``.
+def _member_samples(g: Grid, chirp: _Chirp, lam: float) -> np.ndarray:
+    """Eigenfunction samples of one ``a X + b P`` member on ``g``.
 
     For ``b > 0`` the unit-modulus chirp; at ``b = 0`` (only ``alpha = 1``
     reaches it) the discrete point mass of :func:`interp_kernel`.
@@ -147,6 +151,7 @@ def _member_samples(g: Grid, x: np.ndarray, chirp: _Chirp, lam: float) -> np.nda
     a, b, kappa = chirp.a, chirp.b, chirp.kappa
     if b > 0.0:
         amp = 1.0 / np.sqrt(2.0 * np.pi * b)
+        x = g.points
         phase = np.pi / 4.0 - kappa * lam**2 - a * x**2 / (2.0 * b) + lam * x / b
         return amp * np.exp(1j * phase)
     samples = np.zeros(g.n, dtype=complex)
@@ -175,7 +180,7 @@ def interp_kernel(g: Grid, alpha: float, lam: float) -> Wavefunction:
     ``e^(i lam^2/2) / dx`` and all others are zero, which reproduces the
     inner-product action of the delta to first order in ``dx``.
     """
-    return Wavefunction(g, _member_samples(g, g.points, _interp_chirp(alpha), lam), POSITION)
+    return Wavefunction(g, _member_samples(g, _interp_chirp(alpha), lam), POSITION)
 
 
 def rotation_kernel(g: Grid, theta: float, lam: float) -> Wavefunction:
@@ -185,7 +190,7 @@ def rotation_kernel(g: Grid, theta: float, lam: float) -> Wavefunction:
     ``(cos theta, sin theta)``; at ``theta = pi/2`` it is the constant-phase
     plane wave.
     """
-    return Wavefunction(g, _member_samples(g, g.points, _rotation_chirp(theta), lam), POSITION)
+    return Wavefunction(g, _member_samples(g, _rotation_chirp(theta), lam), POSITION)
 
 
 def correlation_kernel(g: Grid, gamma: float, par: Parity) -> Wavefunction:
@@ -227,7 +232,7 @@ def fresnel_delta(g: Grid, eps: float) -> Wavefunction:
         )
     label = RepresentationLabel("fresnel", float(eps))
     chirp = _Chirp(1.0, eps / 2.0, 0.0, np.inf, label)
-    return Wavefunction(g, _member_samples(g, g.points, chirp, 0.0), POSITION)
+    return Wavefunction(g, _member_samples(g, chirp, 0.0), POSITION)
 
 
 def chirp_step_bound(rate: float, g: Grid) -> None:

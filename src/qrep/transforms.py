@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -42,8 +41,9 @@ from .kernels import (
     _chirp_resolved,
     _interp_chirp,
     _member_samples,
-    _plane_wave_samples,
     _require_chirp_resolved,
+    _require_finite_eigenvalue,
+    _require_momentum_resolved,
     _rotation_chirp,
     correlation_kernel,
     interp_kernel,
@@ -273,15 +273,38 @@ def correlation_transform(
     even /= _SQRT_2PI
     odd /= _SQRT_2PI
 
-    x = g.points
-    outer = float(np.sum(np.abs(psi.samples[np.abs(x) > np.exp(u_max)]) ** 2) * g.dx)
-    origin = float(2.0 * np.exp(u_min) * np.abs(psi.samples[g.n // 2]) ** 2)
     return CorrelationSpectrum(
         even=even,
         odd=odd,
-        tail_mass=outer + origin,
+        tail_mass=_tail_mass(psi, np.exp(u_min), np.exp(u_max)),
         u_grid=ugrid,
     )
+
+
+def _tail_mass(psi: Wavefunction, r_min: float, r_max: float) -> float:
+    """Probability outside the annulus ``r_min <= |x| <= r_max``.
+
+    Beyond ``r_max`` it is the rectangle sum over the samples there.  The
+    hole ``|x| < r_min`` is the trapezoid integral of ``|psi|^2`` over
+    ``[-r_min, r_min]``, its end cells cut by linear interpolation, so it
+    sees odd states, which vanish at the origin, as well as even ones.  Both
+    read index ranges of the sorted lattice; the window lies inside it, as
+    :func:`~qrep.grid.log_resample` requires.
+    """
+    g, samples = psi.grid, psi.samples
+    x = g.points
+    lo, hi = np.searchsorted(x, -r_max, "left"), np.searchsorted(x, r_max, "right")
+    tails = np.concatenate((samples[:lo], samples[hi:]))
+    outer = np.sum(np.abs(tails) ** 2) * g.dx
+    # x[a - 1] <= -r_min < x[a] and x[b - 1] < r_min <= x[b]
+    a, b = np.searchsorted(x, -r_min, "right"), np.searchsorted(x, r_min, "left")
+    knots = x[a - 1:b + 1].copy()
+    w = np.abs(samples[a - 1:b + 1]) ** 2
+    w_lo = w[0] + (-r_min - knots[0]) / g.dx * (w[1] - w[0])
+    w_hi = w[-1] + (knots[-1] - r_min) / g.dx * (w[-2] - w[-1])
+    knots[0], knots[-1], w[0], w[-1] = -r_min, r_min, w_lo, w_hi
+    hole = np.sum((w[1:] + w[:-1]) * np.diff(knots)) / 2.0
+    return float(outer + hole)
 
 
 def correlation_inverse(spec: CorrelationSpectrum, g: Grid) -> Wavefunction:
@@ -322,6 +345,58 @@ def correlation_inverse(spec: CorrelationSpectrum, g: Grid) -> Wavefunction:
 
 _ORACLE_FAMILIES = ("plane_wave", "interp", "rotation", "correlation_even", "correlation_odd")
 
+# Veltkamp's splitter for doubles, 2^27 + 1.
+_SPLITTER = 134217729.0
+
+
+def _split(a):
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    """Dekker's error-free product: ``a b = p + e`` exactly, barring overflow."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _exp_minus_i(hi, lo):
+    """``e^(-i (hi + lo))``, first order in the small ``lo``."""
+    return np.exp(-1j * hi) * (1.0 - 1j * lo)
+
+
+def _phase_ladder(freqs: np.ndarray, step: float, count: int) -> np.ndarray:
+    """``e^(-i f step k)`` for ``k < count``, one row per ``f`` in ``freqs``.
+
+    ``f step`` and then ``(f step) k`` are exact double-double products, so
+    each entry is a few ulps from the exact phase, however large ``f step k``.
+    """
+    c_hi, c_lo = _two_prod(freqs, step)
+    k = np.arange(count, dtype=float)
+    hi, lo = _two_prod(c_hi[:, None], k)
+    return _exp_minus_i(hi, lo + c_lo[:, None] * k)
+
+
+def _plane_wave_sums(g: Grid, target: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """``sum_j e^(-i f x_j) target_j dx`` for every ``f`` in ``freqs``, on the
+    exact lattice ``x_j = x_min + j dx``.
+
+    With ``j = k + n1 m`` and ``n1 ~ sqrt(n)`` the phase factors into a row of
+    ``n1`` and a row of ``n/n1`` exponentials, so each frequency costs O(sqrt n)
+    exponentials and O(n) multiply-adds.  The contraction is NumPy's own loop,
+    not BLAS, so the result does not depend on the BLAS thread count.
+    """
+    n1 = 1 << (g.n.bit_length() - 1) // 2
+    n2 = g.n // n1
+    inner = _phase_ladder(freqs, g.dx, n1)
+    outer = _phase_ladder(freqs, g.dx * n1, n2)
+    blocks = np.einsum("fk,mk->fm", inner, target.reshape(n2, n1))
+    origin = _exp_minus_i(*_two_prod(freqs, g.x_min))
+    return origin * (blocks * outer).sum(axis=1) * g.dx
+
 
 def quadrature_oracle(
     psi: Wavefunction,
@@ -332,30 +407,38 @@ def quadrature_oracle(
 ) -> np.ndarray:
     """Ground-truth expansion coefficients by direct summation.
 
-    Every family is the rectangle sum ``sum conj(kernel_lam) target dx``, as
-    :func:`~qrep.grid.inner` takes it, one eigenvalue at a time: O(n) time and
-    memory each, in a fixed order, so results are deterministic.  A
-    non-finite coefficient is refused with ``sample_finite``.
-    The chirp families share only the kernel with the fast transforms; their
-    rectangle sum aliases where ``psi``'s lattice does not resolve the chirp
-    ``e^(-i a x^2/(2b))`` (``a dx > b dp``), which is refused with
-    ``nyquist_chirp_step`` before any kernel is sampled.  The correlation
-    eigenfunctions are plane waves in ``u = ln|x|``, summed against a parity
-    channel on a log lattice of ``4 n`` points over the default window of
-    :func:`correlation_transform` (twice the density of its ``2 n``-point
-    lattice; the default lattice, from ``8 n`` points, reaches past it) that
-    shares only :func:`~qrep.grid.log_resample` with the fast path; a
-    ``|gamma| > pi/du`` of that lattice is refused with ``oracle_gamma_range``.
+    Every family is one rectangle sum ``sum_j conj(kernel_lam)(x_j) target_j
+    dx`` over the exact lattice ``x_j = x_min + j dx``, taken by
+    ``_plane_wave_sums`` for all eigenvalues at once: O(sqrt n) exponentials
+    and O(n) multiply-adds per eigenvalue, each phase a few ulps from exact
+    however large ``lam x``, in an order fixed by NumPy rather than BLAS, so
+    the result does not depend on the BLAS thread count.  It calls no fast
+    transform and no kernel sampler; the tests tie it to both.
+
+    * ``plane_wave``: frequency ``lam`` on ``psi``, times ``(2 pi)^(-1/2)``.
+    * ``interp``/``rotation``, ``b > 0``: the chirp ``e^(i a x^2/(2b))`` times
+      ``psi`` at frequency ``lam/b``, times ``(2 pi b)^(-1/2) e^(-i (pi/4 -
+      kappa lam^2))``.  The sum aliases where ``psi``'s lattice does not
+      resolve the chirp (``a dx > b dp``), which is refused with
+      ``nyquist_chirp_step``.  The ``alpha = 1`` point mass is read from
+      :func:`~qrep.kernels.interp_kernel`'s samples.
+    * ``correlation_even``/``correlation_odd``: plane waves in ``u = ln|x|``,
+      frequency ``gamma`` on a parity channel of
+      :func:`~qrep.grid.log_resample` on a log lattice of ``4 n`` points over
+      the default window of :func:`correlation_transform` (twice the density
+      of its ``2 n``-point lattice; the default lattice, from ``8 n`` points,
+      reaches past it), times ``(2 pi)^(-1/2)``.  A ``|gamma| > pi/du`` of
+      that lattice is refused with ``oracle_gamma_range``.
+
+    Every guard fires before any sum; a non-finite coefficient is refused
+    with ``sample_finite``.
     """
     require_label(psi, POSITION, "quadrature_oracle")
     if family not in _ORACLE_FAMILIES:
         raise ValueError(f"oracle_family: unknown kernel family {family!r}")
     lambdas = np.asarray(lambdas, dtype=float)
+    g = psi.grid
 
-    # Each eigenvalue samples its kernel through the public sampler's formula
-    # and guards, on lattice points read once per call.
-    g, target, x = psi.grid, psi.samples, psi.grid.points
-    kernel = partial(_plane_wave_samples, g, x)
     if family in _CHIRP_FAMILIES:
         member = _CHIRP_FAMILIES[family]
         value = {"alpha": alpha, "theta": theta}[member.param]
@@ -363,16 +446,26 @@ def quadrature_oracle(
             raise ValueError(f"oracle_family: {family} family requires {member.param}")
         chirp = member.chirp(value)
         _require_chirp_resolved(chirp.a, chirp.b, g)
-        kernel = partial(_member_samples, g, x, chirp)
-    elif family != "plane_wave":
+        _require_finite_eigenvalue("lam", lambdas)
+        a, b = chirp.a, chirp.b
+        if b > 0.0:
+            pre = np.exp(1j * (a * g.points**2 / (2.0 * b))) * psi.samples
+            scale = np.exp(-1j * (np.pi / 4.0 - chirp.kappa * lambdas**2)) / np.sqrt(2.0 * np.pi * b)
+            out = scale * _plane_wave_sums(g, pre, lambdas / b)
+        else:
+            out = np.array([np.vdot(_member_samples(g, chirp, lam), psi.samples) * g.dx
+                            for lam in lambdas])
+    elif family == "plane_wave":
+        _require_momentum_resolved(g, lambdas)
+        out = _plane_wave_sums(g, psi.samples, lambdas) / _SQRT_2PI
+    else:
         ugrid = log_grid(4 * g.n, *_default_u_window(g))
         limit, top = np.pi / ugrid.dx, np.abs(lambdas).max(initial=0.0)
         if not top <= limit * (1 + 1e-12):
             raise ValueError(f"oracle_gamma_range: |gamma| = {top:.6g} exceeds pi/du = "
                              f"{limit:.6g} of the {ugrid.n}-point log lattice")
-        target = log_resample(psi, ugrid)[family == "correlation_odd"]
-        g, kernel = ugrid, partial(_plane_wave_samples, ugrid, ugrid.points)
-    out = np.array([np.vdot(kernel(l), target) * g.dx for l in lambdas])
+        channel = log_resample(psi, ugrid)[family == "correlation_odd"]
+        out = _plane_wave_sums(ugrid, channel, lambdas) / _SQRT_2PI
     if not np.isfinite(out).all():
         raise ValueError("sample_finite: oracle coefficients must all be finite")
     return out

@@ -1,9 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qrep
 from qrep import (
     POSITION,
     GaussianSpec,
@@ -17,6 +22,7 @@ from qrep import (
     gaussian,
     hermite,
     inner,
+    interp_kernel,
     interp_transform,
     log_grid,
     log_resample,
@@ -25,11 +31,13 @@ from qrep import (
     norm,
     plane_wave,
     quadrature_oracle,
+    rotation_kernel,
     rotation_transform,
     to_momentum,
     windowed_conjugation_defect,
 )
-from qrep.kernels import chirp_step_bound
+from qrep.kernels import _chirp_resolved, _interp_chirp, _rotation_chirp, chirp_step_bound
+from qrep.transforms import _CHIRP_FAMILIES
 
 # the default correlation window at length 40
 CORR_WINDOW = (-14.0, float(np.log(18.0)))
@@ -407,6 +415,27 @@ def test_correlation_inverse_rejects_large_tail(g1024, unit_gaussian):
         correlation_inverse(spec, g1024)
 
 
+def test_tail_mass_sees_the_hole_of_an_odd_state(g1024):
+    # hermite_1 vanishes at the origin, where an estimate from |psi(0)|^2 read
+    # 5.6e-140 while 1.9e-3 of the probability lies in |x| < 4 dx
+    psi = hermite(g1024, 1)
+    window = (float(np.log(4.0 * g1024.dx)), float(np.log(18.0)))
+    spec = correlation_transform(psi, u_window=window)
+    x = g1024.points
+    hole = np.sum(np.abs(psi.samples[np.abs(x) < 4.0 * g1024.dx]) ** 2) * g1024.dx
+    assert hole / 2.0 <= spec.tail_mass <= 2.0 * hole
+    with pytest.raises(ValueError, match="inverse_tail_mass"):
+        correlation_inverse(spec, g1024)
+
+
+def test_tail_mass_on_the_default_window(g1024, unit_gaussian):
+    # the unit Gaussian holds 2 e^-14 / sqrt(pi) = 9.4e-7 in |x| < e^-14;
+    # hermite_1 holds ~1e-40 there
+    expected = 2.0 * np.exp(-14.0) / np.sqrt(np.pi)
+    assert correlation_transform(unit_gaussian).tail_mass == pytest.approx(expected, rel=1e-2)
+    assert correlation_transform(hermite(g1024, 1)).tail_mass <= 1e-6
+
+
 @pytest.mark.parametrize("n", [256, 1024, 4096])
 def test_default_window_sees_a_unit_state_and_reads_it_back(n):
     g = make_grid(n, 40.0)
@@ -485,15 +514,145 @@ def test_conjugation_defect_guards_only_the_state(n, s):
     assert conjugation_defect(psi) < 1e-8
 
 
-def test_correlation_oracle_equals_the_direct_block_sum(factory_states):
-    # reference: the whole gamma-by-u phase matrix times the channel at once
-    ugrid = log_grid(4 * 1024, *CORR_WINDOW)
+# Members of both chirp families; those a grid does not resolve are skipped
+# there, so alpha = 0.85 and theta = 0.15 (momentum side on 1024 points) are
+# summed at n = 4096.
+_MEMBERS = (("interp", 0.0), ("interp", 0.5), ("interp", 0.85), ("interp", 1.0),
+            ("rotation", 0.15), ("rotation", np.pi / 4), ("rotation", np.pi / 2))
+_PARAM = {"interp": "alpha", "rotation": "theta"}
+_LONG = np.longdouble
+
+
+def _resolved_members(g):
+    chirps = {"interp": _interp_chirp, "rotation": _rotation_chirp}
+    for family, value in _MEMBERS:
+        chirp = chirps[family](value)
+        if chirp.b == 0.0 or _chirp_resolved(chirp.a, chirp.b, g):
+            yield family, value, chirp
+
+
+def _spread(lattice):
+    """32 points spread over the whole lattice."""
+    return lattice.points[:: lattice.n // 32]
+
+
+def _correlation_gammas(g):
+    # the gamma lattice of the 2n-point default window, all of which the oracle reaches
+    return _spread(dual_grid(log_grid(2 * g.n, *CORR_WINDOW)))
+
+
+def _long_double_sum(g, target, phases):
+    """``(2 pi)^(-1/2) sum_j e^(i phase_j) target_j dx`` in long double on the
+    exact lattice ``x_min + j dx``, one row of ``phases(x)`` per eigenvalue."""
+    x = _LONG(g.x_min) + np.arange(g.n).astype(_LONG) * _LONG(g.dx)
+    t_re, t_im = target.real.astype(_LONG), target.imag.astype(_LONG)
+    scale = _LONG(g.dx) / np.sqrt(2 * _LONG(np.pi))
+    out = []
+    for phase in phases(x):
+        c, s = np.cos(phase), np.sin(phase)
+        out.append(complex(float(np.sum(c * t_re - s * t_im) * scale),
+                           float(np.sum(c * t_im + s * t_re) * scale)))
+    return np.array(out)
+
+
+def _exact_coefficients(psi, family, lams, chirp=None):
+    """What ``quadrature_oracle`` sums, every phase taken in long double."""
+    g, lams_l = psi.grid, lams.astype(_LONG)
+    if family == "plane_wave":
+        return _long_double_sum(g, psi.samples, lambda x: [-lam * x for lam in lams_l])
+    if family.startswith("correlation"):
+        ugrid = log_grid(4 * g.n, *CORR_WINDOW)
+        channel = log_resample(psi, ugrid)[family == "correlation_odd"]
+        return _long_double_sum(ugrid, channel, lambda u: [-lam * u for lam in lams_l])
+    if chirp.b == 0.0:  # the alpha = 1 point mass e^(i lam^2/2) / dx on the nearest sample
+        j = np.rint((lams - g.x_min) / g.dx).astype(int)
+        return np.exp(-0.5j * lams_l**2).astype(complex) * psi.samples[j]
+    a, b, kappa = _LONG(chirp.a), _LONG(chirp.b), _LONG(chirp.kappa)
+    quarter = _LONG(np.pi / 4.0)
+
+    def phases(x):
+        return [kappa * lam**2 - quarter + a * x**2 / (2 * b) - lam * x / b for lam in lams_l]
+
+    return _long_double_sum(g, psi.samples, phases) / np.sqrt(float(b))
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_oracle_matches_the_long_double_direct_sum(factory_states_on, n):
+    # Each phase is a few ulps from exact however large lam x is.  The old
+    # formula, one exp(-i lam x_j) per sample and a dot product, rounds
+    # lam x_j, which reaches 2e4 on the correlation lattice at n = 4096; it
+    # read 3.4e-15 off this sum on the correlation channels, and its
+    # plane-wave and correlation errors are checked to be larger here.
+    g = make_grid(n, 40.0)
+    ugrid = log_grid(4 * n, *CORR_WINDOW)
+    lams = {"plane_wave": _spread(dual_grid(g)), "correlation_even": _correlation_gammas(g),
+            "correlation_odd": _correlation_gammas(g)}
+    err, old_err = {}, {}
+    for name, psi in factory_states_on(n):
+        for family, fs in lams.items():
+            exact = _exact_coefficients(psi, family, fs)
+            err[family] = max(err.get(family, 0.0),
+                              np.abs(quadrature_oracle(psi, family, fs) - exact).max())
+            if family == "plane_wave":
+                old = [inner(plane_wave(g, p), psi) for p in fs]
+            else:
+                h = log_resample(psi, ugrid)[family == "correlation_odd"]
+                old = [inner(plane_wave(ugrid, gam), Wavefunction(ugrid, h, POSITION)) for gam in fs]
+            old_err[family] = max(old_err.get(family, 0.0), np.abs(np.array(old) - exact).max())
+        for family, value, chirp in _resolved_members(g):
+            fs = _spread(_CHIRP_FAMILIES[family].transform(psi, value).grid)
+            got = quadrature_oracle(psi, family, fs, **{_PARAM[family]: value})
+            assert np.abs(got - _exact_coefficients(psi, family, fs, chirp)).max() <= 4e-15, (
+                name, family, value)
+    for family in lams:
+        assert err[family] <= 4e-15, family
+        assert err[family] < old_err[family], family
+
+
+def test_oracle_matches_the_public_samplers(factory_states):
+    # the oracle calls no sampler, so it is tied to them here
+    g = factory_states[0][1].grid
+    ugrid = log_grid(4 * g.n, *CORR_WINDOW)
+    samplers = {"interp": interp_kernel, "rotation": rotation_kernel}
+    ps, gams = _spread(dual_grid(g)), _correlation_gammas(g)
     for name, psi in factory_states:
-        gams = correlation_transform(psi, n_gamma=2048).gamma_grid.points[::64]
+        expected = [inner(plane_wave(g, p), psi) for p in ps]
+        assert np.abs(quadrature_oracle(psi, "plane_wave", ps) - expected).max() <= 1e-13
+        for family, value, _ in _resolved_members(g):
+            lams = _spread(_CHIRP_FAMILIES[family].transform(psi, value).grid)
+            got = quadrature_oracle(psi, family, lams, **{_PARAM[family]: value})
+            expected = [inner(samplers[family](g, value, lam), psi) for lam in lams]
+            assert np.abs(got - expected).max() <= 1e-13, (name, family, value)
         for parity, h in zip(("even", "odd"), log_resample(psi, ugrid)):
-            block = np.exp(-1j * np.outer(gams, ugrid.points)) @ h * ugrid.dx / np.sqrt(2 * np.pi)
-            oracle = quadrature_oracle(psi, f"correlation_{parity}", gams)
-            assert np.abs(oracle - block).max() <= 1e-15, (name, parity)
+            channel = Wavefunction(ugrid, h, POSITION)
+            expected = [inner(plane_wave(ugrid, gam), channel) for gam in gams]
+            got = quadrature_oracle(psi, f"correlation_{parity}", gams)
+            assert np.abs(got - expected).max() <= 1e-13, (name, parity)
+
+
+_THREADED_ORACLE = """
+import sys
+import numpy as np
+from qrep import GaussianSpec, gaussian, make_grid, quadrature_oracle
+psi = gaussian(make_grid(4096, 40.0), GaussianSpec(s=1.5, x0=1.0, p0=-0.5))
+out = quadrature_oracle(psi, "correlation_even", np.linspace(-40.0, 40.0, 33))
+sys.stdout.write(out.tobytes().hex())
+"""
+
+
+def test_oracle_does_not_depend_on_the_blas_thread_count():
+    # a BLAS dot product splits a 16384-point sum across threads
+    root = str(Path(qrep.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        r = subprocess.run([sys.executable, "-c", _THREADED_ORACLE],
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        runs.append(r.stdout)
+    assert runs[0] == runs[1]
 
 
 def test_conjugation_windowed_diagnostic(g1024):
