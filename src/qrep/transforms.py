@@ -413,15 +413,17 @@ def quadrature_oracle(
     and O(n) multiply-adds per eigenvalue, each phase a few ulps from exact
     however large ``lam x``, in an order fixed by NumPy rather than BLAS, so
     the result does not depend on the BLAS thread count.  It calls no fast
-    transform and no kernel sampler; the tests tie it to both.
+    transform, and no kernel sampler but the point mass below; the tests tie
+    it to both.
 
     * ``plane_wave``: frequency ``lam`` on ``psi``, times ``(2 pi)^(-1/2)``.
     * ``interp``/``rotation``, ``b > 0``: the chirp ``e^(i a x^2/(2b))`` times
       ``psi`` at frequency ``lam/b``, times ``(2 pi b)^(-1/2) e^(-i (pi/4 -
       kappa lam^2))``.  The sum aliases where ``psi``'s lattice does not
       resolve the chirp (``a dx > b dp``), which is refused with
-      ``nyquist_chirp_step``.  The ``alpha = 1`` point mass is read from
-      :func:`~qrep.kernels.interp_kernel`'s samples.
+      ``nyquist_chirp_step``.  The ``alpha = 1`` point mass is summed
+      against :func:`~qrep.kernels.interp_kernel`'s samples, one nonzero
+      term per eigenvalue.
     * ``correlation_even``/``correlation_odd``: plane waves in ``u = ln|x|``,
       frequency ``gamma`` on a parity channel of
       :func:`~qrep.grid.log_resample` on a log lattice of ``4 n`` points over
@@ -450,7 +452,8 @@ def quadrature_oracle(
         a, b = chirp.a, chirp.b
         if b > 0.0:
             pre = np.exp(1j * (a * g.points**2 / (2.0 * b))) * psi.samples
-            scale = np.exp(-1j * (np.pi / 4.0 - chirp.kappa * lambdas**2)) / np.sqrt(2.0 * np.pi * b)
+            scale = (np.exp(-1j * (np.pi / 4.0 - chirp.kappa * lambdas**2))
+                     / np.sqrt(2.0 * np.pi * b))
             out = scale * _plane_wave_sums(g, pre, lambdas / b)
         else:
             out = np.array([np.vdot(_member_samples(g, chirp, lam), psi.samples) * g.dx

@@ -8,8 +8,11 @@ residuals, the Fresnel ladder, the windowed conjugation diagnostic and the Gram
 check; grids that resolve the kernel chirp for the oracle sums, read at up to 32
 eigenvalues where the expansion carries weight; the base grid for the rest.
 Operator products are read from single applications, ``<psi, A B psi> =
-<A psi, B psi>``, so state guards see only states.  Deterministic; every check
-passes at L = 40, n = 512 to 2^18.
+<A psi, B psi>``, so state guards see only states.  Deterministic for a fixed
+BLAS thread count; across thread counts only the Fresnel-ladder records
+(``fresnel_delta_pairing``, ``fresnel_delta_monotone``) move, at rounding,
+since ``grid.inner`` is a BLAS dot product, while the oracle sums use none.
+Every check passes at L = 40, n = 512 to 2^18.
 """
 
 from __future__ import annotations

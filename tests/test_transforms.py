@@ -597,7 +597,8 @@ def test_oracle_matches_the_long_double_direct_sum(factory_states_on, n):
                 old = [inner(plane_wave(g, p), psi) for p in fs]
             else:
                 h = log_resample(psi, ugrid)[family == "correlation_odd"]
-                old = [inner(plane_wave(ugrid, gam), Wavefunction(ugrid, h, POSITION)) for gam in fs]
+                channel = Wavefunction(ugrid, h, POSITION)
+                old = [inner(plane_wave(ugrid, gam), channel) for gam in fs]
             old_err[family] = max(old_err.get(family, 0.0), np.abs(np.array(old) - exact).max())
         for family, value, chirp in _resolved_members(g):
             fs = _spread(_CHIRP_FAMILIES[family].transform(psi, value).grid)
