@@ -34,9 +34,7 @@ from .kernels import (
 from .operators import moments
 from .states import GaussianSpec, gaussian, hermite
 from .transforms import _CHIRP_FAMILIES, correlation_transform, to_momentum
-from .verify import SUITE_NAMES, run_all_suites, run_suite
-
-SATURATION_TOL = 1e-8
+from .verify import SATURATION_TOL, SUITE_NAMES, run_all_suites, run_suite
 
 
 def _fmt(v: float) -> str:
@@ -202,7 +200,7 @@ def cmd_transform(args) -> int:
             if args.u_min is None or args.u_max is None:
                 raise ValueError("rep_spec: provide both --u-min and --u-max or neither")
             window = (args.u_min, args.u_max)
-        spectrum = correlation_transform(psi, u_window=window, n_gamma=args.n_gamma)
+        spectrum = correlation_transform(psi, u_window=window)
         gam = spectrum.gamma_grid.points.tolist()
         even, odd = spectrum.even, spectrum.odd
         columns = [
@@ -310,13 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--config", default=None,
                     help="JSON file with the same fields as --state")
     pt.add_argument("--u-min", dest="u_min", type=float, default=None,
-                    help="correlation window start in ln|x| (default min(-14, ln(4 dx)))")
-    pt.add_argument("--u-max", dest="u_max", type=float, default=None,
-                    help="correlation window end in ln|x| (default ln(min(0.45 length, x_max)))")
-    pt.add_argument("--n-gamma", dest="n_gamma", type=int, default=None,
-                    help="correlation lattice size, a power of two (default 2 n with a "
-                         "given window; with the default window, 2 n doubled until du "
+                    help="correlation window start in ln|x|, sampled on 2 n points "
+                         "(default min(-14, ln(4 dx)), on 2 n points doubled until du "
                          "is no coarser than 2 n points from ln(4 dx) to u_max)")
+    pt.add_argument("--u-max", dest="u_max", type=float, default=None,
+                    help="correlation window end in ln|x| (default ln(min(0.45 length, "
+                         "x_max)))")
     _add_common(pt)
     pt.set_defaults(func=cmd_transform)
 

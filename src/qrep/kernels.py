@@ -48,12 +48,21 @@ class Parity(enum.Enum):
     ODD = "odd"
 
 
-def _require_momentum_resolved(g: Grid, p) -> None:
-    """Refuse a momentum, or any of an array of them, beyond ``pi/dx`` or not finite."""
+# The message of each ``|f| <= pi/d`` refusal, by its code.
+_ALIASING = {
+    "momentum_aliasing": "|p| = {top:.6g} exceeds pi/dx = {limit:.6g}",
+    "position_aliasing": "|a| = {top:.6g} exceeds pi/dp = {limit:.6g}",
+    "oracle_gamma_range": "|gamma| = {top:.6g} exceeds pi/du = {limit:.6g} "
+                          "of the {n}-point log lattice",
+}
+
+
+def _require_resolved(g: Grid, values, code: str) -> None:
+    """Refuse with ``code`` any of ``values`` beyond ``pi`` over the step of ``g`` or not finite."""
     limit = np.pi / g.dx
-    top = np.max(np.abs(p), initial=0.0)
+    top = np.max(np.abs(values), initial=0.0)
     if not top <= limit * (1 + 1e-12):
-        raise ValueError(f"momentum_aliasing: |p| = {top:.6g} exceeds pi/dx = {limit:.6g}")
+        raise ValueError(f"{code}: " + _ALIASING[code].format(top=top, limit=limit, n=g.n))
 
 
 def plane_wave(g: Grid, p: float) -> Wavefunction:
@@ -61,7 +70,7 @@ def plane_wave(g: Grid, p: float) -> Wavefunction:
 
     The eigenvalue must be representable on the lattice, ``|p| <= pi/dx``.
     """
-    _require_momentum_resolved(g, p)
+    _require_resolved(g, p, "momentum_aliasing")
     return Wavefunction(g, np.exp(1j * (p * g.points)) / _TWO_PI_SQRT, POSITION)
 
 
@@ -70,9 +79,7 @@ def position_kernel_in_momentum(g: Grid, a: float) -> Wavefunction:
 
     ``g`` is the momentum-axis lattice; ``|a|`` must not exceed ``pi/dp``.
     """
-    limit = np.pi / g.dx
-    if not np.isfinite(a) or abs(a) > limit * (1 + 1e-12):
-        raise ValueError(f"position_aliasing: |a| = {abs(a):.6g} exceeds pi/dp = {limit:.6g}")
+    _require_resolved(g, a, "position_aliasing")
     return Wavefunction(g, np.exp(1j * (-a * g.points)) / _TWO_PI_SQRT, MOMENTUM)
 
 

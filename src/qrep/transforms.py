@@ -5,9 +5,9 @@ interpolating and rotation transforms share one chirp + Fourier + chirp
 decomposition of an ``a X + b P`` member (``kernels._Chirp``), with the chirp
 on the position side where the lattice resolves it (``a dx <= b dp``,
 ``kernels._chirp_resolved``) and on the momentum side otherwise; its output
-lattice makes the whole map a single FFT.  The correlation transform is a
-Fourier transform in the logarithm of the coordinate, taken separately in
-each parity channel.
+lattice makes the whole map one FFT on the position side, two on the momentum
+side.  The correlation transform is a Fourier transform in the logarithm of
+the coordinate, taken separately in each parity channel.
 
 Every fast path has a direct-summation oracle (`quadrature_oracle`) against
 which it is validated in the test and verify suites.
@@ -43,7 +43,7 @@ from .kernels import (
     _member_samples,
     _require_chirp_resolved,
     _require_finite_eigenvalue,
-    _require_momentum_resolved,
+    _require_resolved,
     _rotation_chirp,
     correlation_kernel,
     interp_kernel,
@@ -99,7 +99,7 @@ def from_momentum(phi: Wavefunction) -> Wavefunction:
 
 
 def _linear_transform(psi: Wavefunction, chirp: _Chirp) -> Wavefunction:
-    """``<kernel_lam, psi>`` for one ``a X + b P`` member, by one FFT on either side.
+    """``<kernel_lam, psi>`` for one ``a X + b P`` member: one FFT, two on the momentum side.
 
     Position side, on ``lam_k = b p_k``:
         e^(-i pi/4) (2 pi b)^(-1/2) e^(i kappa lam^2)
@@ -144,9 +144,9 @@ def interp_transform(psi: Wavefunction, alpha: float) -> Wavefunction:
 
     Output samples are ``<eta_lam, psi>`` on the lattice ``lam_k = (1-alpha) p_k``
     or ``lam_j = alpha x_j``, whichever is coarser.  Every ``alpha`` in ``[0, 1]``
-    is one FFT with a resolved chirp, so the map is unitary on the grid; at
-    ``alpha = 0`` it is ``e^(-i pi/4)`` times the Fourier map and at
-    ``alpha = 1`` it is ``e^(-i x^2/2) psi(x)``, both to rounding.
+    is one FFT (two on the momentum side) with a resolved chirp, so the map is
+    unitary on the grid; at ``alpha = 0`` it is ``e^(-i pi/4)`` times the Fourier map
+    and at ``alpha = 1`` it is ``e^(-i x^2/2) psi(x)``, both to rounding.
     """
     return _linear_transform(psi, _interp_chirp(alpha))
 
@@ -227,9 +227,7 @@ def _default_n_gamma(g: Grid, u_window: tuple[float, float]) -> int:
 
 
 def correlation_transform(
-    psi: Wavefunction,
-    u_window: tuple[float, float] | None = None,
-    n_gamma: int | None = None,
+    psi: Wavefunction, u_window: tuple[float, float] | None = None
 ) -> CorrelationSpectrum:
     """Expand in the definite-parity eigenbasis of ``(XP + PX)/2``.
 
@@ -240,11 +238,11 @@ def correlation_transform(
         channel(gamma) = (2 pi)^(-1/2) sum_i h(u_i) e^(-i gamma u_i) du,
         h(u) = e^(u/2) (psi(e^u) +- psi(-e^u)) / sqrt(2).
 
-    Defaults: ``u_window = (min(-14, ln(4 dx)), ln(min(0.45 length, x_max)))``.
-    With a given window ``n_gamma = 2 n``; with the default window
-    ``n_gamma`` is ``2 n`` doubled until ``du`` is no coarser than that of
-    ``2 n`` points over ``(ln(4 dx), u_max)`` (8n at n = 1024, length 40),
-    since ``h`` oscillates at the u-frequency ``p x`` away from the origin.
+    The lattice depends only on the window: a given one gets ``2 n`` points;
+    the default, ``(min(-14, ln(4 dx)), ln(min(0.45 length, x_max)))``, gets
+    ``2 n`` doubled until ``du`` is no coarser than that of ``2 n`` points over
+    ``(ln(4 dx), u_max)`` (8n at n = 1024, length 40), since ``h`` oscillates
+    at the u-frequency ``p x`` away from the origin.
     The default ``u_min`` leaves about 1e-6 of a
     unit-width state unseen near the origin, so a state of that scale can be
     read back by :func:`correlation_inverse`; narrower states need a lower
@@ -255,14 +253,12 @@ def correlation_transform(
     require_label(psi, POSITION, "correlation_transform")
     require_contained(psi)
     g = psi.grid
+    size = 2 * g.n
     if u_window is None:
         u_window = _default_u_window(g)
-        if n_gamma is None:
-            n_gamma = _default_n_gamma(g, u_window)
-    if n_gamma is None:
-        n_gamma = 2 * g.n
+        size = _default_n_gamma(g, u_window)
     u_min, u_max = float(u_window[0]), float(u_window[1])
-    ugrid = log_grid(n_gamma, u_min, u_max)
+    ugrid = log_grid(size, u_min, u_max)
 
     # Each channel is dropped once it is summed; the sums are scaled in place.
     h_even, h_odd = log_resample(psi, ugrid)
@@ -428,9 +424,10 @@ def quadrature_oracle(
       frequency ``gamma`` on a parity channel of
       :func:`~qrep.grid.log_resample` on a log lattice of ``4 n`` points over
       the default window of :func:`correlation_transform` (twice the density
-      of its ``2 n``-point lattice; the default lattice, from ``8 n`` points,
-      reaches past it), times ``(2 pi)^(-1/2)``.  A ``|gamma| > pi/du`` of
-      that lattice is refused with ``oracle_gamma_range``.
+      of the ``2 n`` points that window gets when passed, which verify checks;
+      the default lattice reaches at least as far), times ``(2 pi)^(-1/2)``.
+      A ``|gamma| > pi/du`` of that lattice is refused with
+      ``oracle_gamma_range``.
 
     Every guard fires before any sum; a non-finite coefficient is refused
     with ``sample_finite``.
@@ -459,14 +456,11 @@ def quadrature_oracle(
             out = np.array([np.vdot(_member_samples(g, chirp, lam), psi.samples) * g.dx
                             for lam in lambdas])
     elif family == "plane_wave":
-        _require_momentum_resolved(g, lambdas)
+        _require_resolved(g, lambdas, "momentum_aliasing")
         out = _plane_wave_sums(g, psi.samples, lambdas) / _SQRT_2PI
     else:
         ugrid = log_grid(4 * g.n, *_default_u_window(g))
-        limit, top = np.pi / ugrid.dx, np.abs(lambdas).max(initial=0.0)
-        if not top <= limit * (1 + 1e-12):
-            raise ValueError(f"oracle_gamma_range: |gamma| = {top:.6g} exceeds pi/du = "
-                             f"{limit:.6g} of the {ugrid.n}-point log lattice")
+        _require_resolved(ugrid, lambdas, "oracle_gamma_range")
         channel = log_resample(psi, ugrid)[family == "correlation_odd"]
         out = _plane_wave_sums(ugrid, channel, lambdas) / _SQRT_2PI
     if not np.isfinite(out).all():

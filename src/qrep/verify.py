@@ -44,6 +44,7 @@ from .operators import (
 from .states import GaussianSpec, gaussian, hermite
 from .transforms import (
     _CHIRP_FAMILIES,
+    _default_u_window,
     conjugation_defect,
     correlation_inverse,
     correlation_transform,
@@ -55,6 +56,9 @@ from .transforms import (
 )
 
 __all__ = ["CheckReport", "run_suite", "run_all_suites", "SUITE_NAMES", "REQUIRED_COVERAGE"]
+
+# |lhs - rhs| of the Robertson-Schrodinger bound at which a state saturates it.
+SATURATION_TOL = 1e-8
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -231,8 +235,8 @@ def _suite_roundtrips(g: Grid) -> list[CheckReport]:
         )
         reports.append(_member_oracle(g, family, value, "gaussian", out))
 
-    # The default window on 2n points, the lattice these tolerances were set on.
-    spec = correlation_transform(psi, n_gamma=2 * g.n)
+    # The lattice the library ships: the default window at its default size.
+    spec = correlation_transform(psi)
     rec = correlation_inverse(spec, g)
     x = g.points
     annulus = (np.abs(x) >= 4.0 * g.dx) & (np.abs(x) <= 10.0)
@@ -285,7 +289,7 @@ def _suite_uncertainty(g: Grid) -> list[CheckReport]:
     for c in (-2.0, -1.0, 0.0, 1.0, 2.0):
         m = moments(gaussian(g, GaussianSpec(s=1.0, c=c)))
         reports.append(
-            CheckReport("uncertainty_saturation", {"chirp": c}, abs(m.lhs - m.rhs), 1e-8)
+            CheckReport("uncertainty_saturation", {"chirp": c}, abs(m.lhs - m.rhs), SATURATION_TOL)
         )
     for k in (1, 2, 3, 4):
         m = moments(hermite(g, k))
@@ -407,10 +411,11 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
 
     # The channel each state of definite parity leaves empty: its peak against
     # the other channel's is rounding (measured <= 6.4e-18, n = 256 to 2^14).
+    # On the 2n points a given window gets, whose whole gamma range the oracle reaches.
     zero_channel = {"gaussian": "odd", "hermite_1": "even"}
     for name in ("gaussian", "gaussian_moved", "hermite_1"):
         psi = states[name]
-        spec = correlation_transform(psi, n_gamma=2 * g.n)
+        spec = correlation_transform(psi, u_window=_default_u_window(g))
         channels = {"even": spec.even, "odd": spec.odd}
         for channel, values in channels.items():
             sub = _support(values)
@@ -443,20 +448,11 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
             )
 
     psi = states["gaussian_chirped"]
-    spec = correlation_transform(psi, u_window=(-28.0, float(np.log(18.0))), n_gamma=4 * g.n)
-    dgam = spec.gamma_grid.dx
-    mean_c_spec = float(
-        np.sum(spec.gamma_grid.points * (np.abs(spec.even) ** 2 + np.abs(spec.odd) ** 2)) * dgam
-    )
-    mean_c_op = moments(psi).mean_c
-    reports.append(
-        CheckReport(
-            "correlation_mean_c",
-            {"state": "gaussian_chirped"},
-            abs(mean_c_spec - mean_c_op),
-            1e-5,
-        )
-    )
+    spec = correlation_transform(psi)
+    power = np.abs(spec.even) ** 2 + np.abs(spec.odd) ** 2
+    mean_c_spec = float(np.sum(spec.gamma_grid.points * power) * spec.gamma_grid.dx)
+    err = abs(mean_c_spec - moments(psi).mean_c)
+    reports.append(CheckReport("correlation_mean_c", {"state": "gaussian_chirped"}, err, 1e-5))
 
     # diagonal dominance of the windowed kernel overlap matrix: the discrete
     # shadow of continuum orthogonality, a kernel-family check on a fixed grid

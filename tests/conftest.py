@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qrep import GaussianSpec, gaussian, hermite, make_grid
+from qrep import GaussianSpec, gaussian, make_grid
+from qrep.verify import _factory_states
 
 
 @pytest.fixture(scope="session")
@@ -12,17 +13,6 @@ def g1024():
 @pytest.fixture(scope="session")
 def unit_gaussian(g1024):
     return gaussian(g1024, GaussianSpec())
-
-
-def _factory_states(g):
-    return [
-        ("gaussian", gaussian(g, GaussianSpec())),
-        ("gaussian_chirped", gaussian(g, GaussianSpec(s=1.0, c=2.0))),
-        ("gaussian_moved", gaussian(g, GaussianSpec(s=1.5, x0=1.0, p0=-0.5))),
-        ("hermite_1", hermite(g, 1)),
-        ("hermite_2", hermite(g, 2)),
-        ("hermite_3", hermite(g, 3)),
-    ]
 
 
 @pytest.fixture(scope="session")

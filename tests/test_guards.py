@@ -16,6 +16,7 @@ from qrep import (
     interp_kernel,
     log_grid,
     make_grid,
+    position_kernel_in_momentum,
     quadrature_oracle,
     rotation_kernel,
 )
@@ -71,6 +72,8 @@ def _cli(*argv):
         (lambda: quadrature_oracle(gaussian(make_grid(1024, 40.0), GaussianSpec()),
                                    "correlation_even", [1e4]),
          "oracle_gamma_range"),
+        (lambda: quadrature_oracle(PSI, "correlation_odd", [0.0, np.nan]), "oracle_gamma_range"),
+        (lambda: position_kernel_in_momentum(G, np.nan), "position_aliasing"),
         (lambda: quadrature_oracle(PSI, "plane_wave", [0.0, 1e4]), "momentum_aliasing"),
         (lambda: quadrature_oracle(PSI, "interp", [0.0, np.nan], alpha=0.5), "eigenvalue_finite"),
         (_overflowing_oracle, "sample_finite"),

@@ -36,8 +36,9 @@ from qrep import (
     to_momentum,
     windowed_conjugation_defect,
 )
-from qrep.kernels import _chirp_resolved, _interp_chirp, _rotation_chirp, chirp_step_bound
+from qrep.kernels import _chirp_resolved, _interp_chirp, _rotation_chirp
 from qrep.transforms import _CHIRP_FAMILIES
+from qrep.verify import _factory_states, _oracle_grid
 
 # the default correlation window at length 40
 CORR_WINDOW = (-14.0, float(np.log(18.0)))
@@ -175,18 +176,6 @@ def test_interp_limit_towards_identity():
     assert errs[2] <= 1e-2
 
 
-def resolving_grid(g, rate):
-    """Power-of-two refinement of ``g`` on which ``chirp_step_bound`` admits ``rate``."""
-    n = g.n
-    while True:
-        fine = make_grid(n, g.length)
-        try:
-            chirp_step_bound(rate, fine)
-            return fine
-        except ValueError:
-            n *= 2
-
-
 def test_interp_formerly_refused_chirp_is_unitary():
     # the position-side chirp steps by ~6e3 rad here; the momentum side by ~2e-3
     g = make_grid(128, 40.0)
@@ -211,24 +200,15 @@ def test_interp_near_identity_keeps_norm(g1024, unit_gaussian):
 )
 def test_momentum_side_matches_resolved_oracle(g1024, factory_states, family, value):
     # these chirps alias on g1024, so the oracle sums on a grid that resolves them
-    if family == "interp":
-        transform, a, b, param = interp_transform, value, 1.0 - value, {"alpha": value}
-    else:
-        transform, a, b, param = rotation_transform, np.cos(value), np.sin(value), {"theta": value}
-    fine = resolving_grid(g1024, a / b)
-    fine_states = dict(
-        [
-            ("gaussian", gaussian(fine, GaussianSpec())),
-            ("gaussian_chirped", gaussian(fine, GaussianSpec(s=1.0, c=2.0))),
-            ("gaussian_moved", gaussian(fine, GaussianSpec(s=1.5, x0=1.0, p0=-0.5))),
-        ]
-        + [(f"hermite_{k}", hermite(fine, k)) for k in (1, 2, 3)]
-    )
+    member = _CHIRP_FAMILIES[family]
+    chirp = member.chirp(value)
+    fine_states = dict(_factory_states(_oracle_grid(g1024, chirp)))
     sub = np.arange(0, g1024.n, 64)
     for name, psi in factory_states:
-        out = transform(psi, value)
-        assert out.grid.dx == pytest.approx(a * g1024.dx, rel=1e-15)  # the momentum side
-        oracle = quadrature_oracle(fine_states[name], family, out.grid.points[sub], **param)
+        out = member.transform(psi, value)
+        assert out.grid.dx == pytest.approx(chirp.a * g1024.dx, rel=1e-15)  # the momentum side
+        oracle = quadrature_oracle(fine_states[name], family, out.grid.points[sub],
+                                   **{member.param: value})
         assert np.abs(out.samples[sub] - oracle).max() <= 1e-8, name
 
 
@@ -341,14 +321,14 @@ def test_correlation_odd_state_has_zero_even_channel(g1024):
 
 
 def test_correlation_parseval(g1024, unit_gaussian):
-    spec = correlation_transform(unit_gaussian, n_gamma=2048)
+    spec = correlation_transform(unit_gaussian)
     assert abs(spec.channel_power() - (1.0 - spec.tail_mass)) <= 1e-6
     assert spec.tail_mass < 1e-6
 
 
 def test_correlation_mean_from_spectrum(g1024):
     psi = gaussian(g1024, GaussianSpec(s=1.0, c=2.0))
-    spec = correlation_transform(psi, u_window=(-28.0, float(np.log(18.0))), n_gamma=4096)
+    spec = correlation_transform(psi)
     dg = spec.gamma_grid.dx
     mean_c = float(
         np.sum(spec.gamma_grid.points * (np.abs(spec.even) ** 2 + np.abs(spec.odd) ** 2)) * dg
@@ -357,9 +337,10 @@ def test_correlation_mean_from_spectrum(g1024):
 
 
 def test_correlation_oracle_agreement(g1024, factory_states):
-    # on the 2n-point lattice, whose whole gamma range the 4n-point oracle reaches
+    # on the 2n points a given window gets, whose whole gamma range the
+    # 4n-point oracle reaches
     for name, psi in [factory_states[0], factory_states[2], factory_states[3]]:
-        spec = correlation_transform(psi, n_gamma=2048)
+        spec = correlation_transform(psi, u_window=CORR_WINDOW)
         sub = np.arange(0, spec.gamma_grid.n, 64)
         gams = spec.gamma_grid.points[sub]
         for channel, values in (("even", spec.even), ("odd", spec.odd)):
@@ -490,11 +471,6 @@ def test_spectrum_gamma_lattice_is_the_dual_of_its_log_lattice(unit_gaussian):
 def test_correlation_window_guard(g1024, unit_gaussian):
     with pytest.raises(ValueError, match="log_window_support"):
         correlation_transform(unit_gaussian, u_window=(-5.0, np.log(25.0)))
-
-
-def test_correlation_rejects_bad_n_gamma(g1024, unit_gaussian):
-    with pytest.raises(ValueError, match="power_of_two"):
-        correlation_transform(unit_gaussian, n_gamma=1000)
 
 
 # --- conjugate-transform property and oracle misc ------------------------------

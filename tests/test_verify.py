@@ -12,7 +12,7 @@ from qrep import (
     to_momentum,
     verify,
 )
-from qrep.transforms import _CHIRP_FAMILIES
+from qrep.transforms import _CHIRP_FAMILIES, _default_u_window
 from qrep.verify import REQUIRED_COVERAGE
 
 
@@ -162,7 +162,7 @@ def _checked_coefficients(g, psi, family, kwargs):
         base = Wavefunction(g, psi.samples[:: psi.grid.n // g.n], POSITION)
         out = member.transform(base, kwargs[member.param])
     else:
-        spec = correlation_transform(psi, n_gamma=2 * g.n)
+        spec = correlation_transform(psi, u_window=_default_u_window(g))
         return spec.gamma_grid.points, spec.even if family == "correlation_even" else spec.odd
     return out.grid.points, out.samples
 
