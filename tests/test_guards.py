@@ -50,6 +50,7 @@ def _cli(*argv):
     [
         (lambda: Grid(1000, 0.04, -20.0), "grid_size_power_of_two"),
         (lambda: Grid(1024.0, 0.04, -20.0), "grid_size_power_of_two"),
+        (lambda: log_grid(1000, -14.0, 3.0), "grid_size_power_of_two"),
         (lambda: Grid(1024, 0.0, -20.0), "grid_spacing_positive"),
         (lambda: Grid(1024, 0.04, np.nan), "grid_origin_finite"),
         (lambda: Wavefunction(G, np.zeros(5), POSITION), "sample_count"),
@@ -72,8 +73,10 @@ def _cli(*argv):
         (lambda: quadrature_oracle(gaussian(make_grid(1024, 40.0), GaussianSpec()),
                                    "correlation_even", [1e4]),
          "oracle_gamma_range"),
-        (lambda: quadrature_oracle(PSI, "correlation_odd", [0.0, np.nan]), "oracle_gamma_range"),
-        (lambda: position_kernel_in_momentum(G, np.nan), "position_aliasing"),
+        pytest.param(lambda: quadrature_oracle(PSI, "correlation_odd", [0.0, np.nan]),
+                     "oracle_gamma_range", id="nan-oracle_gamma_range"),
+        pytest.param(lambda: position_kernel_in_momentum(G, np.nan), "position_aliasing",
+                     id="nan-position_aliasing"),
         (lambda: quadrature_oracle(PSI, "plane_wave", [0.0, 1e4]), "momentum_aliasing"),
         (lambda: quadrature_oracle(PSI, "interp", [0.0, np.nan], alpha=0.5), "eigenvalue_finite"),
         (_overflowing_oracle, "sample_finite"),
