@@ -232,7 +232,8 @@ def _spline_slopes(y: np.ndarray) -> np.ndarray:
     """Not-a-knot slopes ``m_i = dx * s'(x_i)`` of the spline through ``y``."""
     n = len(y)
     m = np.zeros_like(y)
-    m[1:-1] = 3.0 * (y[2:] - y[:-2])
+    np.subtract(y[2:], y[:-2], out=m[1:-1])
+    m[1:-1] *= 3.0
     scratch = np.empty_like(m)
     _geometric_filter(m, scratch)
     _geometric_filter(m[::-1], scratch)
@@ -261,7 +262,13 @@ def _spline_fit(grid: Grid, samples: np.ndarray, lo: int = 0,
     y = np.asarray(samples)
     if y.shape != (grid.n,):
         raise ValueError(f"sample_count: expected {grid.n} samples, got shape {y.shape}")
-    y = y[lo:hi].astype(np.result_type(y.dtype, float), copy=False)
+    return _spline_coeffs(y[lo:hi])
+
+
+def _spline_coeffs(y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_spline_fit`'s coefficients from the samples ``y`` of the fitted
+    knots alone."""
+    y = y.astype(np.result_type(y.dtype, float), copy=False)
     # Cell k holds y_k + tau (m_k + tau (c2_k + tau c3_k)), tau in [0, 1].
     m = _spline_slopes(y)
     c2 = np.diff(y)
@@ -319,9 +326,10 @@ def _spline_window(grid: Grid, t_min: float, t_max: float) -> tuple[int, int]:
     return lo, hi
 
 
-# Queries per evaluation block: the block's index and offset buffers stay in
-# cache, and no query-sized temporary is allocated.
-_SPLINE_BLOCK = 2**14
+# Elements per block of a streamed pass (spline reads, channel arithmetic,
+# phase factors): the block's buffers stay in cache, and no array-sized
+# temporary is allocated.
+_BLOCK = 2**14
 
 
 def _spline_eval(grid: Grid, coeffs: tuple[np.ndarray, ...], t: np.ndarray,
@@ -331,8 +339,8 @@ def _spline_eval(grid: Grid, coeffs: tuple[np.ndarray, ...], t: np.ndarray,
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape, dtype=coeffs[0].dtype)
     flat_t, flat_out = t.reshape(-1), out.reshape(-1)
-    for start in range(0, flat_t.size, _SPLINE_BLOCK):
-        block = slice(start, start + _SPLINE_BLOCK)
+    for start in range(0, flat_t.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
         _spline_eval_block(grid, coeffs, flat_t[block], flat_out[block], lo)
     return out
 
@@ -347,6 +355,16 @@ def _spline_eval_block(grid: Grid, coeffs: tuple[np.ndarray, ...], t: np.ndarray
     for c in coeffs[1:]:
         out *= tau
         out += np.take(c, k, out=buf, mode="clip")
+
+
+def _spline_eval_cell(coeffs: tuple[np.ndarray, ...], k: int, tau: np.ndarray,
+                      out: np.ndarray) -> None:
+    """:func:`_spline_eval_block` for queries that all lie in fitted cell
+    ``k``, at the offsets ``tau``: the same operations, on scalar coefficients."""
+    out.fill(coeffs[0][k])
+    for c in coeffs[1:]:
+        out *= tau
+        out += c[k]
 
 
 def cubic_interpolate(grid: Grid, samples: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -377,29 +395,56 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
     interpolation error.  ``psi`` must be position-labelled.  The window must
     stay within the samples of both half-lines, ``e^u_max <= min(x_max,
     -x_min)``, so no value is extrapolated.
+
+    The two returned arrays are the only channel-sized buffers: the reads of
+    ``psi(e^u)`` and ``psi(-e^u)`` are written into them, and the parity
+    parts and the weight ``e^(u/2)/sqrt(2)`` are formed block by block in
+    place.  On a centred grid (``x_min = -(n/2) dx``) a query with ``e^u <=
+    dx/4`` lies in one of the two cells beside the origin knot, at offset
+    ``e^u/dx`` (``+e^u``) or ``1 - e^u/dx`` (``-e^u``); those queries are
+    read there without the cell arithmetic, with the same result bit for bit.
     """
     require_label(psi, POSITION, "log_resample")
-    u = u_grid.points
-    x_edge = min(psi.grid.x_max, -psi.grid.x_min)
-    if np.exp(u[-1]) > x_edge:
+    g = psi.grid
+    r_max = np.exp(u_grid.x_max)
+    x_edge = min(g.x_max, -g.x_min)
+    if r_max > x_edge:
         raise ValueError(
-            f"log_window_support: e^u_max = {np.exp(u[-1]):.6g} exceeds the last sample "
+            f"log_window_support: e^u_max = {r_max:.6g} exceeds the last sample "
             f"{x_edge:.6g} of the shorter half-line"
         )
-    r = np.exp(u)
-    r_max = r.max()
-    lo, hi = _spline_window(psi.grid, -r_max, r_max)
-    coeffs = _spline_fit(psi.grid, psi.samples, lo, hi)
-    plus = _spline_eval(psi.grid, coeffs, r, lo)
-    minus = _spline_eval(psi.grid, coeffs, np.negative(r, out=r), lo)
-    del coeffs, r
-    # The odd channel takes minus's buffer.
-    h_even = plus + minus
-    h_odd = np.subtract(plus, minus, out=minus)
-    del plus
-    weight = np.exp(u / 2.0) / np.sqrt(2.0)
-    h_even *= weight
-    h_odd *= weight
+    lo, hi = _spline_window(g, -r_max, r_max)
+    coeffs = _spline_fit(g, psi.samples, lo, hi)
+    centred = g.x_min == -(g.n // 2) * g.dx
+    origin = g.n // 2 - lo
+    h_even = np.empty(u_grid.n, dtype=complex)
+    h_odd = np.empty(u_grid.n, dtype=complex)
+    size = min(u_grid.n, _BLOCK)
+    u, r, odd = np.empty(size), np.empty(size), np.empty(size, dtype=complex)
+    for start in range(0, u_grid.n, size):
+        plus, minus = h_even[start : start + size], h_odd[start : start + size]
+        np.multiply(u_grid.dx, np.arange(start, start + size), out=u)
+        u += u_grid.x_min  # u_grid.points[start : start + size]
+        np.exp(u, out=r)
+        # The queries rise with u, so those in the centre cells lead the
+        # block.  Their offsets must be positive, so that -e^u reads the cell
+        # left of the origin knot, as _spline_cells puts it.
+        c = 0
+        if centred and r[0] / g.dx > 0.0:
+            c = int(np.searchsorted(r, 0.25 * g.dx, "right"))
+        _spline_eval_block(g, coeffs, r[c:], plus[c:], lo)
+        _spline_eval_block(g, coeffs, np.negative(r[c:], out=r[c:]), minus[c:], lo)
+        tau = np.divide(r[:c], g.dx, out=r[:c])
+        _spline_eval_cell(coeffs, origin, tau, plus[:c])
+        _spline_eval_cell(coeffs, origin - 1, np.subtract(1.0, tau, out=tau), minus[:c])
+        diff = np.subtract(plus, minus, out=odd)
+        plus += minus
+        minus[...] = diff
+        weight = np.divide(u, 2.0, out=u)
+        np.exp(weight, out=weight)
+        weight /= np.sqrt(2.0)
+        plus *= weight
+        minus *= weight
     return h_even, h_odd
 
 
@@ -428,16 +473,30 @@ def _phase_table(k_grid: Grid, x0: float) -> np.ndarray:
 
 
 def fourier_sum(values: np.ndarray, g: Grid) -> tuple[Grid, np.ndarray]:
-    """``sum_j values_j exp(-i k x_j) dx`` on the monotone dual lattice of ``g``."""
-    dual = dual_grid(g)
-    # One copy of ``values`` holds the sum from the sign flips to the table
-    # product; the table product stays the first operand, as NumPy's complex
-    # multiply rounds by operand order.
+    """``sum_j values_j exp(-i k x_j) dx`` on the monotone dual lattice of ``g``.
+
+    ``values`` is copied once, and the sum is formed in that copy.
+    """
     out = np.array(values, dtype=complex)
+    return _fourier_sum_inplace(out, g), out
+
+
+def _fourier_sum_inplace(out: np.ndarray, g: Grid) -> Grid:
+    """:func:`fourier_sum` of the complex buffer ``out``, written over it;
+    returns the dual lattice."""
+    dual = dual_grid(g)
+    table = _phase_table(dual, g.x_min)
     np.negative(out[1::2], out=out[1::2])
     np.fft.fft(out, out=out)
-    np.multiply(g.dx * _phase_table(dual, g.x_min), out, out=out)
-    return dual, out
+    # ``dx * table`` is formed a block at a time; it stays the first operand,
+    # as NumPy's complex multiply rounds by operand order.
+    size = min(g.n, _BLOCK)
+    scaled = np.empty(size, dtype=complex)
+    for start in range(0, g.n, size):
+        block = slice(start, start + size)
+        np.multiply(g.dx, table[block], out=scaled)
+        np.multiply(scaled, out[block], out=out[block])
+    return dual
 
 
 def inverse_fourier_sum(values: np.ndarray, k_grid: Grid, x_grid: Grid) -> np.ndarray:

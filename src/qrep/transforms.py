@@ -25,7 +25,10 @@ from .grid import (
     POSITION,
     Grid,
     Wavefunction,
-    cubic_interpolate,
+    _fourier_sum_inplace,
+    _spline_coeffs,
+    _spline_eval,
+    _spline_window,
     dual_grid,
     fourier_sum,
     inverse_fourier_sum,
@@ -260,14 +263,11 @@ def correlation_transform(
     u_min, u_max = float(u_window[0]), float(u_window[1])
     ugrid = log_grid(size, u_min, u_max)
 
-    # Each channel is dropped once it is summed; the sums are scaled in place.
-    h_even, h_odd = log_resample(psi, ugrid)
-    _, even = fourier_sum(h_even, ugrid)
-    del h_even
-    _, odd = fourier_sum(h_odd, ugrid)
-    del h_odd
-    even /= _SQRT_2PI
-    odd /= _SQRT_2PI
+    # log_resample's two fresh channels are summed and scaled in place.
+    even, odd = log_resample(psi, ugrid)
+    for channel in (even, odd):
+        _fourier_sum_inplace(channel, ugrid)
+        channel /= _SQRT_2PI
 
     return CorrelationSpectrum(
         even=even,
@@ -309,33 +309,48 @@ def correlation_inverse(spec: CorrelationSpectrum, g: Grid) -> Wavefunction:
     Inverts the log-variable Fourier transform channel by channel.  The sum
     and difference of the channels carry ``psi(e^u)`` and ``psi(-e^u)``; each
     is read back onto its own half-line of ``g`` with
-    :func:`~qrep.grid.cubic_interpolate`, the not-a-knot cubic spline on the
-    uniform ``u`` knots (SciPy's ``CubicSpline`` default).  Points outside the
-    covered annulus ``e^u_min <= |x| <= e^u_max`` are set to zero.  Requires
-    the spectrum's ``tail_mass`` to be below ``INVERSE_TAIL_TOL``.
+    :func:`~qrep.grid.cubic_interpolate`'s spline, the not-a-knot cubic spline
+    on the uniform ``u`` knots (SciPy's ``CubicSpline`` default).  Points
+    outside the covered annulus ``e^u_min <= |x| <= e^u_max`` are set to zero.
+    Requires the spectrum's ``tail_mass`` to be below ``INVERSE_TAIL_TOL``.
+
+    The ``ln|x|`` queries of both half-lines are formed first, and they set
+    one knot window, as :func:`~qrep.grid.cubic_interpolate` sets it for its
+    queries.  Only those knots are copied out of each inverse sum, and the
+    splines are fitted and read there, with the whole-lattice values bit for
+    bit.
     """
     if spec.tail_mass > INVERSE_TAIL_TOL:
         raise ValueError(
             f"inverse_tail_mass: tail mass {spec.tail_mass:.3e} exceeds {INVERSE_TAIL_TOL:g}; "
             "widen the log window before inverting"
         )
+    ugrid = spec.u_grid
+    r_min, r_max = np.exp(ugrid.x_min), np.exp(ugrid.x_max)
+    reads = []
+    for x in (g.points, -g.points):
+        covered = (x >= r_min) & (x <= r_max) & (x > 0.0)
+        r = x[covered]
+        reads.append((covered, r, np.log(r)))
+    del x
+    queried = [t for *_, t in reads if t.size]
+    if not queried:
+        return Wavefunction(g, np.zeros(g.n, dtype=complex), POSITION)
+    lo, hi = _spline_window(ugrid, min(t.min() for t in queried), max(t.max() for t in queried))
+
     gamma_grid = spec.gamma_grid
-    h_even = inverse_fourier_sum(spec.even, gamma_grid, spec.u_grid)
-    h_even /= _SQRT_2PI
-    h_odd = inverse_fourier_sum(spec.odd, gamma_grid, spec.u_grid)
-    h_odd /= _SQRT_2PI
-    # The difference takes h_even's buffer, so only two channel-sized arrays
-    # outlive this line.
+    h_even = inverse_fourier_sum(spec.even, gamma_grid, ugrid)[lo:hi] / _SQRT_2PI
+    h_odd = inverse_fourier_sum(spec.odd, gamma_grid, ugrid)[lo:hi] / _SQRT_2PI
+    # The difference takes h_even's buffer.  The output is allocated only
+    # now: held through the inverse sums, it raised lib_large's peak RSS.
     h_sum = h_even + h_odd
     h_diff = np.subtract(h_even, h_odd, out=h_even)
     del h_odd
-    r_min, r_max = np.exp(spec.u_grid.x_min), np.exp(spec.u_grid.x_max)
-
     out = np.zeros(g.n, dtype=complex)
-    for x, h in ((g.points, h_sum), (-g.points, h_diff)):
-        covered = (x >= r_min) & (x <= r_max) & (x > 0.0)
-        r = x[covered]
-        out[covered] = cubic_interpolate(spec.u_grid, h, np.log(r)) / np.sqrt(2.0 * r)
+    for (covered, r, t), h in zip(reads, (h_sum, h_diff)):
+        values = _spline_eval(ugrid, _spline_coeffs(h), t, lo)
+        values /= np.sqrt(2.0 * r)
+        out[covered] = values
     return Wavefunction(g, out, POSITION)
 
 

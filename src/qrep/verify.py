@@ -461,9 +461,8 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
     lams = (1.0 - alpha) * dual_grid(gk).points[::32]
     window_arr = np.exp(-gk.points**2 / (2.0 * (gk.length / 8.0) ** 2))
     kernels = [interp_kernel(gk, alpha, l).samples for l in lams]
-    gram = np.array(
-        [[np.vdot(ka, window_arr * kb) * gk.dx for kb in kernels] for ka in kernels]
-    )
+    windowed = [window_arr * kb for kb in kernels]
+    gram = np.array([[np.vdot(ka, wb) * gk.dx for wb in windowed] for ka in kernels])
     agram = np.abs(gram)
     diag = np.diag(agram)
     off = agram.sum(axis=1) - diag

@@ -36,6 +36,7 @@ from qrep import (
     to_momentum,
     windowed_conjugation_defect,
 )
+from qrep.grid import Grid, _spline_window, cubic_interpolate, inverse_fourier_sum
 from qrep.kernels import _chirp_resolved, _interp_chirp, _rotation_chirp
 from qrep.transforms import _CHIRP_FAMILIES
 from qrep.verify import _factory_states, _oracle_grid
@@ -378,6 +379,38 @@ def test_correlation_inverse_zero_spectrum(g1024, unit_gaussian):
     )
     rec = correlation_inverse(zeroed, g1024)
     assert np.abs(rec.samples).max() == 0.0
+
+
+def _correlation_inverse_reference(spec, g):
+    # whole-length inverse sums, their sum and difference, then one
+    # cubic_interpolate per half-line
+    gamma_grid, sqrt_2pi = spec.gamma_grid, np.sqrt(2.0 * np.pi)
+    h_even = inverse_fourier_sum(spec.even, gamma_grid, spec.u_grid) / sqrt_2pi
+    h_odd = inverse_fourier_sum(spec.odd, gamma_grid, spec.u_grid) / sqrt_2pi
+    r_min, r_max = np.exp(spec.u_grid.x_min), np.exp(spec.u_grid.x_max)
+    out = np.zeros(g.n, dtype=complex)
+    for x, h in ((g.points, h_even + h_odd), (-g.points, h_even - h_odd)):
+        covered = (x >= r_min) & (x <= r_max) & (x > 0.0)
+        r = x[covered]
+        out[covered] = cubic_interpolate(spec.u_grid, h, np.log(r)) / np.sqrt(2.0 * r)
+    return out
+
+
+@pytest.mark.parametrize("offset", [None, 0.37])
+def test_windowed_correlation_inverse_is_bit_identical_to_whole_sum_reference(offset):
+    # offset 0.37: the target grid is [0.37, 40.37), so the annulus meets
+    # the positive half-line only
+    g = make_grid(1024, 40.0)
+    spec = correlation_transform(gaussian(g, GaussianSpec(s=1.0, x0=0.7, p0=-0.3, c=0.5)))
+    target = g if offset is None else Grid(g.n, g.dx, offset)
+    x = np.abs(target.points)
+    t = np.log(x[(x >= np.exp(spec.u_grid.x_min)) & (x <= np.exp(spec.u_grid.x_max))])
+    lo, hi = _spline_window(spec.u_grid, t.min(), t.max())
+    assert hi - lo < spec.u_grid.n  # only some knots are copied
+    rec = correlation_inverse(spec, target).samples
+    ref = _correlation_inverse_reference(spec, target)
+    assert np.array_equal(rec.view(np.uint64), ref.view(np.uint64))
+    assert np.count_nonzero(rec) > g.n // 4
 
 
 def test_correlation_spectrum_rejects_short_channel(unit_gaussian):
