@@ -1,4 +1,5 @@
-"""Uniform real-line lattices, their Fourier duals, and grid inner products.
+"""Uniform real-line lattices, their Fourier duals, grid inner products, the
+cubic spline, and the reads between a position lattice and a log lattice.
 
 Every other module builds on the conventions fixed here:
 
@@ -8,7 +9,9 @@ Every other module builds on the conventions fixed here:
 * the dual lattice has spacing ``dp = 2*pi/(n*dx)`` and is stored in monotone
   order, never in FFT wrap order;
 * integrals are rectangle sums ``sum_j f_j * dx``, which is exact for the
-  band-limited periodic case and makes the discrete Fourier map unitary.
+  band-limited periodic case and makes the discrete Fourier map unitary;
+* the spline is fitted and read here alone: ``log_resample`` reads a state
+  onto a lattice in ``u = ln|x|``, and ``_log_read_back`` reads it back.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ __all__ = [
 ]
 
 BOUNDARY_DECAY_TOL = 1e-12
+
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 def _require_grid_size(n: int) -> None:
@@ -179,7 +184,7 @@ def require_momentum_decay(tilde: np.ndarray) -> None:
     """Reject a state whose momentum samples ``tilde / sqrt(2 pi)`` exceed
     ``BOUNDARY_DECAY_TOL`` at either edge of the dual lattice; ``tilde`` is its
     :func:`fourier_sum`."""
-    edge = max(abs(tilde[0]), abs(tilde[-1])) / np.sqrt(2.0 * np.pi)
+    edge = max(abs(tilde[0]), abs(tilde[-1])) / _SQRT_2PI
     if edge > BOUNDARY_DECAY_TOL:
         raise ValueError(
             f"momentum_decay: state must decay to <= {BOUNDARY_DECAY_TOL:g} at the momentum edge, "
@@ -255,19 +260,9 @@ def _spline_slopes(y: np.ndarray) -> np.ndarray:
     return m
 
 
-def _spline_fit(grid: Grid, samples: np.ndarray, lo: int = 0,
-                hi: int | None = None) -> tuple[np.ndarray, ...]:
-    """Cell coefficients ``(c3, c2, m, y)`` of the spline through ``samples``,
-    fitted on the knots ``[lo, hi)`` (by default all of them)."""
-    y = np.asarray(samples)
-    if y.shape != (grid.n,):
-        raise ValueError(f"sample_count: expected {grid.n} samples, got shape {y.shape}")
-    return _spline_coeffs(y[lo:hi])
-
-
 def _spline_coeffs(y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`_spline_fit`'s coefficients from the samples ``y`` of the fitted
-    knots alone."""
+    """Cell coefficients ``(c3, c2, m, y)`` of the spline through the samples
+    ``y`` of the fitted knots."""
     y = y.astype(np.result_type(y.dtype, float), copy=False)
     # Cell k holds y_k + tau (m_k + tau (c2_k + tau c3_k)), tau in [0, 1].
     m = _spline_slopes(y)
@@ -333,33 +328,25 @@ _BLOCK = 2**14
 
 
 def _spline_eval(grid: Grid, coeffs: tuple[np.ndarray, ...], t: np.ndarray,
-                 lo: int = 0) -> np.ndarray:
-    """Evaluate at ``t`` the :func:`_spline_fit` coefficients fitted from knot
-    ``lo`` on, block by block."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty(t.shape, dtype=coeffs[0].dtype)
-    flat_t, flat_out = t.reshape(-1), out.reshape(-1)
-    for start in range(0, flat_t.size, _BLOCK):
+                 out: np.ndarray, lo: int) -> None:
+    """Write into ``out`` the spline of the :func:`_spline_coeffs` fitted from
+    knot ``lo`` on, at the 1-D float queries ``t``, ``_BLOCK`` at a time."""
+    for start in range(0, t.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        _spline_eval_block(grid, coeffs, flat_t[block], flat_out[block], lo)
-    return out
-
-
-def _spline_eval_block(grid: Grid, coeffs: tuple[np.ndarray, ...], t: np.ndarray,
-                       out: np.ndarray, lo: int) -> None:
-    k, tau = _spline_cells(grid, t)
-    k -= lo
-    # k is in range already; mode="clip" lets take write straight into its out
-    np.take(coeffs[0], k, out=out, mode="clip")
-    buf = np.empty_like(out)
-    for c in coeffs[1:]:
-        out *= tau
-        out += np.take(c, k, out=buf, mode="clip")
+        k, tau = _spline_cells(grid, t[block])
+        k -= lo
+        values = out[block]
+        # k is in range already; mode="clip" lets take write straight into its out
+        np.take(coeffs[0], k, out=values, mode="clip")
+        buf = np.empty_like(values)
+        for c in coeffs[1:]:
+            values *= tau
+            values += np.take(c, k, out=buf, mode="clip")
 
 
 def _spline_eval_cell(coeffs: tuple[np.ndarray, ...], k: int, tau: np.ndarray,
                       out: np.ndarray) -> None:
-    """:func:`_spline_eval_block` for queries that all lie in fitted cell
+    """:func:`_spline_eval` for queries that all lie in fitted cell
     ``k``, at the offsets ``tau``: the same operations, on scalar coefficients."""
     out.fill(coeffs[0][k])
     for c in coeffs[1:]:
@@ -379,9 +366,15 @@ def cubic_interpolate(grid: Grid, samples: np.ndarray, t: np.ndarray) -> np.ndar
     finite (``spline_query_finite``) and within ``2^62`` cells of the knots
     (``spline_query_range``).
     """
+    y = np.asarray(samples)
+    if y.shape != (grid.n,):
+        raise ValueError(f"sample_count: expected {grid.n} samples, got shape {y.shape}")
     t = np.asarray(t, dtype=float)
     lo, hi = _spline_window(grid, t.min(), t.max()) if t.size else (0, grid.n)
-    return _spline_eval(grid, _spline_fit(grid, samples, lo, hi), t, lo)
+    coeffs = _spline_coeffs(y[lo:hi])
+    out = np.empty(t.shape, dtype=coeffs[0].dtype)
+    _spline_eval(grid, coeffs, t.reshape(-1), out.reshape(-1), lo)
+    return out
 
 
 def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -414,7 +407,7 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
             f"{x_edge:.6g} of the shorter half-line"
         )
     lo, hi = _spline_window(g, -r_max, r_max)
-    coeffs = _spline_fit(g, psi.samples, lo, hi)
+    coeffs = _spline_coeffs(psi.samples[lo:hi])
     centred = g.x_min == -(g.n // 2) * g.dx
     origin = g.n // 2 - lo
     h_even = np.empty(u_grid.n, dtype=complex)
@@ -432,8 +425,8 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
         c = 0
         if centred and r[0] / g.dx > 0.0:
             c = int(np.searchsorted(r, 0.25 * g.dx, "right"))
-        _spline_eval_block(g, coeffs, r[c:], plus[c:], lo)
-        _spline_eval_block(g, coeffs, np.negative(r[c:], out=r[c:]), minus[c:], lo)
+        _spline_eval(g, coeffs, r[c:], plus[c:], lo)
+        _spline_eval(g, coeffs, np.negative(r[c:], out=r[c:]), minus[c:], lo)
         tau = np.divide(r[:c], g.dx, out=r[:c])
         _spline_eval_cell(coeffs, origin, tau, plus[:c])
         _spline_eval_cell(coeffs, origin - 1, np.subtract(1.0, tau, out=tau), minus[:c])
@@ -446,6 +439,53 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
         plus *= weight
         minus *= weight
     return h_even, h_odd
+
+
+def _annulus(g: Grid, r_min: float, r_max: float) -> tuple[slice, slice]:
+    """Index ranges of the samples with ``r_min <= |x| <= r_max`` on ``x < 0``
+    and on ``x > 0``; a sample at ``x = 0`` lies on neither, even if ``r_min = 0``."""
+    x = g.points
+    r_min = max(r_min, np.nextafter(0.0, 1.0))
+    neg = slice(np.searchsorted(x, -r_max, "left"), np.searchsorted(x, -r_min, "right"))
+    pos = slice(np.searchsorted(x, r_min, "left"), np.searchsorted(x, r_max, "right"))
+    return neg, pos
+
+
+def _log_read_back(even: np.ndarray, odd: np.ndarray, u_grid: Grid, g: Grid) -> np.ndarray:
+    """Inverse of :func:`log_resample`: position samples on ``g`` from the
+    channels' coefficients ``even``, ``odd`` on the lattice dual to ``u_grid``.
+
+    The sum and difference of their inverse sums over ``sqrt(2 pi)`` carry
+    ``psi(e^u)`` and ``psi(-e^u)``; each is read onto its half-line by
+    :func:`cubic_interpolate`'s spline on the ``u`` knots and divided by
+    ``sqrt(2 |x|)``.  Samples outside the annulus ``e^u_min <= |x| <= e^u_max``
+    are zero.  The ``ln|x|`` queries of both half-lines set one knot window,
+    and only those knots are copied out of each inverse sum; a half-line's
+    spline is fitted and read only if it has queries, bit for bit as on the
+    whole lattice.
+    """
+    neg, pos = _annulus(g, np.exp(u_grid.x_min), np.exp(u_grid.x_max))
+    reads = [(s, r, np.log(r)) for s, r in ((pos, g.points[pos]), (neg, -g.points[neg]))]
+    queried = [t for *_, t in reads if t.size]
+    if not queried:
+        return np.zeros(g.n, dtype=complex)
+    lo, hi = _spline_window(u_grid, min(t.min() for t in queried), max(t.max() for t in queried))
+
+    gamma_grid = dual_grid(u_grid)
+    h_even = inverse_fourier_sum(even, gamma_grid, u_grid)[lo:hi] / _SQRT_2PI
+    h_odd = inverse_fourier_sum(odd, gamma_grid, u_grid)[lo:hi] / _SQRT_2PI
+    # The difference takes h_even's buffer.  The output is allocated only
+    # now: held through the inverse sums, it raised lib_large's peak RSS.
+    h_sum = h_even + h_odd
+    h_diff = np.subtract(h_even, h_odd, out=h_even)
+    del h_odd
+    out = np.zeros(g.n, dtype=complex)
+    for (s, r, t), h in zip(reads, (h_sum, h_diff)):
+        if t.size:
+            values = out[s]
+            _spline_eval(u_grid, _spline_coeffs(h), t, values, lo)
+            values /= np.sqrt(2.0 * r)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Grid, MOMENTUM, POSITION, RepresentationLabel, Wavefunction, dual_grid
+from .grid import _SQRT_2PI, Grid, MOMENTUM, POSITION, RepresentationLabel, Wavefunction, dual_grid
 
 __all__ = [
     "Parity",
@@ -39,8 +39,6 @@ __all__ = [
 # relation with weight 4*pi*K^2, so K = 1/(2*sqrt(pi)).  The phase is chosen
 # real positive.
 CORRELATION_KERNEL_SCALE = 1.0 / (2.0 * np.sqrt(np.pi))
-
-_TWO_PI_SQRT = np.sqrt(2.0 * np.pi)
 
 
 class Parity(enum.Enum):
@@ -71,7 +69,7 @@ def plane_wave(g: Grid, p: float) -> Wavefunction:
     The eigenvalue must be representable on the lattice, ``|p| <= pi/dx``.
     """
     _require_resolved(g, p, "momentum_aliasing")
-    return Wavefunction(g, np.exp(1j * (p * g.points)) / _TWO_PI_SQRT, POSITION)
+    return Wavefunction(g, np.exp(1j * (p * g.points)) / _SQRT_2PI, POSITION)
 
 
 def position_kernel_in_momentum(g: Grid, a: float) -> Wavefunction:
@@ -80,7 +78,7 @@ def position_kernel_in_momentum(g: Grid, a: float) -> Wavefunction:
     ``g`` is the momentum-axis lattice; ``|a|`` must not exceed ``pi/dp``.
     """
     _require_resolved(g, a, "position_aliasing")
-    return Wavefunction(g, np.exp(1j * (-a * g.points)) / _TWO_PI_SQRT, MOMENTUM)
+    return Wavefunction(g, np.exp(1j * (-a * g.points)) / _SQRT_2PI, MOMENTUM)
 
 
 # One member of the ``a X + b P`` families, the single owner of its parameter

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .grid import (
+    _SQRT_2PI,
     POSITION,
     MOMENTUM,
     Grid,
@@ -109,12 +110,11 @@ def apply_c_momentum(phi: Wavefunction) -> Wavefunction:
     through the position side.
     """
     require_label(phi, MOMENTUM, "operator")
-    sqrt_2pi = np.sqrt(2.0 * np.pi)
     xgrid = dual_grid(phi.grid)
     x = xgrid.points
-    psi_x = inverse_fourier_sum(phi.samples, phi.grid, xgrid) / sqrt_2pi
+    psi_x = inverse_fourier_sum(phi.samples, phi.grid, xgrid) / _SQRT_2PI
     _, raw = fourier_sum(-1j * x * psi_x, xgrid)
-    dphi = raw / sqrt_2pi
+    dphi = raw / _SQRT_2PI
     p = phi.grid.points
     return Wavefunction(phi.grid, 1j * (p * dphi + 0.5 * phi.samples), phi.label)
 

@@ -25,10 +25,10 @@ from .grid import (
     POSITION,
     Grid,
     Wavefunction,
+    _SQRT_2PI,
+    _annulus,
     _fourier_sum_inplace,
-    _spline_coeffs,
-    _spline_eval,
-    _spline_window,
+    _log_read_back,
     dual_grid,
     fourier_sum,
     inverse_fourier_sum,
@@ -68,8 +68,6 @@ __all__ = [
     "FAST_PATH_ALPHA_MARGIN",
     "INVERSE_TAIL_TOL",
 ]
-
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 # Selects nothing in qrep: every alpha in [0, 1] takes the exact two-sided
 # transform.  Kept, with its value, for the benchmark's input ranges.
@@ -284,16 +282,15 @@ def _tail_mass(psi: Wavefunction, r_min: float, r_max: float) -> float:
     hole ``|x| < r_min`` is the trapezoid integral of ``|psi|^2`` over
     ``[-r_min, r_min]``, its end cells cut by linear interpolation, so it
     sees odd states, which vanish at the origin, as well as even ones.  Both
-    read index ranges of the sorted lattice; the window lies inside it, as
-    :func:`~qrep.grid.log_resample` requires.
+    read the index ranges of :func:`~qrep.grid._annulus`; the window lies
+    inside the lattice, as :func:`~qrep.grid.log_resample` requires.
     """
     g, samples = psi.grid, psi.samples
-    x = g.points
-    lo, hi = np.searchsorted(x, -r_max, "left"), np.searchsorted(x, r_max, "right")
-    tails = np.concatenate((samples[:lo], samples[hi:]))
+    neg, pos = _annulus(g, r_min, r_max)
+    tails = np.concatenate((samples[: neg.start], samples[pos.stop :]))
     outer = np.sum(np.abs(tails) ** 2) * g.dx
     # x[a - 1] <= -r_min < x[a] and x[b - 1] < r_min <= x[b]
-    a, b = np.searchsorted(x, -r_min, "right"), np.searchsorted(x, r_min, "left")
+    a, b, x = neg.stop, pos.start, g.points
     knots = x[a - 1:b + 1].copy()
     w = np.abs(samples[a - 1:b + 1]) ** 2
     w_lo = w[0] + (-r_min - knots[0]) / g.dx * (w[1] - w[0])
@@ -304,54 +301,18 @@ def _tail_mass(psi: Wavefunction, r_min: float, r_max: float) -> float:
 
 
 def correlation_inverse(spec: CorrelationSpectrum, g: Grid) -> Wavefunction:
-    """Reconstruct position samples from a correlation spectrum.
-
-    Inverts the log-variable Fourier transform channel by channel.  The sum
-    and difference of the channels carry ``psi(e^u)`` and ``psi(-e^u)``; each
-    is read back onto its own half-line of ``g`` with
-    :func:`~qrep.grid.cubic_interpolate`'s spline, the not-a-knot cubic spline
-    on the uniform ``u`` knots (SciPy's ``CubicSpline`` default).  Points
-    outside the covered annulus ``e^u_min <= |x| <= e^u_max`` are set to zero.
-    Requires the spectrum's ``tail_mass`` to be below ``INVERSE_TAIL_TOL``.
-
-    The ``ln|x|`` queries of both half-lines are formed first, and they set
-    one knot window, as :func:`~qrep.grid.cubic_interpolate` sets it for its
-    queries.  Only those knots are copied out of each inverse sum, and the
-    splines are fitted and read there, with the whole-lattice values bit for
-    bit.
+    """Position samples on ``g`` from a correlation spectrum: each channel's
+    inverse Fourier sum, then :func:`~qrep.grid.log_resample` inverted by the
+    spline of :func:`~qrep.grid.cubic_interpolate` on the ``u`` knots, onto
+    both half-lines.  Points outside the annulus ``e^u_min <= |x| <= e^u_max``
+    are zero.  The spectrum's ``tail_mass`` must not exceed ``INVERSE_TAIL_TOL``.
     """
     if spec.tail_mass > INVERSE_TAIL_TOL:
         raise ValueError(
             f"inverse_tail_mass: tail mass {spec.tail_mass:.3e} exceeds {INVERSE_TAIL_TOL:g}; "
             "widen the log window before inverting"
         )
-    ugrid = spec.u_grid
-    r_min, r_max = np.exp(ugrid.x_min), np.exp(ugrid.x_max)
-    reads = []
-    for x in (g.points, -g.points):
-        covered = (x >= r_min) & (x <= r_max) & (x > 0.0)
-        r = x[covered]
-        reads.append((covered, r, np.log(r)))
-    del x
-    queried = [t for *_, t in reads if t.size]
-    if not queried:
-        return Wavefunction(g, np.zeros(g.n, dtype=complex), POSITION)
-    lo, hi = _spline_window(ugrid, min(t.min() for t in queried), max(t.max() for t in queried))
-
-    gamma_grid = spec.gamma_grid
-    h_even = inverse_fourier_sum(spec.even, gamma_grid, ugrid)[lo:hi] / _SQRT_2PI
-    h_odd = inverse_fourier_sum(spec.odd, gamma_grid, ugrid)[lo:hi] / _SQRT_2PI
-    # The difference takes h_even's buffer.  The output is allocated only
-    # now: held through the inverse sums, it raised lib_large's peak RSS.
-    h_sum = h_even + h_odd
-    h_diff = np.subtract(h_even, h_odd, out=h_even)
-    del h_odd
-    out = np.zeros(g.n, dtype=complex)
-    for (covered, r, t), h in zip(reads, (h_sum, h_diff)):
-        values = _spline_eval(ugrid, _spline_coeffs(h), t, lo)
-        values /= np.sqrt(2.0 * r)
-        out[covered] = values
-    return Wavefunction(g, out, POSITION)
+    return Wavefunction(g, _log_read_back(spec.even, spec.odd, spec.u_grid, g), POSITION)
 
 
 _ORACLE_FAMILIES = ("plane_wave", "interp", "rotation", "correlation_even", "correlation_odd")

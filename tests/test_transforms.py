@@ -38,7 +38,7 @@ from qrep import (
 )
 from qrep.grid import Grid, _spline_window, cubic_interpolate, inverse_fourier_sum
 from qrep.kernels import _chirp_resolved, _interp_chirp, _rotation_chirp
-from qrep.transforms import _CHIRP_FAMILIES
+from qrep.transforms import _CHIRP_FAMILIES, _tail_mass
 from qrep.verify import _factory_states, _oracle_grid
 
 # the default correlation window at length 40
@@ -411,6 +411,88 @@ def test_windowed_correlation_inverse_is_bit_identical_to_whole_sum_reference(of
     ref = _correlation_inverse_reference(spec, target)
     assert np.array_equal(rec.view(np.uint64), ref.view(np.uint64))
     assert np.count_nonzero(rec) > g.n // 4
+
+
+@pytest.mark.parametrize("offset,half_lines", [(None, 2), (0.37, 1)])
+def test_read_back_fits_and_reads_only_the_queried_half_lines(offset, half_lines, monkeypatch):
+    # on [0.37, 40.37) the annulus meets x > 0 alone, so the difference of
+    # the channels, which x < 0 would read, is neither fitted nor read
+    g = make_grid(1024, 40.0)
+    spec = correlation_transform(gaussian(g, GaussianSpec(s=1.0, x0=0.7, p0=-0.3, c=0.5)))
+    target = g if offset is None else Grid(g.n, g.dx, offset)
+    calls = {"_spline_coeffs": 0, "_spline_eval": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(qrep.grid, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(qrep.grid, name, counted)
+    rec = correlation_inverse(spec, target).samples
+    assert calls == {"_spline_coeffs": half_lines, "_spline_eval": half_lines}
+    ref = _correlation_inverse_reference(spec, target)
+    assert np.array_equal(rec.view(np.uint64), ref.view(np.uint64))
+
+
+def _tail_mass_reference(psi, r_min, r_max):
+    # _tail_mass's sums, over index sets taken by masks
+    g, samples = psi.grid, psi.samples
+    x = g.points
+    outer = np.sum(np.abs(samples[(x < -r_max) | (x > r_max)]) ** 2) * g.dx
+    a, b = np.count_nonzero(x <= -r_min), np.count_nonzero(x < r_min)
+    knots = x[a - 1 : b + 1].copy()
+    w = np.abs(samples[a - 1 : b + 1]) ** 2
+    w_lo = w[0] + (-r_min - knots[0]) / g.dx * (w[1] - w[0])
+    w_hi = w[-1] + (knots[-1] - r_min) / g.dx * (w[-2] - w[-1])
+    knots[0], knots[-1], w[0], w[-1] = -r_min, r_min, w_lo, w_hi
+    return float(outer + np.sum((w[1:] + w[:-1]) * np.diff(knots)) / 2.0)
+
+
+@pytest.mark.parametrize("edge,n,m", [("u_max", 256, 128), ("u_min", 2048, 1)])
+def test_annulus_edge_on_a_lattice_sample(edge, n, m):
+    # the target lattice Grid(n, 2r/m, -r) has -r at sample 0 and r at
+    # sample m exactly, for r = e^edge: the annulus includes its edges on
+    # both half-lines, as the masks do
+    g = make_grid(1024, 40.0)
+    psi = gaussian(g, GaussianSpec(s=1.0, x0=0.7, p0=-0.3, c=0.5))
+    spec = correlation_transform(psi, (-14.5, float(np.log(18.0))))
+    r_min, r_max = np.exp(spec.u_grid.x_min), np.exp(spec.u_grid.x_max)
+    r = r_max if edge == "u_max" else r_min
+    target = Grid(n, 2.0 * r / m, -r)
+    assert target.points[0] == -r and target.points[m] == r
+    rec = correlation_inverse(spec, target).samples
+    ref = _correlation_inverse_reference(spec, target)
+    assert ref[0] != 0.0 and ref[m] != 0.0
+    assert np.array_equal(rec.view(np.uint64), ref.view(np.uint64))
+    noise = np.random.default_rng(n).normal(size=(2, n))
+    state = Wavefunction(target, noise[0] + 1j * noise[1], POSITION)
+    assert _tail_mass(state, r_min, r_max) == _tail_mass_reference(state, r_min, r_max)
+
+
+@pytest.mark.parametrize("k_min,k_max", [(3, 400), (3, None), (None, 400)])
+def test_tail_mass_annulus_edges_on_lattice_samples(g1024, k_min, k_max):
+    # r_min = k_min dx and r_max = k_max dx are samples on both half-lines
+    # (None: a radius between samples)
+    noise = np.random.default_rng(7).normal(size=(2, g1024.n))
+    psi = Wavefunction(g1024, noise[0] + 1j * noise[1], POSITION)
+    x = g1024.points
+    r_min = 2.5 * g1024.dx if k_min is None else x[g1024.n // 2 + k_min]
+    r_max = 12.34 if k_max is None else x[g1024.n // 2 + k_max]
+    assert (-r_min in x) == (k_min is not None) and (-r_max in x) == (k_max is not None)
+    assert _tail_mass(psi, r_min, r_max) == _tail_mass_reference(psi, r_min, r_max)
+
+
+def test_read_back_skips_the_origin_where_e_u_min_underflows(g1024, unit_gaussian):
+    # e^-800 is 0.0, so the annulus starts at |x| >= 0; the sample at x = 0,
+    # where ln|x| is -inf, lies on neither half-line, and the hole is empty
+    spec = correlation_transform(unit_gaussian, (-800.0, float(np.log(18.0))))
+    assert np.exp(spec.u_grid.x_min) == 0.0
+    x, samples = g1024.points, unit_gaussian.samples
+    r_max = np.exp(np.log(18.0))
+    outer = np.sum(np.abs(samples[(x < -r_max) | (x > r_max)]) ** 2) * g1024.dx
+    assert spec.tail_mass == outer
+    rec = correlation_inverse(spec, g1024).samples
+    ref = _correlation_inverse_reference(spec, g1024)
+    assert rec[g1024.n // 2] == 0.0
+    assert np.array_equal(rec.view(np.uint64), ref.view(np.uint64))
 
 
 def test_correlation_spectrum_rejects_short_channel(unit_gaussian):

@@ -108,9 +108,12 @@ def test_commutators_pass_at_2_18():
 
 
 def test_runs_on_smaller_grid():
-    g = make_grid(512, 40.0)
-    reports = run_suite("commutators", g)
-    assert all(r.passed for r in reports)
+    # every check passes from n = 512; correlation_mean_c is the closest,
+    # at 9.95e-6 against its 1e-5 tolerance
+    grouped = run_all_suites(make_grid(512, 40.0))
+    assert set(grouped) == set(SUITE_NAMES)
+    failed = [r for reports in grouped.values() for r in reports if not r.passed]
+    assert not failed, failed
 
 
 def test_limits_run_on_the_base_grid(g1024, monkeypatch):
