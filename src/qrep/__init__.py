@@ -46,7 +46,6 @@ from .operators import (
 from .states import GaussianSpec, gaussian, hermite
 from .transforms import (
     CorrelationSpectrum,
-    conjugation_defect,
     correlation_inverse,
     correlation_transform,
     from_momentum,
@@ -54,9 +53,9 @@ from .transforms import (
     quadrature_oracle,
     rotation_transform,
     to_momentum,
-    windowed_conjugation_defect,
 )
-from .verify import CheckReport, SUITE_NAMES, run_all_suites, run_suite
+from .verify import (CheckReport, SUITE_NAMES, conjugation_defect, run_all_suites, run_suite,
+                     windowed_conjugation_defect)
 
 __version__ = "0.1.0"
 

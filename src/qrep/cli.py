@@ -147,8 +147,19 @@ def build_state(g: Grid, args):
     return _state_from_config(g, args.config)
 
 
+_MAX_N = 2**20  # four times the largest grid the README and the benchmark use
+
+
+def _grid(args) -> Grid:
+    """The ``--n``/``--length`` grid, refused above ``_MAX_N`` before anything is
+    allocated; the library itself takes any size."""
+    if args.n > _MAX_N:
+        raise ValueError(f"grid_size_limit: --n {args.n} exceeds the CLI limit 2^20 = {_MAX_N}")
+    return make_grid(args.n, args.length)
+
+
 def cmd_kernel(args) -> int:
-    g = make_grid(args.n, args.length)
+    g = _grid(args)
     fam = args.family
     if fam in _CHIRP_FAMILIES:
         member = _CHIRP_FAMILIES[fam]
@@ -180,7 +191,7 @@ def _sidecar(args, payload: dict) -> None:
 
 
 def cmd_transform(args) -> int:
-    g = make_grid(args.n, args.length)
+    g = _grid(args)
     psi = build_state(g, args)
     rep_name, _, rep_body = args.rep.partition(":")
     if rep_name not in ("momentum", "correlation", *_CHIRP_FAMILIES):
@@ -235,7 +246,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    g = make_grid(args.n, args.length)
+    g = _grid(args)
     report = moments(build_state(g, args))
     payload = report.as_dict()
     payload["schrodinger_saturated"] = bool(abs(report.lhs - report.rhs) <= SATURATION_TOL)
@@ -247,7 +258,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = make_grid(args.n, args.length)
+    g = _grid(args)
     if args.suite == "all":
         grouped = run_all_suites(g)
     else:
@@ -269,7 +280,7 @@ def cmd_verify(args) -> int:
 
 
 def _add_common(sub):
-    sub.add_argument("--n", type=int, default=1024, help="grid size (power of two)")
+    sub.add_argument("--n", type=int, default=1024, help="grid size (power of two, at most 2^20)")
     sub.add_argument("--length", type=float, default=40.0, help="domain length")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 

@@ -46,12 +46,11 @@ class Parity(enum.Enum):
     ODD = "odd"
 
 
-# The message of each ``|f| <= pi/d`` refusal, by its code.
+# What each ``|f| <= pi/d`` refusal names, by its code: the value, the step, the lattice.
 _ALIASING = {
-    "momentum_aliasing": "|p| = {top:.6g} exceeds pi/dx = {limit:.6g}",
-    "position_aliasing": "|a| = {top:.6g} exceeds pi/dp = {limit:.6g}",
-    "oracle_gamma_range": "|gamma| = {top:.6g} exceeds pi/du = {limit:.6g} "
-                          "of the {n}-point log lattice",
+    "momentum_aliasing": ("p", "dx", ""),
+    "position_aliasing": ("a", "dp", ""),
+    "oracle_gamma_range": ("gamma", "du", " of the {n}-point log lattice"),
 }
 
 
@@ -59,8 +58,14 @@ def _require_resolved(g: Grid, values, code: str) -> None:
     """Refuse with ``code`` any of ``values`` beyond ``pi`` over the step of ``g`` or not finite."""
     limit = np.pi / g.dx
     top = np.max(np.abs(values), initial=0.0)
-    if not top <= limit * (1 + 1e-12):
-        raise ValueError(f"{code}: " + _ALIASING[code].format(top=top, limit=limit, n=g.n))
+    if top <= limit * (1 + 1e-12):
+        return
+    name, step, lattice = _ALIASING[code]
+    if not np.isfinite(top):
+        bad = np.ravel(values)[~np.isfinite(np.ravel(values))][0]
+        raise ValueError(f"{code}: {name} must be finite, got {bad}")
+    raise ValueError(f"{code}: |{name}| = {top:.6g} exceeds pi/{step} = {limit:.6g}"
+                     + lattice.format(n=g.n))
 
 
 def plane_wave(g: Grid, p: float) -> Wavefunction:
@@ -244,6 +249,8 @@ def chirp_step_bound(rate: float, g: Grid) -> None:
     """Reject chirps ``e^(i rate x^2 / 2)`` the lattice cannot resolve.
 
     The adjacent-sample phase increment at the domain edge is
-    ``rate * (length/2) * dx``; it must not exceed pi.
+    ``rate * (length/2) * dx``; it must not exceed pi.  Only the benchmark
+    calls it, to bound its input draws; qrep itself refuses through
+    ``_require_chirp_resolved``.
     """
     _require_chirp_resolved(abs(rate), 1.0, g)

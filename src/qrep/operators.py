@@ -1,10 +1,8 @@
 """Discrete actions of X, P, S(alpha), S(theta), C and the moment engine.
 
-Two independent derivative discretizations are provided on purpose.  The
-spectral derivative backs all production operators; the fourth-order finite
-difference backs the eigen-residual checks, where the chirp kernels are not
-periodic and a second, unrelated discretization guards against convention
-bugs in the first.
+Every derivative here is spectral: a Fourier sum, a multiplication by the
+dual variable and the inverse sum.  The checks of these operators, and the
+independent finite-difference derivative they use, live in :mod:`qrep.verify`.
 """
 
 from __future__ import annotations
@@ -38,8 +36,6 @@ __all__ = [
     "apply_c_momentum",
     "parity_flip",
     "moments",
-    "fd_derivative",
-    "windowed_eigen_residual",
 ]
 
 
@@ -184,38 +180,3 @@ def moments(psi: Wavefunction) -> MomentReport:
         rhs=0.25 + corr**2,
     )
 
-
-def fd_derivative(values: np.ndarray, dx: float) -> np.ndarray:
-    """Fourth-order central first derivative; the outer two points are NaN."""
-    d = np.full(len(values), np.nan, dtype=complex)
-    d[2:-2] = (-values[4:] + 8.0 * values[3:-1] - 8.0 * values[1:-3] + values[:-4]) / (12.0 * dx)
-    return d
-
-
-def windowed_eigen_residual(
-    kernel: Wavefunction,
-    eigenvalue: float,
-    window: np.ndarray,
-    x_coeff: float,
-    d_coeff: float,
-    dilation: bool = False,
-) -> float:
-    """Relative residual of ``(Op - eigenvalue) kernel`` on a window.
-
-    Differentiates by finite differences: the kernels are not periodic, so
-    the spectral derivative does not apply to them.  ``Op`` is
-    ``x_coeff*x - i*d_coeff*d/dx`` for the linear families and
-    ``-i (x d/dx + 1/2)`` when ``dilation`` is set.  The window must avoid
-    the domain edges.
-    """
-    x = kernel.grid.points
-    deriv = fd_derivative(kernel.samples, kernel.grid.dx)
-    if dilation:
-        op = -1j * (x * deriv + 0.5 * kernel.samples)
-    else:
-        op = x_coeff * x * kernel.samples - 1j * d_coeff * deriv
-    resid = op - eigenvalue * kernel.samples
-    mask = window & np.isfinite(resid.real)
-    num = np.sqrt(np.sum(np.abs(resid[mask]) ** 2))
-    den = np.sqrt(np.sum(np.abs(kernel.samples[mask]) ** 2))
-    return float(num / den)

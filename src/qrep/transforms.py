@@ -10,7 +10,9 @@ side.  The correlation transform is a Fourier transform in the logarithm of
 the coordinate, taken separately in each parity channel.
 
 Every fast path has a direct-summation oracle (`quadrature_oracle`) against
-which it is validated in the test and verify suites.
+which it is validated in the test and verify suites.  This module holds the
+maps and the oracle only; the checks built on them, the conjugation rule for
+``C`` among them, live in :mod:`qrep.verify`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .grid import (
     require_momentum_decay,
 )
 from .kernels import (
-    Parity,
     _Chirp,
     _chirp_resolved,
     _interp_chirp,
@@ -48,11 +49,9 @@ from .kernels import (
     _require_finite_eigenvalue,
     _require_resolved,
     _rotation_chirp,
-    correlation_kernel,
     interp_kernel,
     rotation_kernel,
 )
-from .operators import apply_c, apply_c_momentum
 
 __all__ = [
     "CorrelationSpectrum",
@@ -63,8 +62,6 @@ __all__ = [
     "correlation_transform",
     "correlation_inverse",
     "quadrature_oracle",
-    "conjugation_defect",
-    "windowed_conjugation_defect",
     "FAST_PATH_ALPHA_MARGIN",
     "INVERSE_TAIL_TOL",
 ]
@@ -443,41 +440,3 @@ def quadrature_oracle(
         raise ValueError("sample_finite: oracle coefficients must all be finite")
     return out
 
-
-def conjugation_defect(psi: Wavefunction) -> float:
-    """Check that the momentum form of C is the conjugated position form.
-
-    Returns the max-norm defect of the Fourier map of ``C psi`` (by
-    ``to_momentum``'s arithmetic; ``C psi`` is no state, so unguarded) against
-    ``C_momentum(to_momentum(psi))``, where ``C_momentum`` is built by the
-    conjugation rule, relative to the peak of the former.  This is the sharp,
-    operator-level check on a normalizable state.
-    """
-    lhs = fourier_sum(apply_c(psi).samples, psi.grid)[1] / _SQRT_2PI
-    rhs = apply_c_momentum(to_momentum(psi)).samples
-    return float(np.abs(lhs - rhs).max() / np.abs(lhs).max())
-
-
-def windowed_conjugation_defect(g: Grid, gamma: float, par: Parity) -> tuple[float, complex]:
-    """Diagnostic form of the conjugation rule on one eigenfunction of C.
-
-    Fourier transforms the Gaussian-windowed eigenfunction for eigenvalue
-    ``gamma`` and parity ``par`` and compares it, on ``1 <= |p| <= 8``, with
-    the complex conjugate eigenfunction after removing the best-fitting
-    constant phase.  Returns ``(relative defect, fitted phase)``.  The
-    eigenfunctions are not normalizable, so the defect is limited by the
-    window bandwidth rather than by the implementation, and no sharp grid
-    tolerance exists for it.
-    """
-    window = np.exp(-g.points**2 / (2.0 * (g.length / 8.0) ** 2))
-    xi = correlation_kernel(g, gamma, par)
-    kgrid, ft = fourier_sum(window * xi.samples, g)
-    ft = ft / _SQRT_2PI
-    target = np.conj(correlation_kernel(kgrid, gamma, par).samples)
-    p = kgrid.points
-    annulus = (np.abs(p) >= 1.0) & (np.abs(p) <= 8.0)
-    tgt = target[annulus]
-    got = ft[annulus]
-    fitted = complex(np.vdot(tgt, got) / np.vdot(tgt, tgt))
-    defect = float(np.linalg.norm(got - fitted * tgt) / np.linalg.norm(tgt))
-    return defect, fitted

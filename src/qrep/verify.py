@@ -13,6 +13,13 @@ BLAS thread count; across thread counts only the Fresnel-ladder records
 (``fresnel_delta_pairing``, ``fresnel_delta_monotone``) move, at rounding,
 since ``grid.inner`` is a BLAS dot product, while the oracle sums use none.
 Every check passes at L = 40, n = 512 to 2^18.
+
+Every check lives here, with the helpers only checks call: the conjugation
+rule for ``C`` (:func:`conjugation_defect` and its windowed diagnostic) and the
+eigen-residual.  Two independent derivative discretizations are used on
+purpose: the spectral one backs every operator; the fourth-order finite
+difference backs the eigen-residuals, where the kernels are not periodic and
+an unrelated discretization guards against convention bugs in the first.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .grid import Grid, Wavefunction, dual_grid, inner, make_grid, norm
+from .grid import _SQRT_2PI, Grid, Wavefunction, dual_grid, fourier_sum, inner, make_grid, norm
 from .kernels import (
     Parity,
     _Chirp,
@@ -34,28 +41,27 @@ from .kernels import (
 )
 from .operators import (
     apply_c,
+    apply_c_momentum,
     apply_p,
     apply_s_theta,
     apply_x,
     moments,
     parity_flip,
-    windowed_eigen_residual,
 )
 from .states import GaussianSpec, gaussian, hermite
 from .transforms import (
     _CHIRP_FAMILIES,
     _default_u_window,
-    conjugation_defect,
     correlation_inverse,
     correlation_transform,
     from_momentum,
     interp_transform,
     quadrature_oracle,
     to_momentum,
-    windowed_conjugation_defect,
 )
 
-__all__ = ["CheckReport", "run_suite", "run_all_suites", "SUITE_NAMES", "REQUIRED_COVERAGE"]
+__all__ = ["CheckReport", "run_suite", "run_all_suites", "SUITE_NAMES", "REQUIRED_COVERAGE",
+           "conjugation_defect", "windowed_conjugation_defect"]
 
 # |lhs - rhs| of the Robertson-Schrodinger bound at which a state saturates it.
 SATURATION_TOL = 1e-8
@@ -117,6 +123,77 @@ def _monotone(name: str, errs: list[float]) -> CheckReport:
     return CheckReport(name, {}, max(b / a for a, b in zip(errs, errs[1:])), 1.0)
 
 
+def _gaussian_window(g: Grid) -> np.ndarray:
+    """``exp(-x^2 / (2 (L/8)^2))``, the window the kernel-family checks put on
+    eigenfunctions, which are not normalizable."""
+    return np.exp(-g.points**2 / (2.0 * (g.length / 8.0) ** 2))
+
+
+def _fd_derivative(values: np.ndarray, dx: float) -> np.ndarray:
+    """Fourth-order central first derivative; the outer two points are NaN."""
+    d = np.full(len(values), np.nan, dtype=complex)
+    d[2:-2] = (-values[4:] + 8.0 * values[3:-1] - 8.0 * values[1:-3] + values[:-4]) / (12.0 * dx)
+    return d
+
+
+def _windowed_eigen_residual(
+    kernel: Wavefunction, eigenvalue: float, window: np.ndarray, a: float, b: float, c: float
+) -> float:
+    """Relative residual of ``(a X + b P + c C - eigenvalue) kernel`` on a window.
+
+    Differentiates by finite differences: the kernels are not periodic, so
+    the spectral derivative does not apply to them.  With ``f`` the kernel,
+    ``(a X + b P + c C) f = a x f - i b f' - i c (x f' + f/2)``.  The window
+    must avoid the domain edges.
+    """
+    x, f = kernel.grid.points, kernel.samples
+    deriv = _fd_derivative(f, kernel.grid.dx)
+    op = a * x * f - 1j * b * deriv - 1j * c * (x * deriv + 0.5 * f)
+    resid = op - eigenvalue * f
+    mask = window & np.isfinite(resid.real)
+    num = np.sqrt(np.sum(np.abs(resid[mask]) ** 2))
+    den = np.sqrt(np.sum(np.abs(f[mask]) ** 2))
+    return float(num / den)
+
+
+def conjugation_defect(psi: Wavefunction) -> float:
+    """Check that the momentum form of C is the conjugated position form.
+
+    Returns the max-norm defect of the Fourier map of ``C psi`` (by
+    ``to_momentum``'s arithmetic; ``C psi`` is no state, so unguarded) against
+    ``C_momentum(to_momentum(psi))``, where ``C_momentum`` is built by the
+    conjugation rule, relative to the peak of the former.  This is the sharp,
+    operator-level check on a normalizable state.
+    """
+    lhs = fourier_sum(apply_c(psi).samples, psi.grid)[1] / _SQRT_2PI
+    rhs = apply_c_momentum(to_momentum(psi)).samples
+    return float(np.abs(lhs - rhs).max() / np.abs(lhs).max())
+
+
+def windowed_conjugation_defect(g: Grid, gamma: float, par: Parity) -> tuple[float, complex]:
+    """Diagnostic form of the conjugation rule on one eigenfunction of C.
+
+    Fourier transforms the Gaussian-windowed eigenfunction for eigenvalue
+    ``gamma`` and parity ``par`` and compares it, on ``1 <= |p| <= 8``, with
+    the complex conjugate eigenfunction after removing the best-fitting
+    constant phase.  Returns ``(relative defect, fitted phase)``.  The
+    eigenfunctions are not normalizable, so the defect is limited by the
+    window bandwidth rather than by the implementation, and no sharp grid
+    tolerance exists for it.
+    """
+    xi = correlation_kernel(g, gamma, par)
+    kgrid, ft = fourier_sum(_gaussian_window(g) * xi.samples, g)
+    ft = ft / _SQRT_2PI
+    target = np.conj(correlation_kernel(kgrid, gamma, par).samples)
+    p = kgrid.points
+    annulus = (np.abs(p) >= 1.0) & (np.abs(p) <= 8.0)
+    tgt = target[annulus]
+    got = ft[annulus]
+    fitted = complex(np.vdot(tgt, got) / np.vdot(tgt, tgt))
+    defect = float(np.linalg.norm(got - fitted * tgt) / np.linalg.norm(tgt))
+    return defect, fitted
+
+
 def _suite_commutators(g: Grid) -> list[CheckReport]:
     reports = []
     states = dict(_factory_states(g))
@@ -161,10 +238,8 @@ def _suite_eigen_residuals(g: Grid) -> list[CheckReport]:
         p = round(p_target / dp) * dp
         k = plane_wave(g_wide, p)
         window = np.abs(g_wide.points) <= g_wide.length / 4.0
-        res = windowed_eigen_residual(k, p, window, 0.0, 1.0)
-        reports.append(
-            CheckReport("momentum_eigenfunction", {"p": round(p, 12)}, res, 1e-6)
-        )
+        res = _windowed_eigen_residual(k, p, window, 0.0, 1.0, 0.0)
+        reports.append(CheckReport("momentum_eigenfunction", {"p": round(p, 12)}, res, 1e-6))
 
     window = np.abs(g_fine.points) <= g_fine.length / 4.0
     for family, values in (
@@ -176,7 +251,7 @@ def _suite_eigen_residuals(g: Grid) -> list[CheckReport]:
             chirp = member.chirp(value)
             for lam in (-1.0, 0.0, 0.5, 2.0):
                 k = member.sample(g_fine, value, lam)
-                res = windowed_eigen_residual(k, lam, window, chirp.a, chirp.b)
+                res = _windowed_eigen_residual(k, lam, window, chirp.a, chirp.b, 0.0)
                 params = {member.param: round(value, 12), "lam": lam}
                 reports.append(CheckReport(f"{family}_eigenfunction", params, res, 1e-6))
 
@@ -185,15 +260,9 @@ def _suite_eigen_residuals(g: Grid) -> list[CheckReport]:
     for gamma in (-2.0, 0.0, 1.0):
         for par in (Parity.EVEN, Parity.ODD):
             k = correlation_kernel(g_wide, gamma, par)
-            res = windowed_eigen_residual(k, gamma, window, 0.0, 0.0, dilation=True)
-            reports.append(
-                CheckReport(
-                    "correlation_eigenfunction",
-                    {"gamma": gamma, "parity": par.value},
-                    res,
-                    1e-6,
-                )
-            )
+            res = _windowed_eigen_residual(k, gamma, window, 0.0, 0.0, 1.0)
+            params = {"gamma": gamma, "parity": par.value}
+            reports.append(CheckReport("correlation_eigenfunction", params, res, 1e-6))
     return reports
 
 
@@ -438,14 +507,8 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
         for par in (Parity.EVEN, Parity.ODD):
             defect, _ = windowed_conjugation_defect(make_grid(1024, 40.0), gamma, par)
             tol = 0.2 if par is Parity.EVEN else 0.05
-            reports.append(
-                CheckReport(
-                    "conjugation_windowed_diagnostic",
-                    {"gamma": gamma, "parity": par.value},
-                    defect,
-                    tol,
-                )
-            )
+            params = {"gamma": gamma, "parity": par.value}
+            reports.append(CheckReport("conjugation_windowed_diagnostic", params, defect, tol))
 
     psi = states["gaussian_chirped"]
     spec = correlation_transform(psi)
@@ -459,21 +522,15 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
     alpha = 0.5
     gk = make_grid(1024, 40.0)
     lams = (1.0 - alpha) * dual_grid(gk).points[::32]
-    window_arr = np.exp(-gk.points**2 / (2.0 * (gk.length / 8.0) ** 2))
+    window = _gaussian_window(gk)
     kernels = [interp_kernel(gk, alpha, l).samples for l in lams]
-    windowed = [window_arr * kb for kb in kernels]
+    windowed = [window * kb for kb in kernels]
     gram = np.array([[np.vdot(ka, wb) * gk.dx for wb in windowed] for ka in kernels])
     agram = np.abs(gram)
     diag = np.diag(agram)
     off = agram.sum(axis=1) - diag
-    reports.append(
-        CheckReport(
-            "delta_normalization_gram",
-            {"alpha": alpha},
-            float((off / diag).max()),
-            1e-3,
-        )
-    )
+    ratio = float((off / diag).max())
+    reports.append(CheckReport("delta_normalization_gram", {"alpha": alpha}, ratio, 1e-3))
     return reports
 
 

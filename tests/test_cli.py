@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qrep
+from qrep.cli import _grid, build_parser
 
 QREP_ROOT = str(Path(qrep.__file__).resolve().parents[1])
 GOLDEN = Path(__file__).parent / "golden"
@@ -288,6 +289,20 @@ def test_invalid_grid_exit_code():
     r = run_cli("moments", "--state", "gaussian:s=1", "--n", "1000")
     assert r.returncode == 2
     assert "power_of_two" in r.stderr
+
+
+def test_grid_size_limit_exits_before_allocating():
+    # 2^50 points would not fit in memory; the CLI refuses before building the grid
+    r = run_cli("moments", "--n", str(2**50))
+    assert r.returncode == 2
+    assert r.stderr.startswith("qrep: grid_size_limit:"), r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_grid_helper_accepts_the_benchmark_grid():
+    args = build_parser().parse_args(["moments", "--n", str(2**18), "--length", "640"])
+    g = _grid(args)
+    assert (g.n, g.length) == (2**18, 640.0)
 
 
 @pytest.mark.parametrize("cmd", [["moments"], ["transform", "--rep", "momentum"]])

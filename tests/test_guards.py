@@ -16,6 +16,7 @@ from qrep import (
     interp_kernel,
     log_grid,
     make_grid,
+    plane_wave,
     position_kernel_in_momentum,
     quadrature_oracle,
     rotation_kernel,
@@ -85,3 +86,20 @@ def _cli(*argv):
 def test_guard_raises_its_code(call, code):
     with pytest.raises(ValueError, match=f"^{code}:"):
         call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "call,code,name",
+    [
+        (lambda v: plane_wave(G, v), "momentum_aliasing", "p"),
+        (lambda v: position_kernel_in_momentum(G, v), "position_aliasing", "a"),
+        (lambda v: quadrature_oracle(PSI, "plane_wave", [0.0, v]), "momentum_aliasing", "p"),
+        (lambda v: quadrature_oracle(PSI, "correlation_odd", [0.0, v]), "oracle_gamma_range",
+         "gamma"),
+    ],
+)
+def test_non_finite_value_is_refused_as_not_finite(call, code, name, bad):
+    # the code of the range refusal, with a message that says why
+    with pytest.raises(ValueError, match=f"^{code}: {name} must be finite, got {bad}$"):
+        call(bad)

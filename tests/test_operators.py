@@ -22,7 +22,7 @@ from qrep import (
     to_momentum,
 )
 from qrep.grid import require_contained
-from qrep.operators import fd_derivative, windowed_eigen_residual
+from qrep.verify import _fd_derivative, _windowed_eigen_residual
 
 
 def gaussian_moment_oracle(s, x0, p0, c):
@@ -64,7 +64,7 @@ def test_apply_p_plane_wave_eigenrelation():
     p = round(1.0 / dp) * dp
     w = plane_wave(g, p)
     window = np.abs(g.points) <= 10.0
-    res = windowed_eigen_residual(w, p, window, 0.0, 1.0)
+    res = _windowed_eigen_residual(w, p, window, 0.0, 1.0, 0.0)
     assert res < 1e-9
 
 
@@ -97,7 +97,7 @@ def test_interp_kernel_eigen_residual():
     g = make_grid(16384, 20.0)
     window = np.abs(g.points) <= 5.0
     k = interp_kernel(g, 0.5, 0.5)
-    res = windowed_eigen_residual(k, 0.5, window, 0.5, 0.5)
+    res = _windowed_eigen_residual(k, 0.5, window, 0.5, 0.5, 0.0)
     assert res <= 1e-6
 
 
@@ -155,7 +155,7 @@ def test_correlation_kernel_eigen_residual(gamma, par):
     k = correlation_kernel(g, gamma, par)
     ax = np.abs(g.points)
     window = (ax >= 1.0) & (ax <= 8.0)
-    res = windowed_eigen_residual(k, gamma, window, 0.0, 0.0, dilation=True)
+    res = _windowed_eigen_residual(k, gamma, window, 0.0, 0.0, 1.0)
     assert res <= 1e-6
 
 
@@ -164,7 +164,7 @@ def test_correlation_kernel_pointwise_residual():
     g = make_grid(8192, 40.0)
     k = correlation_kernel(g, 1.0, Parity.EVEN)
     x = g.points
-    deriv = fd_derivative(k.samples, g.dx)
+    deriv = _fd_derivative(k.samples, g.dx)
     resid = -1j * (x * deriv + 0.5 * k.samples) - 1.0 * k.samples
     mask = (x >= 1.0) & (x <= 8.0) & np.isfinite(resid.real)
     assert np.abs(resid[mask]).max() <= 1e-6
@@ -245,6 +245,6 @@ def test_fd_derivative_matches_analytic():
     x = g.points
     f = np.exp(-(x**2) / 2.0) * np.exp(0.8j * x)
     exact = (-x + 0.8j) * f
-    d = fd_derivative(f, g.dx)
+    d = _fd_derivative(f, g.dx)
     m = np.isfinite(d.real)
     assert np.abs(d[m] - exact[m]).max() < 1e-9
