@@ -6,8 +6,8 @@ Every other module builds on the conventions fixed here:
 * grids are uniform with a power-of-two point count;
 * user-facing grids are symmetric about the origin, ``x_j = -(n/2)*dx + j*dx``,
   so ``x = 0`` is always a sample point;
-* the dual lattice has spacing ``dp = 2*pi/(n*dx)`` and is stored in monotone
-  order, never in FFT wrap order;
+* the dual lattice, spacing ``dp = 2*pi/(n*dx)``, is centred and monotone (never
+  in FFT wrap order); momentum samples live on no other (``momentum_lattice``);
 * integrals are rectangle sums ``sum_j f_j * dx``, which is exact for the
   band-limited periodic case and makes the discrete Fourier map unitary;
 * the spline is fitted and read here alone: ``log_resample`` reads a state
@@ -82,6 +82,11 @@ class Grid:
         """Last sample point."""
         return self.x_min + (self.n - 1) * self.dx
 
+    @property
+    def centred(self) -> bool:
+        """Whether ``x_min = -(n/2) dx``, so that ``x = 0`` is the sample ``n/2``."""
+        return self.x_min == -(self.n // 2) * self.dx
+
 
 @dataclass(frozen=True)
 class RepresentationLabel:
@@ -108,13 +113,13 @@ class Wavefunction:
     label: RepresentationLabel
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=complex)
-        if arr.shape != (self.grid.n,):
-            raise ValueError(
-                f"sample_count: expected {self.grid.n} samples, got shape {arr.shape}"
-            )
+        g, arr = self.grid, np.asarray(self.samples, dtype=complex)
+        if arr.shape != (g.n,):
+            raise ValueError(f"sample_count: expected {g.n} samples, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("sample_finite: samples must all be finite")
+        if self.label == MOMENTUM and not g.centred:
+            raise ValueError(f"momentum_lattice: momentum samples need a centred lattice, got {g}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
@@ -124,7 +129,7 @@ def make_grid(n: int, length: float) -> Grid:
     """Symmetric grid of ``n`` points covering ``[-length/2, length/2)``."""
     _require_grid_size(n)
     if not (length > 0 and np.isfinite(length)):
-        raise ValueError(f"grid_length_positive: length must be positive, got {length}")
+        raise ValueError(f"grid_length_positive: length must be positive and finite, got {length}")
     dx = float(length) / int(n)
     return Grid(int(n), dx, -(int(n) // 2) * dx)
 
@@ -141,7 +146,7 @@ def dual_grid(g: Grid) -> Grid:
 def log_grid(n: int, u_min: float, u_max: float) -> Grid:
     """Uniform grid on ``[u_min, u_max)``; substrate for the log-variable transform."""
     if not (np.isfinite(u_min) and np.isfinite(u_max) and u_max > u_min):
-        raise ValueError(f"log_window_order: need u_min < u_max, got ({u_min}, {u_max})")
+        raise ValueError(f"log_window_order: need finite u_min < u_max, got ({u_min}, {u_max})")
     _require_grid_size(n)
     du = (float(u_max) - float(u_min)) / int(n)
     return Grid(int(n), du, float(u_min))
@@ -408,7 +413,6 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
         )
     lo, hi = _spline_window(g, -r_max, r_max)
     coeffs = _spline_coeffs(psi.samples[lo:hi])
-    centred = g.x_min == -(g.n // 2) * g.dx
     origin = g.n // 2 - lo
     h_even = np.empty(u_grid.n, dtype=complex)
     h_odd = np.empty(u_grid.n, dtype=complex)
@@ -423,7 +427,7 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
         # block.  Their offsets must be positive, so that -e^u reads the cell
         # left of the origin knot, as _spline_cells puts it.
         c = 0
-        if centred and r[0] / g.dx > 0.0:
+        if g.centred and r[0] / g.dx > 0.0:
             c = int(np.searchsorted(r, 0.25 * g.dx, "right"))
         _spline_eval(g, coeffs, r[c:], plus[c:], lo)
         _spline_eval(g, coeffs, np.negative(r[c:], out=r[c:]), minus[c:], lo)
@@ -471,9 +475,8 @@ def _log_read_back(even: np.ndarray, odd: np.ndarray, u_grid: Grid, g: Grid) -> 
         return np.zeros(g.n, dtype=complex)
     lo, hi = _spline_window(u_grid, min(t.min() for t in queried), max(t.max() for t in queried))
 
-    gamma_grid = dual_grid(u_grid)
-    h_even = inverse_fourier_sum(even, gamma_grid, u_grid)[lo:hi] / _SQRT_2PI
-    h_odd = inverse_fourier_sum(odd, gamma_grid, u_grid)[lo:hi] / _SQRT_2PI
+    h_even = inverse_fourier_sum(even, u_grid)[lo:hi] / _SQRT_2PI
+    h_odd = inverse_fourier_sum(odd, u_grid)[lo:hi] / _SQRT_2PI
     # The difference takes h_even's buffer.  The output is allocated only
     # now: held through the inverse sums, it raised lib_large's peak RSS.
     h_sum = h_even + h_odd
@@ -489,14 +492,14 @@ def _log_read_back(even: np.ndarray, odd: np.ndarray, u_grid: Grid, g: Grid) -> 
 
 
 # ---------------------------------------------------------------------------
-# Discrete Fourier sums on centred lattices.
+# Discrete Fourier sums between a lattice and its centred dual.
 #
-# With x_j = x0 + j*dx and a symmetric output lattice k_m = -(n/2)*dk + m*dk,
-# dk = 2*pi/(n*dx), the phase factor splits as
+# Both sums take the one lattice x_j = x0 + j*dx and derive its dual,
+# k_m = -(n/2)*dk + m*dk with dk = 2*pi/(n*dx), so the phase factor splits as
 #     e^{-i k_m x_j} = e^{-i k_m x0} * (-1)^j * e^{-2*pi*i*j*m/n},
-# so the lattice sum is one FFT plus two cheap phase multiplications.  The
+# and the lattice sum is one FFT plus two cheap phase multiplications.  The
 # table e^{-i k_m x0} is the costly factor; the forward and the inverse sum
-# of one lattice pair share it, and the last few tables are kept.
+# on one lattice share it, and the last few tables are kept.
 # ---------------------------------------------------------------------------
 
 
@@ -539,24 +542,17 @@ def _fourier_sum_inplace(out: np.ndarray, g: Grid) -> Grid:
     return dual
 
 
-def inverse_fourier_sum(values: np.ndarray, k_grid: Grid, x_grid: Grid) -> np.ndarray:
-    """``sum_m values_m exp(+i k_m x_j) dk`` for ``x_j`` on ``x_grid``.
-
-    ``k_grid`` must be symmetric about zero and ``x_grid`` must have the
-    matching dual spacing (arbitrary offset is allowed).
-    """
-    n = k_grid.n
-    if x_grid.n != n:
-        raise ValueError("grid_mismatch: lattices must have equal point counts")
-    if abs(k_grid.dx * x_grid.dx * n - 2.0 * np.pi) > 1e-9 * 2.0 * np.pi:
-        raise ValueError("grid_mismatch: lattices are not a Fourier-dual pair")
+def inverse_fourier_sum(values: np.ndarray, x_grid: Grid) -> np.ndarray:
+    """``sum_m values_m exp(+i k_m x_j) dk`` for ``x_j`` on ``x_grid``, of any
+    offset, and ``k_m`` on its centred dual: the inverse of :func:`fourier_sum`."""
+    k_grid = dual_grid(x_grid)
     # The conjugated table is the first operand and the sum's one buffer.
     out = np.conj(_phase_table(k_grid, x_grid.x_min))
     out *= values
     np.fft.ifft(out, out=out)
     # (-1)^j rides on the scale: multiplying by -n dk, unlike negating the
     # product, keeps the sign of an exact zero as a real factor would.
-    scale = k_grid.dx * n
+    scale = k_grid.dx * k_grid.n
     np.multiply(scale, out[::2], out=out[::2])
     np.multiply(-scale, out[1::2], out=out[1::2])
     return out

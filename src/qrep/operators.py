@@ -48,7 +48,7 @@ def apply_x(psi: Wavefunction) -> Wavefunction:
 def _spectral_p(samples: np.ndarray, g: Grid) -> tuple[np.ndarray, np.ndarray]:
     """``(fourier_sum(samples), -i d/dx samples)``, with no guard."""
     kgrid, tilde = fourier_sum(samples, g)
-    return tilde, inverse_fourier_sum(kgrid.points * tilde, kgrid, g) / (2.0 * np.pi)
+    return tilde, inverse_fourier_sum(kgrid.points * tilde, g) / (2.0 * np.pi)
 
 
 def apply_p(psi: Wavefunction) -> Wavefunction:
@@ -108,7 +108,7 @@ def apply_c_momentum(phi: Wavefunction) -> Wavefunction:
     require_label(phi, MOMENTUM, "operator")
     xgrid = dual_grid(phi.grid)
     x = xgrid.points
-    psi_x = inverse_fourier_sum(phi.samples, phi.grid, xgrid) / _SQRT_2PI
+    psi_x = inverse_fourier_sum(phi.samples, xgrid) / _SQRT_2PI
     _, raw = fourier_sum(-1j * x * psi_x, xgrid)
     dphi = raw / _SQRT_2PI
     p = phi.grid.points

@@ -89,10 +89,11 @@ def to_momentum(psi: Wavefunction) -> Wavefunction:
 
 
 def from_momentum(phi: Wavefunction) -> Wavefunction:
-    """Exact inverse of :func:`to_momentum`."""
+    """Exact inverse of :func:`to_momentum`, on ``dual_grid(phi.grid)``: the
+    centred grid, even when ``phi`` came from an offset position grid."""
     require_label(phi, MOMENTUM, "from_momentum")
     xgrid = dual_grid(phi.grid)
-    out = inverse_fourier_sum(phi.samples, phi.grid, xgrid) / _SQRT_2PI
+    out = inverse_fourier_sum(phi.samples, xgrid) / _SQRT_2PI
     return Wavefunction(xgrid, out, POSITION)
 
 
@@ -130,7 +131,7 @@ def _linear_transform(psi: Wavefunction, chirp: _Chirp) -> Wavefunction:
         return Wavefunction(lam_grid, out, label)
     kgrid, tilde = fourier_sum(psi.samples, g)
     pre = np.exp(-1j * (b / a) * kgrid.points**2 / 2.0)
-    S = inverse_fourier_sum(pre * (tilde / _SQRT_2PI), kgrid, g)
+    S = inverse_fourier_sum(pre * (tilde / _SQRT_2PI), g)
     lam_grid = Grid(g.n, a * g.dx, a * g.x_min)
     lam = lam_grid.points
     out = np.exp(-1j * mu * lam**2) * S / np.sqrt(2.0 * np.pi * a)

@@ -143,12 +143,12 @@ def _windowed_eigen_residual(
 
     Differentiates by finite differences: the kernels are not periodic, so
     the spectral derivative does not apply to them.  With ``f`` the kernel,
-    ``(a X + b P + c C) f = a x f - i b f' - i c (x f' + f/2)``.  The window
+    ``(a X + b P + c C) f = (a x - i c/2) f - i (b + c x) f'``.  The window
     must avoid the domain edges.
     """
     x, f = kernel.grid.points, kernel.samples
     deriv = _fd_derivative(f, kernel.grid.dx)
-    op = a * x * f - 1j * b * deriv - 1j * c * (x * deriv + 0.5 * f)
+    op = (a * x - 0.5j * c) * f - 1j * ((b + c * x) * deriv)
     resid = op - eigenvalue * f
     mask = window & np.isfinite(resid.real)
     num = np.sqrt(np.sum(np.abs(resid[mask]) ** 2))

@@ -233,6 +233,12 @@ def test_invalid_state_spec_exit_code():
         (["moments"], '{"state": "hermite", "k": 1e400}', "hermite_order_range"),
         (["moments", "--state", "hermite:k=2.5"], None, "hermite_order_range"),
         (["moments", "--state", "hermite:k=13"], None, "hermite_order_range"),
+        (["moments", "--length", "nan"], None, "grid_length_positive"),
+        (["moments", "--length", "inf"], None, "grid_length_positive"),
+        (["transform", "--rep", "correlation", "--u-min", "nan", "--u-max", "1"], None,
+         "log_window_order"),
+        (["transform", "--rep", "correlation", "--u-min=-inf", "--u-max", "1"], None,
+         "log_window_order"),
     ],
 )
 def test_bad_spec_input_exits_with_code(tmp_path, args, config, code):

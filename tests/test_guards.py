@@ -1,17 +1,23 @@
 """Every coded guard that no other test reaches, by the code it raises."""
 
+import re
+
 import numpy as np
 import pytest
 
 from qrep import (
+    MOMENTUM,
     POSITION,
     GaussianSpec,
     Grid,
     Wavefunction,
+    apply_c_momentum,
     apply_s,
     apply_s_theta,
     correlation_inverse,
     correlation_kernel,
+    dual_grid,
+    from_momentum,
     gaussian,
     interp_kernel,
     log_grid,
@@ -22,11 +28,12 @@ from qrep import (
     rotation_kernel,
 )
 from qrep.cli import build_parser
-from qrep.grid import inverse_fourier_sum
 from qrep.transforms import CorrelationSpectrum
 
 G = make_grid(64, 16.0)
 PSI = gaussian(G, GaussianSpec())
+# momentum spacing of G: the centred momentum lattice starts at -32 DK
+DK = dual_grid(G).dx
 
 
 def _spectrum(n_gamma: int, n_u: int) -> CorrelationSpectrum:
@@ -57,10 +64,10 @@ def _cli(*argv):
         (lambda: Wavefunction(G, np.zeros(5), POSITION), "sample_count"),
         (lambda: log_grid(64, 1.0, 0.0), "log_window_order"),
         (lambda: correlation_inverse(_spectrum(64, 128), G), "channel_length"),
-        (lambda: inverse_fourier_sum(np.zeros(64), make_grid(64, 10.0), Grid(128, 0.1, -10.0)),
-         "grid_mismatch"),
-        (lambda: inverse_fourier_sum(np.zeros(64), make_grid(64, 10.0), Grid(64, 0.1, -10.0)),
-         "grid_mismatch"),
+        (lambda: from_momentum(Wavefunction(Grid(64, DK, 0.0), np.zeros(64), MOMENTUM)),
+         "momentum_lattice"),
+        (lambda: apply_c_momentum(Wavefunction(Grid(64, DK, -31.7 * DK), np.zeros(64), MOMENTUM)),
+         "momentum_lattice"),
         (lambda: interp_kernel(G, 0.5, np.nan), "eigenvalue_finite"),
         (lambda: interp_kernel(G, 1.0, np.nan), "eigenvalue_finite"),
         (lambda: rotation_kernel(G, 0.5, np.inf), "eigenvalue_finite"),
@@ -102,4 +109,25 @@ def test_guard_raises_its_code(call, code):
 def test_non_finite_value_is_refused_as_not_finite(call, code, name, bad):
     # the code of the range refusal, with a message that says why
     with pytest.raises(ValueError, match=f"^{code}: {name} must be finite, got {bad}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda v: make_grid(8, v),
+                     "grid_length_positive: length must be positive and finite, got {v}",
+                     id="length"),
+        pytest.param(lambda v: log_grid(64, v, 1.0),
+                     "log_window_order: need finite u_min < u_max, got ({v}, 1.0)",
+                     id="u_min"),
+        pytest.param(lambda v: log_grid(64, -1.0, v),
+                     "log_window_order: need finite u_min < u_max, got (-1.0, {v})",
+                     id="u_max"),
+    ],
+)
+def test_non_finite_grid_input_is_refused_as_not_finite(call, message, bad):
+    # the code of the range refusal, with a message that says why
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(v=bad))}$"):
         call(bad)

@@ -1,7 +1,7 @@
 """The import layering of ``src/qrep``, read from each module's syntax tree.
 
-The library modules sit below the checks and the front end, and every
-check-only helper lives in ``verify``.
+The library modules sit below the checks and the front end, every
+check-only helper lives in ``verify``, and only ``grid`` calls the FFT.
 """
 
 import ast
@@ -44,6 +44,22 @@ def _imports(tree: ast.Module) -> set[str]:
     return found
 
 
+def _uses_fft(tree: ast.Module) -> bool:
+    """Whether a syntax tree reads ``numpy.fft``, as an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[:2] in (["np", "fft"], ["numpy", "fft"]) for name in names):
+            return True
+    return False
+
+
 def _imported_modules(module: str) -> set[str]:
     return _imports(_tree(module))
 
@@ -74,6 +90,28 @@ def test_check_helpers_are_defined_only_in_verify():
         if any(fragment in name for fragment in CHECK_HELPERS)
     }
     assert {module for module, _ in defined} == {"verify"}, sorted(defined)
+
+
+def test_only_grid_calls_the_fft():
+    modules = sorted(p.stem for p in SRC.glob("*.py"))
+    assert {module for module in modules if _uses_fft(_tree(module))} == {"grid"}
+
+
+@pytest.mark.parametrize(
+    "source,uses",
+    [
+        ("np.fft.fft(x)", True),
+        ("numpy.fft.ifft(x)", True),
+        ("import numpy.fft", True),
+        ("from numpy import fft", True),
+        ("from numpy.fft import ifft", True),
+        ("np.sum(x); fft = 1", False),
+        ("from numpy import sum", False),
+        ("from .grid import fourier_sum", False),
+    ],
+)
+def test_fft_reader_sees_every_spelling(source, uses):
+    assert _uses_fft(ast.parse(source)) is uses
 
 
 def test_import_reader_sees_every_spelling():
