@@ -80,7 +80,8 @@ def plane_wave(g: Grid, p: float) -> Wavefunction:
 def position_kernel_in_momentum(g: Grid, a: float) -> Wavefunction:
     """Position eigenfunction sampled in momentum space: ``(2 pi)^(-1/2) e^(-i a p)``.
 
-    ``g`` is the momentum-axis lattice; ``|a|`` must not exceed ``pi/dp``.
+    ``g`` is the momentum-axis lattice, which must be centred
+    (``momentum_lattice``); ``|a|`` must not exceed ``pi/dp``.
     """
     _require_resolved(g, a, "position_aliasing")
     return Wavefunction(g, np.exp(1j * (-a * g.points)) / _SQRT_2PI, MOMENTUM)

@@ -68,6 +68,7 @@ def _cli(*argv):
          "momentum_lattice"),
         (lambda: apply_c_momentum(Wavefunction(Grid(64, DK, -31.7 * DK), np.zeros(64), MOMENTUM)),
          "momentum_lattice"),
+        (lambda: position_kernel_in_momentum(Grid(64, DK, 0.0), 0.0), "momentum_lattice"),
         (lambda: interp_kernel(G, 0.5, np.nan), "eigenvalue_finite"),
         (lambda: interp_kernel(G, 1.0, np.nan), "eigenvalue_finite"),
         (lambda: rotation_kernel(G, 0.5, np.inf), "eigenvalue_finite"),
