@@ -54,8 +54,7 @@ from .transforms import (
     rotation_transform,
     to_momentum,
 )
-from .verify import (CheckReport, SUITE_NAMES, conjugation_defect, run_all_suites, run_suite,
-                     windowed_conjugation_defect)
+from .verify import CheckReport, SUITE_NAMES, conjugation_defect, run_all_suites, run_suite
 
 __version__ = "0.1.0"
 
@@ -104,5 +103,4 @@ __all__ = [
     "run_all_suites",
     "run_suite",
     "to_momentum",
-    "windowed_conjugation_defect",
 ]

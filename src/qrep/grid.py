@@ -113,14 +113,13 @@ class Wavefunction:
     label: RepresentationLabel
 
     def __post_init__(self):
-        g, arr = self.grid, np.asarray(self.samples, dtype=complex)
+        g, arr = self.grid, np.array(self.samples, dtype=complex)
         if arr.shape != (g.n,):
             raise ValueError(f"sample_count: expected {g.n} samples, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("sample_finite: samples must all be finite")
         if self.label == MOMENTUM and not g.centred:
             raise ValueError(f"momentum_lattice: momentum samples need a centred lattice, got {g}")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -147,6 +146,9 @@ def log_grid(n: int, u_min: float, u_max: float) -> Grid:
     """Uniform grid on ``[u_min, u_max)``; substrate for the log-variable transform."""
     if not (np.isfinite(u_min) and np.isfinite(u_max) and u_max > u_min):
         raise ValueError(f"log_window_order: need finite u_min < u_max, got ({u_min}, {u_max})")
+    if np.exp(u_min) == 0.0:
+        raise ValueError(f"log_window_underflow: e^u_min underflows to 0 at u_min = {u_min}; "
+                         "u_min must exceed about -745.13")
     _require_grid_size(n)
     du = (float(u_max) - float(u_min)) / int(n)
     return Grid(int(n), du, float(u_min))

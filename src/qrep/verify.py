@@ -2,10 +2,11 @@
 
 Each suite is a pure function from a base grid to a list of `CheckReport`,
 so `qrep verify` and the pytest suite execute the identical code path.  A
-check passes iff its observed defect is at most its tolerance.  Each check
-runs once, on the grid its claim needs: fixed grids for the finite-difference
-residuals, the Fresnel ladder, the windowed conjugation diagnostic and the Gram
-check; grids that resolve the kernel chirp for the oracle sums, read at up to 32
+check passes iff its observed defect is at most its tolerance, and every check
+can fail and tests what no other does.  Each check runs once, on the grid its
+claim needs: fixed grids for the finite-difference residuals, the Fresnel
+ladder, the Gram check and the spectral conjugation rule (self-dual, dx = dp);
+grids that resolve the kernel chirp for the oracle sums, read at up to 32
 eigenvalues where the expansion carries weight; the base grid for the rest.
 Operator products are read from single applications, ``<psi, A B psi> =
 <A psi, B psi>``, so state guards see only states.  Deterministic for a fixed
@@ -15,11 +16,12 @@ since ``grid.inner`` is a BLAS dot product, while the oracle sums use none.
 Every check passes at L = 40, n = 512 to 2^18.
 
 Every check lives here, with the helpers only checks call: the conjugation
-rule for ``C`` (:func:`conjugation_defect` and its windowed diagnostic) and the
-eigen-residual.  Two independent derivative discretizations are used on
-purpose: the spectral one backs every operator; the fourth-order finite
-difference backs the eigen-residuals, where the kernels are not periodic and
-an unrelated discretization guards against convention bugs in the first.
+rule for ``C``, on the operator (:func:`conjugation_defect`) and on the
+spectrum (:func:`_spectral_conjugation_defect`), and the eigen-residual.  Two
+independent derivative discretizations are used on purpose: the spectral one
+backs every operator; the fourth-order finite difference backs the
+eigen-residuals, where the kernels are not periodic and an unrelated
+discretization guards against convention bugs in the first.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .grid import _SQRT_2PI, Grid, Wavefunction, dual_grid, fourier_sum, inner, make_grid, norm
+from .grid import (_SQRT_2PI, POSITION, Grid, Wavefunction, dual_grid, fourier_sum, inner,
+                   make_grid, norm)
 from .kernels import (
     Parity,
     _Chirp,
@@ -61,7 +64,7 @@ from .transforms import (
 )
 
 __all__ = ["CheckReport", "run_suite", "run_all_suites", "SUITE_NAMES", "REQUIRED_COVERAGE",
-           "conjugation_defect", "windowed_conjugation_defect"]
+           "conjugation_defect"]
 
 # |lhs - rhs| of the Robertson-Schrodinger bound at which a state saturates it.
 SATURATION_TOL = 1e-8
@@ -123,12 +126,6 @@ def _monotone(name: str, errs: list[float]) -> CheckReport:
     return CheckReport(name, {}, max(b / a for a, b in zip(errs, errs[1:])), 1.0)
 
 
-def _gaussian_window(g: Grid) -> np.ndarray:
-    """``exp(-x^2 / (2 (L/8)^2))``, the window the kernel-family checks put on
-    eigenfunctions, which are not normalizable."""
-    return np.exp(-g.points**2 / (2.0 * (g.length / 8.0) ** 2))
-
-
 def _fd_derivative(values: np.ndarray, dx: float) -> np.ndarray:
     """Fourth-order central first derivative; the outer two points are NaN."""
     d = np.full(len(values), np.nan, dtype=complex)
@@ -170,28 +167,22 @@ def conjugation_defect(psi: Wavefunction) -> float:
     return float(np.abs(lhs - rhs).max() / np.abs(lhs).max())
 
 
-def windowed_conjugation_defect(g: Grid, gamma: float, par: Parity) -> tuple[float, complex]:
-    """Diagnostic form of the conjugation rule on one eigenfunction of C.
-
-    Fourier transforms the Gaussian-windowed eigenfunction for eigenvalue
-    ``gamma`` and parity ``par`` and compares it, on ``1 <= |p| <= 8``, with
-    the complex conjugate eigenfunction after removing the best-fitting
-    constant phase.  Returns ``(relative defect, fitted phase)``.  The
-    eigenfunctions are not normalizable, so the defect is limited by the
-    window bandwidth rather than by the implementation, and no sharp grid
-    tolerance exists for it.
+def _spectral_conjugation_defect(psi: Wavefunction, u_window: tuple[float, float]) -> float:
+    """The conjugation rule on the spectrum of ``C``, for ``psi`` on a self-dual
+    grid (``dx = dp``).  The Fourier map takes the eigenfunction for ``gamma`` to
+    the one for ``-gamma`` times a phase, so the spectrum ``c~`` of the momentum
+    samples, read as position samples, has ``|c~(gamma)| = |c(-gamma)|``; at
+    ``gamma = 0`` the phase is 1 in the even channel and ``-i`` in the odd (the
+    transforms of ``|x|^(-1/2)`` and ``sign(x) |x|^(-1/2)``).  Returns the
+    largest defect of either channel, relative to the peak ``|c|``.
     """
-    xi = correlation_kernel(g, gamma, par)
-    kgrid, ft = fourier_sum(_gaussian_window(g) * xi.samples, g)
-    ft = ft / _SQRT_2PI
-    target = np.conj(correlation_kernel(kgrid, gamma, par).samples)
-    p = kgrid.points
-    annulus = (np.abs(p) >= 1.0) & (np.abs(p) <= 8.0)
-    tgt = target[annulus]
-    got = ft[annulus]
-    fitted = complex(np.vdot(tgt, got) / np.vdot(tgt, tgt))
-    defect = float(np.linalg.norm(got - fitted * tgt) / np.linalg.norm(tgt))
-    return defect, fitted
+    phi = to_momentum(psi)
+    spec = correlation_transform(psi, u_window)
+    tilde = correlation_transform(Wavefunction(phi.grid, phi.samples, POSITION), u_window)
+    zero = spec.u_grid.n // 2  # gamma = 0; index m pairs with n - m, and 0 with none
+    defect = max(max(np.abs(np.abs(t[1:]) - np.abs(c[:0:-1])).max(), abs(t[zero] - phase * c[zero]))
+                 for t, c, phase in ((tilde.even, spec.even, 1.0), (tilde.odd, spec.odd, -1j)))
+    return float(defect / max(np.abs(spec.even).max(), np.abs(spec.odd).max()))
 
 
 def _suite_commutators(g: Grid) -> list[CheckReport]:
@@ -205,8 +196,10 @@ def _suite_commutators(g: Grid) -> list[CheckReport]:
         )
     psi = states["gaussian"]
     rotated = {t: apply_s_theta(psi, t) for t in _ANGLES}
-    for t1 in _ANGLES:
-        for t2 in _ANGLES:
+    # theta = theta' reads 0 by construction, and inner(b, a) is conj(inner(a, b))
+    # bit for bit, so each pair is checked once, theta < theta'
+    for i, t1 in enumerate(_ANGLES):
+        for t2 in _ANGLES[i + 1:]:
             comm = 2j * inner(rotated[t1], rotated[t2]).imag
             reports.append(
                 CheckReport(
@@ -479,13 +472,19 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
             reports.append(_member_oracle(g, family, value, name, out))
 
     # The channel each state of definite parity leaves empty: its peak against
-    # the other channel's is rounding (measured <= 6.4e-18, n = 256 to 2^14).
+    # the other channel's is rounding (measured <= 6.4e-18, n = 256 to 2^14),
+    # so only the other channel is summed against the oracle.
     # On the 2n points a given window gets, whose whole gamma range the oracle reaches.
     zero_channel = {"gaussian": "odd", "hermite_1": "even"}
     for name in ("gaussian", "gaussian_moved", "hermite_1"):
         psi = states[name]
         spec = correlation_transform(psi, u_window=_default_u_window(g))
         channels = {"even": spec.even, "odd": spec.odd}
+        if name in zero_channel:
+            zero = channels.pop(zero_channel[name])
+            (other,) = channels.values()
+            ratio = float(np.abs(zero).max() / np.abs(other).max())
+            reports.append(CheckReport("correlation_parity_selection", {"state": name}, ratio, 1e-15))
         for channel, values in channels.items():
             sub = _support(values)
             gams = spec.gamma_grid.points[sub]
@@ -493,22 +492,19 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
             err = float(np.abs(values[sub] - oracle).max())
             params = {"state": name}
             reports.append(CheckReport(f"correlation_oracle_{channel}", params, err, 1e-5))
-        if name in zero_channel:
-            zero = channels.pop(zero_channel[name])
-            (other,) = channels.values()
-            ratio = float(np.abs(zero).max() / np.abs(other).max())
-            reports.append(CheckReport("correlation_parity_selection", {"state": name}, ratio, 1e-15))
 
     for name, psi in states.items():
         reports.append(
             CheckReport("conjugation_rule", {"state": name}, conjugation_defect(psi), 1e-8)
         )
-    for gamma in (0.0, 1.0):  # a kernel-formula check, on the grid its tolerances were set on
-        for par in (Parity.EVEN, Parity.ODD):
-            defect, _ = windowed_conjugation_defect(make_grid(1024, 40.0), gamma, par)
-            tol = 0.2 if par is Parity.EVEN else 0.05
-            params = {"gamma": gamma, "parity": par.value}
-            reports.append(CheckReport("conjugation_windowed_diagnostic", params, defect, tol))
+    # On a fixed self-dual grid, down to u = -30: with the default u_min = -14
+    # the hole alone limits the defect to 3.4e-4.  Measured <= 1.18e-6; the
+    # other four factory states are Fourier eigenstates on a self-dual grid.
+    g_sd = make_grid(1024, float(np.sqrt(2.0 * np.pi * 1024)))
+    window = (-30.0, float(np.log(0.45 * g_sd.length)))
+    for name in ("gaussian_chirped", "gaussian_moved"):
+        defect = _spectral_conjugation_defect(_state(g_sd, name), window)
+        reports.append(CheckReport("correlation_conjugation", {"state": name}, defect, 2e-6))
 
     psi = states["gaussian_chirped"]
     spec = correlation_transform(psi)
@@ -522,7 +518,7 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
     alpha = 0.5
     gk = make_grid(1024, 40.0)
     lams = (1.0 - alpha) * dual_grid(gk).points[::32]
-    window = _gaussian_window(gk)
+    window = np.exp(-gk.points**2 / (2.0 * (gk.length / 8.0) ** 2))
     kernels = [interp_kernel(gk, alpha, l).samples for l in lams]
     windowed = [window * kb for kb in kernels]
     gram = np.array([[np.vdot(ka, wb) * gk.dx for wb in windowed] for ka in kernels])
@@ -578,6 +574,7 @@ REQUIRED_COVERAGE = frozenset(
         "correlation_oracle_odd",
         "correlation_parity_selection",
         "conjugation_rule",
+        "correlation_conjugation",
         "correlation_mean_c",
         "delta_normalization_gram",
     }

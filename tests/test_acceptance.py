@@ -38,7 +38,7 @@ def test_criterion_1_commutators(g):
     xp = [r for r in reports if r.name == "xp_commutator"]
     rot = [r for r in reports if r.name == "rotation_commutator"]
     assert len(xp) == 6 and all(r.tolerance == 1e-8 for r in xp)
-    assert len(rot) == 25 and all(r.tolerance == 1e-7 for r in rot)
+    assert len(rot) == 10 and all(r.tolerance == 1e-7 for r in rot)
     _report(1, "canonical and rotated-pair commutators", reports)
 
 

@@ -239,6 +239,8 @@ def test_invalid_state_spec_exit_code():
          "log_window_order"),
         (["transform", "--rep", "correlation", "--u-min=-inf", "--u-max", "1"], None,
          "log_window_order"),
+        (["transform", "--rep", "correlation", "--u-min", "-800", "--u-max", "2.89"], None,
+         "log_window_underflow"),
     ],
 )
 def test_bad_spec_input_exits_with_code(tmp_path, args, config, code):

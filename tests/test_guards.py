@@ -63,6 +63,7 @@ def _cli(*argv):
         (lambda: Grid(1024, 0.04, np.nan), "grid_origin_finite"),
         (lambda: Wavefunction(G, np.zeros(5), POSITION), "sample_count"),
         (lambda: log_grid(64, 1.0, 0.0), "log_window_order"),
+        (lambda: log_grid(64, -745.2, 1.0), "log_window_underflow"),
         (lambda: correlation_inverse(_spectrum(64, 128), G), "channel_length"),
         (lambda: from_momentum(Wavefunction(Grid(64, DK, 0.0), np.zeros(64), MOMENTUM)),
          "momentum_lattice"),

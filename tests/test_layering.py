@@ -129,4 +129,5 @@ from .grid import Grid
 
 def test_conjugation_checks_are_exported_from_verify():
     assert qrep.conjugation_defect is qrep.verify.conjugation_defect
-    assert qrep.windowed_conjugation_defect is qrep.verify.windowed_conjugation_defect
+    assert not hasattr(qrep, "windowed_conjugation_defect")
+    assert not hasattr(qrep.verify, "windowed_conjugation_defect")

@@ -12,7 +12,6 @@ import qrep
 from qrep import (
     POSITION,
     GaussianSpec,
-    Parity,
     Wavefunction,
     conjugation_defect,
     correlation_inverse,
@@ -34,7 +33,6 @@ from qrep import (
     rotation_kernel,
     rotation_transform,
     to_momentum,
-    windowed_conjugation_defect,
 )
 from qrep.grid import Grid, _spline_window, cubic_interpolate, inverse_fourier_sum
 from qrep.kernels import _chirp_resolved, _interp_chirp, _rotation_chirp
@@ -493,13 +491,17 @@ def test_tail_mass_annulus_edges_on_lattice_samples(g1024, k_min, k_max):
 
 def test_read_back_skips_the_origin_where_e_u_min_underflows(g1024, unit_gaussian):
     # e^-800 is 0.0, so the annulus starts at |x| >= 0; the sample at x = 0,
-    # where ln|x| is -inf, lies on neither half-line, and the hole is empty
-    spec = correlation_transform(unit_gaussian, (-800.0, float(np.log(18.0))))
-    assert np.exp(spec.u_grid.x_min) == 0.0
+    # where ln|x| is -inf, lies on neither half-line, and the hole is empty.
+    # log_grid refuses that window, so the spectrum's lattice is built directly.
+    spec = correlation_transform(unit_gaussian, CORR_WINDOW)
+    n, u_max = spec.u_grid.n, float(np.log(18.0))
+    spec = dataclasses.replace(spec, u_grid=Grid(n, (u_max + 800.0) / n, -800.0))
+    r_min = np.exp(spec.u_grid.x_min)
+    assert r_min == 0.0
     x, samples = g1024.points, unit_gaussian.samples
-    r_max = np.exp(np.log(18.0))
+    r_max = np.exp(u_max)
     outer = np.sum(np.abs(samples[(x < -r_max) | (x > r_max)]) ** 2) * g1024.dx
-    assert spec.tail_mass == outer
+    assert _tail_mass(unit_gaussian, r_min, r_max) == outer
     rec = correlation_inverse(spec, g1024).samples
     ref = _correlation_inverse_reference(spec, g1024)
     assert rec[g1024.n // 2] == 0.0
@@ -756,16 +758,6 @@ def test_oracle_does_not_depend_on_the_blas_thread_count():
         assert r.returncode == 0, r.stderr
         runs.append(r.stdout)
     assert runs[0] == runs[1]
-
-
-def test_conjugation_windowed_diagnostic(g1024):
-    # window-limited diagnostic; the odd channel's fitted phase is close
-    # to -i, a constant the conjugate pairing leaves free
-    defect, fitted_phase = windowed_conjugation_defect(g1024, 0.0, Parity.ODD)
-    assert defect < 0.05
-    assert abs(fitted_phase - (-1j)) < 0.05
-    defect_even, _ = windowed_conjugation_defect(g1024, 0.0, Parity.EVEN)
-    assert defect_even < 0.2
 
 
 def test_oracle_rejects_unknown_family(g1024, unit_gaussian):

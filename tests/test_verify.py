@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from qrep import (
+    MOMENTUM,
     POSITION,
     SUITE_NAMES,
     Wavefunction,
+    apply_s_theta,
     correlation_transform,
+    inner,
     make_grid,
     run_all_suites,
     run_suite,
@@ -89,15 +92,55 @@ def test_eigen_residuals_ignore_base_grid(all_reports, n):
 
 
 @pytest.mark.parametrize("n", [256, 4096])
-def test_windowed_conjugation_diagnostic_ignores_base_grid(all_reports, n):
-    # the diagnostic tests the C kernel formula on the grid its tolerances were set on
-    def diagnostic(reports):
+def test_correlation_conjugation_ignores_base_grid(all_reports, n):
+    # the spectral conjugation rule runs on its own self-dual grid
+    def conjugation(reports):
         return [(r.parameters, r.observed, r.tolerance) for r in reports
-                if r.name == "conjugation_windowed_diagnostic"]
+                if r.name == "correlation_conjugation"]
 
     reports = run_suite("oracle_agreement", make_grid(n, 40.0))
-    assert len(diagnostic(reports)) == 4
-    assert diagnostic(reports) == diagnostic(all_reports["oracle_agreement"])
+    assert len(conjugation(reports)) == 2
+    assert conjugation(reports) == conjugation(all_reports["oracle_agreement"])
+
+
+# the grid and window of the correlation_conjugation records
+G_SELF_DUAL = make_grid(1024, float(np.sqrt(2.0 * np.pi * 1024)))
+DEEP_WINDOW = (-30.0, float(np.log(0.45 * G_SELF_DUAL.length)))
+
+
+def _identity_map(psi):
+    # gamma is not reversed: the spectrum comes back as it went in
+    return Wavefunction(psi.grid, psi.samples, MOMENTUM)
+
+
+def _inverse_fourier_map(psi):
+    # moduli reversed as the Fourier map's, but the odd phase at gamma = 0 is +i
+    phi = to_momentum(Wavefunction(psi.grid, np.conj(psi.samples), POSITION))
+    return Wavefunction(phi.grid, np.conj(phi.samples), MOMENTUM)
+
+
+@pytest.mark.parametrize(
+    "fault,state",
+    [(_identity_map, "gaussian_chirped"), (_identity_map, "gaussian_moved"),
+     (_inverse_fourier_map, "gaussian_moved")],
+)
+def test_correlation_conjugation_sees_a_wrong_rule(monkeypatch, fault, state):
+    psi = verify._state(G_SELF_DUAL, state)
+    assert verify._spectral_conjugation_defect(psi, DEEP_WINDOW) <= 2e-6
+    monkeypatch.setattr(verify, "to_momentum", fault)
+    assert verify._spectral_conjugation_defect(psi, DEEP_WINDOW) >= 0.1
+
+
+def test_reversed_rotation_pairs_are_conjugate_bit_for_bit(g1024):
+    # why rotation_commutator checks each pair once: (theta', theta) reads the
+    # conjugate of (theta, theta'), and theta = theta' reads 0
+    psi = verify._state(g1024, "gaussian")
+    rotated = [apply_s_theta(psi, t) for t in verify._ANGLES]
+    for i, a in enumerate(rotated):
+        assert inner(a, a).imag == 0.0
+        for b in rotated[i + 1:]:
+            ab, ba = inner(a, b), inner(b, a)
+            assert ab.real == ba.real and ab.imag == -ba.imag
 
 
 def test_commutators_pass_at_2_18():
@@ -191,7 +234,7 @@ def test_oracle_records_check_where_the_coefficient_carries_weight(n, monkeypatc
     monkeypatch.setattr(verify, "quadrature_oracle", recording)
     for suite in ("roundtrips", "oracle_agreement"):
         run_suite(suite, g)
-    assert len(records) == 22
+    assert len(records) == 20
     for family, on_lattice, checked, in_support, support in records:
         assert on_lattice and in_support == checked == min(32, support), records
 
