@@ -28,8 +28,10 @@ from .kernels import (
     _require_chirp_resolved,
     correlation_kernel,
     fresnel_delta,
+    interp_kernel,
     plane_wave,
     position_kernel_in_momentum,
+    rotation_kernel,
 )
 from .operators import moments
 from .states import GaussianSpec, gaussian, hermite
@@ -140,10 +142,16 @@ def _state_from_config(g: Grid, path: str) -> Wavefunction:
     return _state_from_fields(g, cfg["state"], params)
 
 
+_DEFAULT_STATE = "gaussian:s=1"
+
+
 def build_state(g: Grid, args):
-    """The state named by ``--config`` if given, else by ``--state``."""
+    """The state named by ``--state`` or by ``--config``, which are refused
+    together; ``gaussian:s=1`` when neither is given."""
     if args.config is None:
-        return parse_state_spec(g, args.state)
+        return parse_state_spec(g, _DEFAULT_STATE if args.state is None else args.state)
+    if args.state is not None:
+        raise ValueError("state_source: give --state or --config, not both")
     return _state_from_config(g, args.config)
 
 
@@ -158,30 +166,43 @@ def _grid(args) -> Grid:
     return make_grid(args.n, args.length)
 
 
+def _fresnel(g: Grid, eps: float, lam: float) -> Wavefunction:
+    if lam != 0.0:
+        raise ValueError(
+            f"kernel_parameter: fresnel is the lambda = 0 member of X + (eps/2) P, got --lam {lam}"
+        )
+    return fresnel_delta(g, eps)
+
+
+# Every kernel family by its --family name: the one parameter option it takes,
+# if any, and its sampler of (grid, parameter, eigenvalue).
+_KERNELS = {
+    "plane-wave": (None, lambda g, _, lam: plane_wave(g, lam)),
+    "position-in-momentum": (
+        None, lambda g, _, lam: position_kernel_in_momentum(dual_grid(g), lam)),
+    "interp": ("alpha", interp_kernel),
+    "rotation": ("theta", rotation_kernel),
+    "corr-even": (None, lambda g, _, lam: correlation_kernel(g, lam, Parity.EVEN)),
+    "corr-odd": (None, lambda g, _, lam: correlation_kernel(g, lam, Parity.ODD)),
+    "fresnel": ("eps", _fresnel),
+}
+_KERNEL_PARAMS = tuple(param for param, _ in _KERNELS.values() if param)
+
+
 def cmd_kernel(args) -> int:
     g = _grid(args)
     fam = args.family
-    if fam in _CHIRP_FAMILIES:
-        member = _CHIRP_FAMILIES[fam]
-        value = getattr(args, member.param)
-        if value is None:
-            raise ValueError(f"kernel_parameter: {fam} family requires --{member.param}")
-        chirp = member.chirp(value)
+    param, sample = _KERNELS[fam]
+    for other in _KERNEL_PARAMS:
+        if other != param and getattr(args, other) is not None:
+            raise ValueError(f"kernel_parameter: {fam} family takes no --{other}")
+    value = None if param is None else getattr(args, param)
+    if param is not None and value is None:
+        raise ValueError(f"kernel_parameter: {fam} family requires --{param}")
+    if fam in _CHIRP_FAMILIES:  # an unresolved chirp is refused before sampling
+        chirp = _CHIRP_FAMILIES[fam].chirp(value)
         _require_chirp_resolved(chirp.a, chirp.b, g)
-        wf = member.sample(g, value, args.lam)
-    elif fam == "plane-wave":
-        wf = plane_wave(g, args.p)
-    elif fam == "position-in-momentum":
-        wf = position_kernel_in_momentum(dual_grid(g), args.a)
-    elif fam == "corr-even":
-        wf = correlation_kernel(g, args.gamma, Parity.EVEN)
-    elif fam == "corr-odd":
-        wf = correlation_kernel(g, args.gamma, Parity.ODD)
-    else:  # fresnel; argparse choices own the family list
-        if args.eps is None:
-            raise ValueError("kernel_parameter: fresnel family requires --eps")
-        wf = fresnel_delta(g, args.eps)
-    _emit_table(args, ["x", "re", "im", "abs"], _sample_columns(wf))
+    _emit_table(args, ["x", "re", "im", "abs"], _sample_columns(sample(g, value, args.lam)))
     return 0
 
 
@@ -204,10 +225,16 @@ def cmd_transform(args) -> int:
     extra = set(rep_params) - ({member.param} if member else set())
     if extra:
         raise ValueError(f"rep_spec_field: unknown {rep_name} fields {sorted(extra)}")
+    windowed = args.u_min is not None or args.u_max is not None
+    if windowed and rep_name != "correlation":
+        raise ValueError(
+            "rep_spec_field: --u-min and --u-max set the correlation window; "
+            f"{rep_name} takes neither"
+        )
 
     if rep_name == "correlation":
         window = None
-        if args.u_min is not None or args.u_max is not None:
+        if windowed:
             if args.u_min is None or args.u_max is None:
                 raise ValueError("rep_spec: provide both --u-min and --u-max or neither")
             window = (args.u_min, args.u_max)
@@ -285,6 +312,12 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+def _add_state(sub):
+    sub.add_argument("--state", default=None, help="state spec, e.g. gaussian:s=1,c=2 or "
+                     f"hermite:k=1 (default {_DEFAULT_STATE})")
+    sub.add_argument("--config", default=None, help="JSON file with the same fields as --state")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qrep",
@@ -294,19 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pk = sub.add_parser("kernel", help="sample an eigenfunction family")
-    pk.add_argument(
-        "--family",
-        required=True,
-        choices=("plane-wave", "position-in-momentum", "interp", "rotation",
-                 "corr-even", "corr-odd", "fresnel"),
-    )
-    pk.add_argument("--p", type=float, default=0.0, help="momentum eigenvalue")
-    pk.add_argument("--a", type=float, default=0.0, help="position eigenvalue")
-    pk.add_argument("--alpha", type=float, default=None)
-    pk.add_argument("--theta", type=float, default=None)
-    pk.add_argument("--gamma", type=float, default=0.0)
-    pk.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.0,
-                    help="eigenvalue for interp/rotation families")
+    pk.add_argument("--family", required=True, choices=tuple(_KERNELS))
+    pk.add_argument("--lam", "--lambda", "--p", "--a", "--gamma", dest="lam", type=float,
+                    default=0.0, help="eigenvalue of the family's observable (p, a, gamma, lambda)")
+    pk.add_argument("--alpha", type=float, default=None, help="interp parameter")
+    pk.add_argument("--theta", type=float, default=None, help="rotation angle")
     pk.add_argument("--eps", type=float, default=None, help="fresnel width")
     _add_common(pk)
     pk.set_defaults(func=cmd_kernel)
@@ -314,23 +339,17 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("transform", help="expand a state in another representation")
     pt.add_argument("--rep", required=True,
                     help="momentum | interp:alpha=A | rotation:theta=T | correlation")
-    pt.add_argument("--state", default="gaussian:s=1",
-                    help="state spec, e.g. gaussian:s=1,c=2 or hermite:k=1")
-    pt.add_argument("--config", default=None,
-                    help="JSON file with the same fields as --state")
+    _add_state(pt)
     pt.add_argument("--u-min", dest="u_min", type=float, default=None,
-                    help="correlation window start in ln|x|, sampled on 2 n points "
-                         "(default min(-14, ln(4 dx)), on 2 n points doubled until du "
-                         "is no coarser than 2 n points from ln(4 dx) to u_max)")
+                    help="correlation window start in ln|x|; a given window gets 2 n points "
+                         "(the default window is in the README)")
     pt.add_argument("--u-max", dest="u_max", type=float, default=None,
-                    help="correlation window end in ln|x| (default ln(min(0.45 length, "
-                         "x_max)))")
+                    help="correlation window end in ln|x|")
     _add_common(pt)
     pt.set_defaults(func=cmd_transform)
 
     pm = sub.add_parser("moments", help="moment report and uncertainty bound")
-    pm.add_argument("--state", default="gaussian:s=1")
-    pm.add_argument("--config", default=None)
+    _add_state(pm)
     _add_common(pm)
     pm.set_defaults(func=cmd_moments)
 

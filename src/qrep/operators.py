@@ -116,7 +116,13 @@ def apply_c_momentum(phi: Wavefunction) -> Wavefunction:
 
 
 def parity_flip(psi: Wavefunction) -> Wavefunction:
-    """Reflect ``x -> -x`` on the lattice (the leftmost point maps to itself)."""
+    """Reflect ``x -> -x`` on the lattice (the leftmost point maps to itself).
+
+    The index reflection ``j -> n - j`` is ``x -> -x`` only on a centred
+    lattice (``Grid.centred``); any other is refused (``parity_lattice``).
+    """
+    if not psi.grid.centred:
+        raise ValueError(f"parity_lattice: parity_flip needs a centred lattice, got {psi.grid}")
     n = psi.grid.n
     idx = (-np.arange(n)) % n
     return Wavefunction(psi.grid, psi.samples[idx], psi.label)

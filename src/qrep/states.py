@@ -41,9 +41,16 @@ def gaussian(g: Grid, spec: GaussianSpec = GaussianSpec()) -> Wavefunction:
     samples = (pi s^2)^(-1/4) exp(-(x-x0)^2/(2 s^2))
               * exp(i c (x-x0)^2 / 2) * exp(i p0 x)
 
-    The width must satisfy ``4*dx <= s <= length/8`` so the packet is both
-    resolved by the lattice and contained well inside the domain.
+    The width must satisfy ``4*dx <= s <= length/8`` and the centre ``x0``
+    must lie on the domain, so the packet is both resolved by the lattice and
+    contained in the domain; a phase that overflows on the lattice is refused
+    (``gaussian_phase_finite``).
     """
+    if not g.x_min <= spec.x0 <= g.x_max:
+        raise ValueError(
+            f"gaussian_contained: centre x0={spec.x0:g} lies outside the domain "
+            f"[{g.x_min:g}, {g.x_max:g}]"
+        )
     if spec.s < 4.0 * g.dx:
         raise ValueError(
             f"gaussian_resolved: width s={spec.s:g} is below 4*dx={4.0 * g.dx:g}"
@@ -55,7 +62,13 @@ def gaussian(g: Grid, spec: GaussianSpec = GaussianSpec()) -> Wavefunction:
     x = g.points
     xc = x - spec.x0
     amp = (np.pi * spec.s**2) ** -0.25 * np.exp(-(xc**2) / (2.0 * spec.s**2))
-    phase = 0.5 * spec.c * xc**2 + spec.p0 * x
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = 0.5 * spec.c * xc**2 + spec.p0 * x
+    if not np.isfinite(phase).all():
+        raise ValueError(
+            f"gaussian_phase_finite: the phase c (x-x0)^2/2 + p0 x overflows on this grid "
+            f"(c={spec.c:g}, p0={spec.p0:g})"
+        )
     return Wavefunction(g, amp * np.exp(1j * phase), POSITION)
 
 

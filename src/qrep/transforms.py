@@ -206,10 +206,16 @@ class CorrelationSpectrum:
 def _default_u_window(g: Grid) -> tuple[float, float]:
     # u_min = -14 leaves ~1e-6 of a unit-width state unseen near the origin;
     # ln(4 dx) takes over only on grids finer than that.  0.45 length lies
-    # inside the last positive sample only for n >= 32; smaller grids stop at
-    # x_max so that log_resample never extrapolates.
-    return (min(-14.0, float(np.log(4.0 * g.dx))),
-            float(np.log(min(0.45 * g.length, g.x_max))))
+    # inside the last positive sample only for n >= 32; smaller grids, and
+    # offset grids with a shorter half-line, stop at min(x_max, -x_min), so
+    # that log_resample never extrapolates on either side of the origin.
+    edge = min(0.45 * g.length, g.x_max, -g.x_min)
+    if not edge > 0.0:
+        raise ValueError(
+            f"log_window_support: the default log window needs samples on both sides "
+            f"of the origin, got {g}"
+        )
+    return (min(-14.0, float(np.log(4.0 * g.dx))), float(np.log(edge)))
 
 
 def _default_n_gamma(g: Grid, u_window: tuple[float, float]) -> int:
@@ -238,7 +244,8 @@ def correlation_transform(
         h(u) = e^(u/2) (psi(e^u) +- psi(-e^u)) / sqrt(2).
 
     The lattice depends only on the window: a given one gets ``2 n`` points;
-    the default, ``(min(-14, ln(4 dx)), ln(min(0.45 length, x_max)))``, gets
+    the default, ``(min(-14, ln(4 dx)), ln(min(0.45 length, x_max, -x_min)))``,
+    which ends on the shorter half-line, gets
     ``2 n`` doubled until ``du`` is no coarser than that of ``2 n`` points over
     ``(ln(4 dx), u_max)`` (8n at n = 1024, length 40), since ``h`` oscillates
     at the u-frequency ``p x`` away from the origin.
@@ -403,6 +410,7 @@ def quadrature_oracle(
       A ``|gamma| > pi/du`` of that lattice is refused with
       ``oracle_gamma_range``.
 
+    A parameter the family does not take is refused with ``oracle_family``.
     Every guard fires before any sum; a non-finite coefficient is refused
     with ``sample_finite``.
     """
@@ -412,9 +420,15 @@ def quadrature_oracle(
     lambdas = np.asarray(lambdas, dtype=float)
     g = psi.grid
 
-    if family in _CHIRP_FAMILIES:
-        member = _CHIRP_FAMILIES[family]
-        value = {"alpha": alpha, "theta": theta}[member.param]
+    member = _CHIRP_FAMILIES.get(family)
+    params = {"alpha": alpha, "theta": theta}
+    own = member.param if member else None
+    extra = [k for k, v in params.items() if v is not None and k != own]
+    if extra:
+        raise ValueError(f"oracle_family: {family} family takes no {' or '.join(extra)}")
+
+    if member is not None:
+        value = params[member.param]
         if value is None:
             raise ValueError(f"oracle_family: {family} family requires {member.param}")
         chirp = member.chirp(value)

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import qrep
-from qrep.cli import _grid, build_parser
+from qrep.cli import _grid, build_parser, main
 
 QREP_ROOT = str(Path(qrep.__file__).resolve().parents[1])
 GOLDEN = Path(__file__).parent / "golden"
@@ -241,6 +243,17 @@ def test_invalid_state_spec_exit_code():
          "log_window_order"),
         (["transform", "--rep", "correlation", "--u-min", "-800", "--u-max", "2.89"], None,
          "log_window_underflow"),
+        (["transform", "--rep", "momentum", "--u-min", "-3", "--u-max", "1"], None,
+         "rep_spec_field"),
+        (["transform", "--rep", "interp:alpha=0.5", "--u-max", "1"], None, "rep_spec_field"),
+        (["transform", "--rep", "momentum", "--state", "gaussian:s=1"],
+         '{"state": "gaussian", "s": 1.0}', "state_source"),
+        (["moments", "--state", "gaussian:s=1"], '{"state": "gaussian", "s": 1.0}',
+         "state_source"),
+        (["moments", "--state", "gaussian:x0=30", "--n", "64", "--length", "16"], None,
+         "gaussian_contained"),
+        (["moments", "--state", "gaussian:c=1e308", "--n", "64", "--length", "16"], None,
+         "gaussian_phase_finite"),
     ],
 )
 def test_bad_spec_input_exits_with_code(tmp_path, args, config, code):
@@ -252,6 +265,66 @@ def test_bad_spec_input_exits_with_code(tmp_path, args, config, code):
     assert r.returncode == 2
     assert r.stderr.startswith(f"qrep: {code}:"), r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--family", "plane-wave", "--alpha", "0.3"],
+        ["--family", "position-in-momentum", "--theta", "1"],
+        ["--family", "interp", "--alpha", "0.3", "--theta", "1"],
+        ["--family", "rotation", "--theta", "1.5", "--eps", "4"],
+        ["--family", "corr-odd", "--eps", "4"],
+        ["--family", "fresnel", "--eps", "4", "--alpha", "0.3"],
+        ["--family", "fresnel", "--eps", "4", "--lam", "1"],
+    ],
+    ids=" ".join,
+)
+def test_kernel_refuses_an_option_its_family_does_not_read(args):
+    # each family reads the eigenvalue and its own parameter option, no other;
+    # fresnel is the lambda = 0 member of X + (eps/2) P
+    r = run_cli("kernel", *args, "--n", "16", "--length", "16")
+    assert r.returncode == 2
+    assert r.stderr.startswith("qrep: kernel_parameter:"), r.stderr
+    assert "Traceback" not in r.stderr
+
+
+# sha256 of each family's table at n = 16, length 16, as printed when the
+# eigenvalue had one option per family: --p, --a, --lam (interp, rotation),
+# --gamma and none (fresnel, which reads only lambda = 0).
+FAMILY_TABLE_DIGESTS = [
+    (["plane-wave"], "2", "eba5606f0f8139382682325c2d5694690d72942f27da2a6dce0c51ae7198182f"),
+    (["position-in-momentum"], "-1.25",
+     "7d2768cb673de1a5d5323c0b1222ca350a47fa9ce40100f5a7ea99ed38c951c4"),
+    (["interp", "--alpha", "0.2"], "0.7",
+     "8e6f9d478c33db57720cd17ebfa97bfb15f5c4a3d3129cbc5b9faa5ad13ea378"),
+    (["rotation", "--theta", "1.5"], "-0.4",
+     "9d0f702dc0ed8df8767cbacbd2c27a9a3430bc6239dd09a7c8d3569b3c878c4b"),
+    (["corr-even"], "1.5", "6bd42df5929aa75982117ae3585dbfa873f9b7adbdfd7ad3c1a78ec13a443e96"),
+    (["corr-odd"], "-0.75", "de840f5cf9bc28ce3513dfcc17be1c746e9c587e5d337e54176c4e3022a8e664"),
+    (["fresnel", "--eps", "5.0"], "0",
+     "bcd39e13d9328ce9fec80da4702176bd886b43411870a17974e229dd37d828b6"),
+]
+
+
+@pytest.mark.parametrize("spelling", ["--lam", "--lambda", "--p", "--a", "--gamma"])
+@pytest.mark.parametrize("family,value,digest", FAMILY_TABLE_DIGESTS,
+                         ids=[f[0][0] for f in FAMILY_TABLE_DIGESTS])
+def test_every_eigenvalue_spelling_prints_the_family_table(capsys, family, value, digest,
+                                                           spelling):
+    rc = main(["kernel", "--family", *family, spelling, value, "--n", "16", "--length", "16"])
+    assert rc == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_kernel_help_lists_one_eigenvalue_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["kernel", "--help"])
+    text = capsys.readouterr().out
+    assert "--lam LAM, --lambda LAM, --p LAM, --a LAM, --gamma LAM" in text
+    # the value options: the eigenvalue, one parameter per family, then the common ones
+    assert re.findall(r"^  (--[a-z]+) [A-Z]+", text, re.M) == [
+        "--lam", "--alpha", "--theta", "--eps", "--n", "--length", "--out"]
 
 
 @pytest.mark.parametrize(

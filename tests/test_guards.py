@@ -16,12 +16,14 @@ from qrep import (
     apply_s_theta,
     correlation_inverse,
     correlation_kernel,
+    correlation_transform,
     dual_grid,
     from_momentum,
     gaussian,
     interp_kernel,
     log_grid,
     make_grid,
+    parity_flip,
     plane_wave,
     position_kernel_in_momentum,
     quadrature_oracle,
@@ -46,6 +48,11 @@ def _overflowing_oracle():
     # lam^2 overflows, so the kernel and its coefficient are not finite
     with np.errstate(over="ignore", invalid="ignore"):
         return quadrature_oracle(PSI, "interp", [0.0, 1e155], alpha=0.5)
+
+
+def _on_grid(g, x0):
+    # exp(-(x - x0)^2), decayed at both edges of g
+    return Wavefunction(g, np.exp(-((g.points - x0) ** 2)), POSITION)
 
 
 def _cli(*argv):
@@ -90,6 +97,15 @@ def _cli(*argv):
         (lambda: quadrature_oracle(PSI, "plane_wave", [0.0, 1e4]), "momentum_aliasing"),
         (lambda: quadrature_oracle(PSI, "interp", [0.0, np.nan], alpha=0.5), "eigenvalue_finite"),
         (_overflowing_oracle, "sample_finite"),
+        (lambda: quadrature_oracle(PSI, "plane_wave", [0.0], alpha=0.3, theta=1.0),
+         "oracle_family"),
+        (lambda: quadrature_oracle(PSI, "rotation", [0.0], alpha=0.5, theta=1.2),
+         "oracle_family"),
+        # j -> n - j gives the sample at x = -5.4 the value at 5.6 here, not at 5.4
+        (lambda: parity_flip(Wavefunction(Grid(64, 0.25, -7.9), np.ones(64), POSITION)),
+         "parity_lattice"),
+        # the default window needs both half-lines; this grid starts at x = 1
+        (lambda: correlation_transform(_on_grid(Grid(64, 0.25, 1.0), 9.0)), "log_window_support"),
     ],
 )
 def test_guard_raises_its_code(call, code):

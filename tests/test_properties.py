@@ -1,12 +1,17 @@
 """Property tests of the moment engine and the ``a X + b P`` transforms over
-randomly drawn valid states.
+randomly drawn valid states, and of the CLI over drawn spec text.
 
 States come from the ranges the verify suites and the benchmark's small-grid
 session use, on grids of 256 to 4096 points over a length of 40.
 """
 
+import contextlib
+import io
+import json
+import re
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qrep import (
@@ -23,6 +28,7 @@ from qrep import (
     moments,
     rotation_transform,
 )
+from qrep.cli import main
 
 LENGTH = 40.0
 
@@ -100,3 +106,69 @@ def test_member_moments_follow_from_position_moments(psi, member):
     assert abs(lam.var_x - var) <= 1e-12 * var
     det = m.lhs - m.corr_term**2
     assert abs(lam.lhs - lam.corr_term**2 - det) <= 1e-12 * det
+
+
+# Spec text for the CLI: each spec's own fields with any number, including
+# non-finite and overflowing ones, and bodies of junk items.
+_numbers = st.one_of(st.floats(), st.floats(-20.0, 20.0), st.integers(-20, 20))
+_items = st.one_of(
+    st.tuples(st.sampled_from(["s", "k", "alpha", " s ", "", "q"]),
+              st.one_of(_numbers.map(repr), st.text(max_size=5))).map("=".join),
+    st.text(max_size=6),
+)
+_junk = st.tuples(st.sampled_from(["gaussian", "hermite", "interp", "squeezed", ""]),
+                  st.sampled_from([":", ""]), st.lists(_items, max_size=3).map(",".join))
+
+
+def _spec(name, fields):
+    return st.dictionaries(st.sampled_from(fields), _numbers.map(repr), max_size=len(fields)).map(
+        lambda d: name + ":" + ",".join(f"{k}={v}" for k, v in d.items()))
+
+
+_state_specs = st.one_of(_spec("gaussian", ["s", "x0", "p0", "c"]), _spec("hermite", ["k"]),
+                         _junk.map("".join))
+_rep_specs = st.one_of(_spec("interp", ["alpha"]), _spec("rotation", ["theta"]),
+                       st.sampled_from(["momentum", "correlation"]), _junk.map("".join))
+_json_values = st.one_of(st.none(), st.booleans(), _numbers, st.text(max_size=5),
+                         st.lists(_numbers, max_size=2))
+_configs = st.one_of(
+    st.fixed_dictionaries(
+        {"state": st.sampled_from(["gaussian", "hermite"])},
+        optional={k: st.one_of(_numbers, _json_values) for k in ("s", "x0", "p0", "c", "k")},
+    ).map(json.dumps),
+    st.dictionaries(st.sampled_from(["state", "s", "q"]), _json_values, max_size=3).map(json.dumps),
+    st.lists(_json_values, max_size=2).map(json.dumps),
+    st.text(max_size=12),
+)
+
+
+@property_settings
+@given(
+    st.one_of(
+        st.tuples(st.just("moments"), st.just([]), _state_specs, st.none()),
+        st.tuples(st.just("transform"), _rep_specs.map(lambda r: [f"--rep={r}"]),
+                  _state_specs, st.none()),
+        st.tuples(st.just("moments"), st.just([]), st.none(), _configs),
+    )
+)
+# each overflowed in gaussian() with a RuntimeWarning before it was refused
+@example(("moments", [], "gaussian:x0=1.3407807929942597e+154", None))
+@example(("moments", [], None, '{"state": "gaussian", "c": 1e308}'))
+def test_cli_spec_input_exits_zero_or_two_with_a_code(tmp_path_factory, call):
+    # run in process: any exception but a coded ValueError escapes main
+    command, rep, state, config = call
+    argv = [command, *rep, "--n", "64", "--length", "16"]
+    if state is not None:
+        argv.append(f"--state={state}")
+    if config is not None:
+        path = tmp_path_factory.mktemp("spec") / "state.json"
+        path.write_text(config, encoding="utf-8")
+        argv += ["--config", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if rc == 0:
+        assert not err.getvalue()
+    else:
+        assert rc == 2
+        assert re.fullmatch(r"qrep: [a-z_]+: .+\n", err.getvalue(), re.S), err.getvalue()

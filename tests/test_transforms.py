@@ -36,7 +36,7 @@ from qrep import (
 )
 from qrep.grid import Grid, _spline_window, cubic_interpolate, inverse_fourier_sum
 from qrep.kernels import _chirp_resolved, _interp_chirp, _rotation_chirp
-from qrep.transforms import _CHIRP_FAMILIES, _tail_mass
+from qrep.transforms import _CHIRP_FAMILIES, _default_u_window, _tail_mass
 from qrep.verify import _factory_states, _oracle_grid
 
 # the default correlation window at length 40
@@ -801,3 +801,20 @@ def test_correlation_default_window_stays_inside_small_grid():
     spec = correlation_transform(psi)
     assert np.exp(spec.u_grid.points[-1]) <= g.x_max
     assert np.all(np.isfinite(spec.even)) and np.all(np.isfinite(spec.odd))
+
+
+def test_default_window_reaches_only_the_shorter_half_line():
+    # x_max = 24.96 but x_min = -15: a window to 0.45 L = 18 would read past
+    # the last negative sample, which log_resample refuses
+    g = Grid(1024, 40.0 / 1024, -15.0)
+    spec = correlation_transform(gaussian(g, GaussianSpec()))
+    assert _default_u_window(g)[1] == np.log(15.0)
+    assert spec.tail_mass < 1e-6
+
+
+@pytest.mark.parametrize("n,length", [(16, 16.0), (256, 40.0), (1024, 40.0), (2**14, 640.0)])
+def test_default_window_is_unchanged_on_centred_grids(n, length):
+    # there x_max < -x_min, so the shorter half-line bound adds nothing
+    g = make_grid(n, length)
+    assert _default_u_window(g) == (min(-14.0, float(np.log(4.0 * g.dx))),
+                                    float(np.log(min(0.45 * g.length, g.x_max))))
