@@ -152,19 +152,34 @@ def _require_finite_eigenvalue(name: str, value) -> None:
                          f"got {np.ravel(value)[~np.ravel(finite)][0]}")
 
 
+def _require_finite_phase(name: str, value: float, phase: np.ndarray) -> None:
+    """Refuse an eigenvalue so large that the kernel phase overflows."""
+    if not np.isfinite(phase).all():
+        raise ValueError(f"kernel_phase_finite: the kernel phase overflows at {name} = {value}")
+
+
 def _member_samples(g: Grid, chirp: _Chirp, lam: float) -> np.ndarray:
     """Eigenfunction samples of one ``a X + b P`` member on ``g``.
 
     For ``b > 0`` the unit-modulus chirp; at ``b = 0`` (only ``alpha = 1``
-    reaches it) the discrete point mass of :func:`interp_kernel`.
+    reaches it) the discrete point mass of :func:`interp_kernel`, whose
+    nearest sample must lie on the lattice (``point_mass_range``).
     """
     _require_finite_eigenvalue("lam", lam)
+    # NumPy's scalar power is the C pow of Python's, bit for bit, but
+    # overflows to inf where Python's raises OverflowError.
+    lam = np.float64(lam)
     a, b, kappa = chirp.a, chirp.b, chirp.kappa
     if b > 0.0:
         amp = 1.0 / np.sqrt(2.0 * np.pi * b)
         x = g.points
-        phase = np.pi / 4.0 - kappa * lam**2 - a * x**2 / (2.0 * b) + lam * x / b
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = np.pi / 4.0 - kappa * lam**2 - a * x**2 / (2.0 * b) + lam * x / b
+        _require_finite_phase("lam", lam, phase)
         return amp * np.exp(1j * phase)
+    if not g.x_min - g.dx / 2.0 <= lam < g.x_max + g.dx / 2.0:
+        raise ValueError(f"point_mass_range: lam = {lam} has no nearest sample on the lattice "
+                         f"[{g.x_min:g}, {g.x_max:g}]")
     samples = np.zeros(g.n, dtype=complex)
     j = int(np.clip(round((lam - g.x_min) / g.dx), 0, g.n - 1))
     samples[j] = np.exp(0.5j * lam**2) / g.dx
@@ -221,7 +236,9 @@ def correlation_kernel(g: Grid, gamma: float, par: Parity) -> Wavefunction:
     amp = np.zeros(g.n)
     phase = np.zeros(g.n)
     amp[nonzero] = CORRELATION_KERNEL_SCALE / np.sqrt(ax[nonzero])
-    phase[nonzero] = gamma * np.log(ax[nonzero])
+    with np.errstate(over="ignore"):
+        phase[nonzero] = gamma * np.log(ax[nonzero])
+    _require_finite_phase("gamma", gamma, phase)
     samples = amp * np.exp(1j * phase)
     if par is Parity.ODD:
         samples = samples * np.sign(x)

@@ -254,6 +254,11 @@ def test_invalid_state_spec_exit_code():
          "gaussian_contained"),
         (["moments", "--state", "gaussian:c=1e308", "--n", "64", "--length", "16"], None,
          "gaussian_phase_finite"),
+        (["kernel", "--family", "rotation", "--theta", "1.5", "--lam", "1e200", "--n", "64",
+          "--length", "16"], None, "kernel_phase_finite"),
+        (["kernel", "--family", "corr-even", "--gamma", "1e308"], None, "kernel_phase_finite"),
+        (["kernel", "--family", "interp", "--alpha", "1", "--lam", "100"], None,
+         "point_mass_range"),
     ],
 )
 def test_bad_spec_input_exits_with_code(tmp_path, args, config, code):

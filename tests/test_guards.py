@@ -104,8 +104,9 @@ def _cli(*argv):
         # j -> n - j gives the sample at x = -5.4 the value at 5.6 here, not at 5.4
         (lambda: parity_flip(Wavefunction(Grid(64, 0.25, -7.9), np.ones(64), POSITION)),
          "parity_lattice"),
-        # the default window needs both half-lines; this grid starts at x = 1
-        (lambda: correlation_transform(_on_grid(Grid(64, 0.25, 1.0), 9.0)), "log_window_support"),
+        # the default window needs both half-lines; this grid ends at x = -1.25
+        (lambda: correlation_transform(_on_grid(Grid(64, 0.25, -17.0), -9.0)),
+         "log_window_support"),
     ],
 )
 def test_guard_raises_its_code(call, code):

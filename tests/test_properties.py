@@ -141,6 +141,13 @@ _configs = st.one_of(
     st.text(max_size=12),
 )
 
+# a family with its own parameter option, if any, and an eigenvalue
+_kernel_args = st.tuples(
+    st.sampled_from([["plane-wave"], ["position-in-momentum"], ["corr-even"], ["corr-odd"],
+                     ["interp", "--alpha"], ["rotation", "--theta"], ["fresnel", "--eps"]]),
+    st.one_of(st.floats(0.0, 1.6), _numbers), _numbers,
+).map(lambda t: ["--family", t[0][0], *[f"{o}={t[1]!r}" for o in t[0][1:]], f"--lam={t[2]!r}"])
+
 
 @property_settings
 @given(
@@ -149,11 +156,13 @@ _configs = st.one_of(
         st.tuples(st.just("transform"), _rep_specs.map(lambda r: [f"--rep={r}"]),
                   _state_specs, st.none()),
         st.tuples(st.just("moments"), st.just([]), st.none(), _configs),
+        st.tuples(st.just("kernel"), _kernel_args, st.none(), st.none()),
     )
 )
-# each overflowed in gaussian() with a RuntimeWarning before it was refused
+# each overflowed, with a RuntimeWarning or an OverflowError, before it was refused
 @example(("moments", [], "gaussian:x0=1.3407807929942597e+154", None))
 @example(("moments", [], None, '{"state": "gaussian", "c": 1e308}'))
+@example(("kernel", ["--family", "rotation", "--theta=1.5", "--lam=1e+200"], None, None))
 def test_cli_spec_input_exits_zero_or_two_with_a_code(tmp_path_factory, call):
     # run in process: any exception but a coded ValueError escapes main
     command, rep, state, config = call
