@@ -191,6 +191,10 @@ _KERNEL_PARAMS = tuple(param for param, _ in _KERNELS.values() if param)
 
 def cmd_kernel(args) -> int:
     g = _grid(args)
+    if len(args.lam) > 1:
+        given = " and ".join(f"{option} {value!r}" for option, value in args.lam)
+        raise ValueError(f"kernel_parameter: give the eigenvalue once, got {given}")
+    lam = args.lam[0][1] if args.lam else 0.0
     fam = args.family
     param, sample = _KERNELS[fam]
     for other in _KERNEL_PARAMS:
@@ -202,7 +206,7 @@ def cmd_kernel(args) -> int:
     if fam in _CHIRP_FAMILIES:  # an unresolved chirp is refused before sampling
         chirp = _CHIRP_FAMILIES[fam].chirp(value)
         _require_chirp_resolved(chirp.a, chirp.b, g)
-    _emit_table(args, ["x", "re", "im", "abs"], _sample_columns(sample(g, value, args.lam)))
+    _emit_table(args, ["x", "re", "im", "abs"], _sample_columns(sample(g, value, lam)))
     return 0
 
 
@@ -318,6 +322,14 @@ def _add_state(sub):
     sub.add_argument("--config", default=None, help="JSON file with the same fields as --state")
 
 
+class _EachEigenvalue(argparse.Action):
+    """Collects every eigenvalue option given as ``(spelling, value)``: the five
+    spellings share one dest, so a repeat is seen rather than silently kept."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, (*getattr(namespace, self.dest), (option_string, values)))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qrep",
@@ -329,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     pk = sub.add_parser("kernel", help="sample an eigenfunction family")
     pk.add_argument("--family", required=True, choices=tuple(_KERNELS))
     pk.add_argument("--lam", "--lambda", "--p", "--a", "--gamma", dest="lam", type=float,
-                    default=0.0, help="eigenvalue of the family's observable (p, a, gamma, lambda)")
+                    action=_EachEigenvalue, default=(),
+                    help="eigenvalue of the family's observable (p, a, gamma, lambda)")
     pk.add_argument("--alpha", type=float, default=None, help="interp parameter")
     pk.add_argument("--theta", type=float, default=None, help="rotation angle")
     pk.add_argument("--eps", type=float, default=None, help="fresnel width")

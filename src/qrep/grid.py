@@ -11,7 +11,15 @@ Every other module builds on the conventions fixed here:
 * integrals are rectangle sums ``sum_j f_j * dx``, which is exact for the
   band-limited periodic case and makes the discrete Fourier map unitary;
 * the spline is fitted and read here alone: ``log_resample`` reads a state
-  onto a lattice in ``u = ln|x|``, and ``_log_read_back`` reads it back.
+  onto a lattice in ``u = ln|x|``, and ``_log_read_back`` reads it back;
+* every unit phasor ``e^(i phi)`` in qrep is ``_cis(phi)``, for a real ``phi``
+  (array or scalar): ``cos phi`` and ``sin phi + 0.0`` written into one complex
+  buffer.  That is ``np.exp(1j * phi)`` bit for bit, and cheaper to form:
+  the imaginary part of ``1j * phi`` is ``0 + phi``, so the sine of a ``-0``
+  phase is ``+0`` in both.  ``e^(-i phi)`` is ``_cis(-phi)``, whose imaginary
+  part is ``+0`` where ``np.exp(-1j * phi)``'s is ``-0`` (``phi = +0``); each
+  caller's tests show that this zero's sign reaches none of its outputs.
+  Phases must be finite; the callers refuse the others first.
 """
 
 from __future__ import annotations
@@ -42,6 +50,17 @@ __all__ = [
 BOUNDARY_DECAY_TOL = 1e-12
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
+def _cis(phase):
+    """``e^(i phase)`` of a real array or scalar: ``np.exp(1j * phase)`` bit for
+    bit (see the module docstring), from one cosine and one sine pass."""
+    phase = np.asarray(phase, dtype=float)
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    out.imag += 0.0  # -0 -> +0, as in 1j * phase
+    return out if out.ndim else out[()]
 
 
 def _require_grid_size(n: int) -> None:
@@ -512,7 +531,7 @@ def _phase_table(k_grid: Grid, x0: float) -> np.ndarray:
     Grids that compare equal have the same points, so the pair is the key.
     ``x0 = 0.0`` and ``-0.0`` share an entry: their tables are bit-identical.
     """
-    table = np.exp(-1j * k_grid.points * x0)
+    table = _cis(k_grid.points * -x0)
     table.setflags(write=False)
     return table
 

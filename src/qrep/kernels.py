@@ -2,7 +2,7 @@
 
 These are delta-normalized continuum families, not states: their grid norms
 grow with the domain length and no sampler normalizes its output.  Each
-sampler builds its result as ``amplitude * exp(i * phase)`` with a real phase
+sampler builds its result as ``amplitude * grid._cis(phase)`` with a real phase
 array, which keeps the modulus exactly constant where it should be constant.
 
 Each member of the ``a X + b P`` families is a ``_Chirp``, built by
@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import _SQRT_2PI, Grid, MOMENTUM, POSITION, RepresentationLabel, Wavefunction, dual_grid
+from .grid import (_SQRT_2PI, Grid, MOMENTUM, POSITION, RepresentationLabel, Wavefunction, _cis,
+                   dual_grid)
 
 __all__ = [
     "Parity",
@@ -74,7 +75,7 @@ def plane_wave(g: Grid, p: float) -> Wavefunction:
     The eigenvalue must be representable on the lattice, ``|p| <= pi/dx``.
     """
     _require_resolved(g, p, "momentum_aliasing")
-    return Wavefunction(g, np.exp(1j * (p * g.points)) / _SQRT_2PI, POSITION)
+    return Wavefunction(g, _cis(p * g.points) / _SQRT_2PI, POSITION)
 
 
 def position_kernel_in_momentum(g: Grid, a: float) -> Wavefunction:
@@ -84,7 +85,7 @@ def position_kernel_in_momentum(g: Grid, a: float) -> Wavefunction:
     (``momentum_lattice``); ``|a|`` must not exceed ``pi/dp``.
     """
     _require_resolved(g, a, "position_aliasing")
-    return Wavefunction(g, np.exp(1j * (-a * g.points)) / _SQRT_2PI, MOMENTUM)
+    return Wavefunction(g, _cis(-a * g.points) / _SQRT_2PI, MOMENTUM)
 
 
 # One member of the ``a X + b P`` families, the single owner of its parameter
@@ -176,13 +177,13 @@ def _member_samples(g: Grid, chirp: _Chirp, lam: float) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             phase = np.pi / 4.0 - kappa * lam**2 - a * x**2 / (2.0 * b) + lam * x / b
         _require_finite_phase("lam", lam, phase)
-        return amp * np.exp(1j * phase)
+        return amp * _cis(phase)
     if not g.x_min - g.dx / 2.0 <= lam < g.x_max + g.dx / 2.0:
         raise ValueError(f"point_mass_range: lam = {lam} has no nearest sample on the lattice "
                          f"[{g.x_min:g}, {g.x_max:g}]")
     samples = np.zeros(g.n, dtype=complex)
     j = int(np.clip(round((lam - g.x_min) / g.dx), 0, g.n - 1))
-    samples[j] = np.exp(0.5j * lam**2) / g.dx
+    samples[j] = _cis(0.5 * lam**2) / g.dx
     return samples
 
 
@@ -239,7 +240,7 @@ def correlation_kernel(g: Grid, gamma: float, par: Parity) -> Wavefunction:
     with np.errstate(over="ignore"):
         phase[nonzero] = gamma * np.log(ax[nonzero])
     _require_finite_phase("gamma", gamma, phase)
-    samples = amp * np.exp(1j * phase)
+    samples = amp * _cis(phase)
     if par is Parity.ODD:
         samples = samples * np.sign(x)
     return Wavefunction(g, samples, POSITION)

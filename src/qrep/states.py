@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, POSITION, Wavefunction
+from .grid import Grid, POSITION, Wavefunction, _cis
 
 __all__ = ["GaussianSpec", "gaussian", "hermite", "MAX_HERMITE_ORDER"]
 
@@ -69,7 +69,7 @@ def gaussian(g: Grid, spec: GaussianSpec = GaussianSpec()) -> Wavefunction:
             f"gaussian_phase_finite: the phase c (x-x0)^2/2 + p0 x overflows on this grid "
             f"(c={spec.c:g}, p0={spec.p0:g})"
         )
-    return Wavefunction(g, amp * np.exp(1j * phase), POSITION)
+    return Wavefunction(g, amp * _cis(phase), POSITION)
 
 
 def hermite(g: Grid, k: int) -> Wavefunction:

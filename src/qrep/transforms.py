@@ -29,6 +29,7 @@ from .grid import (
     Wavefunction,
     _SQRT_2PI,
     _annulus,
+    _cis,
     _fourier_sum_inplace,
     _log_read_back,
     dual_grid,
@@ -117,24 +118,24 @@ def _linear_transform(psi: Wavefunction, chirp: _Chirp) -> Wavefunction:
     a, b, kappa, mu = chirp.a, chirp.b, chirp.kappa, chirp.mu
     g = psi.grid
     if _chirp_resolved(a, b, g):
-        pre = np.exp(1j * (a / b) * g.points**2 / 2.0)
+        pre = _cis((a / b) * g.points**2 / 2.0)
         kgrid, G = fourier_sum(pre * psi.samples, g)
         dlam = b * kgrid.dx
         lam_grid = Grid(g.n, dlam, -(g.n // 2) * dlam)
         lam = lam_grid.points
         out = (
-            np.exp(-1j * np.pi / 4.0)
-            * np.exp(1j * kappa * lam**2)
+            _cis(-np.pi / 4.0)
+            * _cis(kappa * lam**2)
             * G
             / np.sqrt(2.0 * np.pi * b)
         )
         return Wavefunction(lam_grid, out, label)
     kgrid, tilde = fourier_sum(psi.samples, g)
-    pre = np.exp(-1j * (b / a) * kgrid.points**2 / 2.0)
+    pre = _cis(-(b / a) * kgrid.points**2 / 2.0)
     S = inverse_fourier_sum(pre * (tilde / _SQRT_2PI), g)
     lam_grid = Grid(g.n, a * g.dx, a * g.x_min)
     lam = lam_grid.points
-    out = np.exp(-1j * mu * lam**2) * S / np.sqrt(2.0 * np.pi * a)
+    out = _cis(-mu * lam**2) * S / np.sqrt(2.0 * np.pi * a)
     return Wavefunction(lam_grid, out, label)
 
 
@@ -342,7 +343,7 @@ def _two_prod(a, b):
 
 def _exp_minus_i(hi, lo):
     """``e^(-i (hi + lo))``, first order in the small ``lo``."""
-    return np.exp(-1j * hi) * (1.0 - 1j * lo)
+    return _cis(-hi) * (1.0 - 1j * lo)
 
 
 def _phase_ladder(freqs: np.ndarray, step: float, count: int) -> np.ndarray:
@@ -436,8 +437,8 @@ def quadrature_oracle(
         _require_finite_eigenvalue("lam", lambdas)
         a, b = chirp.a, chirp.b
         if b > 0.0:
-            pre = np.exp(1j * (a * g.points**2 / (2.0 * b))) * psi.samples
-            scale = (np.exp(-1j * (np.pi / 4.0 - chirp.kappa * lambdas**2))
+            pre = _cis(a * g.points**2 / (2.0 * b)) * psi.samples
+            scale = (_cis(-(np.pi / 4.0 - chirp.kappa * lambdas**2))
                      / np.sqrt(2.0 * np.pi * b))
             out = scale * _plane_wave_sums(g, pre, lambdas / b)
         else:

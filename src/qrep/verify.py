@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .grid import (_SQRT_2PI, POSITION, Grid, Wavefunction, dual_grid, fourier_sum, inner,
+from .grid import (_SQRT_2PI, POSITION, Grid, Wavefunction, _cis, dual_grid, fourier_sum, inner,
                    make_grid, norm)
 from .kernels import (
     Parity,
@@ -126,6 +126,9 @@ def _monotone(name: str, errs: list[float]) -> CheckReport:
     return CheckReport(name, {}, max(b / a for a, b in zip(errs, errs[1:])), 1.0)
 
 
+_FD_REACH = 2  # samples on each side that the finite-difference derivative reads
+
+
 def _fd_derivative(values: np.ndarray, dx: float) -> np.ndarray:
     """Fourth-order central first derivative; the outer two points are NaN."""
     d = np.full(len(values), np.nan, dtype=complex)
@@ -140,14 +143,26 @@ def _windowed_eigen_residual(
 
     Differentiates by finite differences: the kernels are not periodic, so
     the spectral derivative does not apply to them.  With ``f`` the kernel,
-    ``(a X + b P + c C) f = (a x - i c/2) f - i (b + c x) f'``.  The window
-    must avoid the domain edges.
+    ``(a X + b P + c C) f = (a x - i c/2) f - i (b + c x) f'``.  Only the
+    window's span is read, plus the 2 samples on each side that the
+    derivative reaches, cut at the lattice ends; so the masked residuals, and
+    the result, are those of the whole lattice bit for bit.  The two samples
+    at each lattice end have no derivative and are left out; a window with
+    no other sample is refused (``eigen_window_empty``).
     """
-    x, f = kernel.grid.points, kernel.samples
-    deriv = _fd_derivative(f, kernel.grid.dx)
+    g = kernel.grid
+    idx = np.flatnonzero(window)
+    lo = max(int(idx[0]) - _FD_REACH, 0) if idx.size else 0
+    hi = min(int(idx[-1]) + _FD_REACH + 1, g.n) if idx.size else 0
+    x = g.x_min + g.dx * np.arange(lo, hi)  # g.points[lo:hi]
+    f = kernel.samples[lo:hi]
+    deriv = _fd_derivative(f, g.dx)
     op = (a * x - 0.5j * c) * f - 1j * ((b + c * x) * deriv)
     resid = op - eigenvalue * f
-    mask = window & np.isfinite(resid.real)
+    mask = window[lo:hi] & np.isfinite(resid.real)
+    if not mask.any():
+        raise ValueError("eigen_window_empty: the window holds no sample at least "
+                         f"{_FD_REACH} from a lattice end")
     num = np.sqrt(np.sum(np.abs(resid[mask]) ** 2))
     den = np.sqrt(np.sum(np.abs(f[mask]) ** 2))
     return float(num / den)
@@ -328,9 +343,9 @@ def _suite_limits(g: Grid) -> list[CheckReport]:
     # Tolerances: 1.5x the measured defect for the coarse steps, the
     # acceptance bound 1e-2 at the finest step.
     for name, alpha_at, phase, tols in (
-        ("interp_limit_fourier", lambda eps: eps, lambda lam: np.exp(-1j * np.pi / 4.0),
+        ("interp_limit_fourier", lambda eps: eps, lambda lam: _cis(-np.pi / 4.0),
          (8.6e-2, 8.8e-3, 1e-2)),
-        ("interp_limit_identity", lambda eps: 1.0 - eps, lambda lam: np.exp(-0.5j * lam**2),
+        ("interp_limit_identity", lambda eps: 1.0 - eps, lambda lam: _cis(-0.5 * lam**2),
          (1.5 * 5.8e-2, 1.5 * 5.9e-3, 1e-2)),
     ):
         errs = []

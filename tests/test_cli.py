@@ -259,6 +259,8 @@ def test_invalid_state_spec_exit_code():
         (["kernel", "--family", "corr-even", "--gamma", "1e308"], None, "kernel_phase_finite"),
         (["kernel", "--family", "interp", "--alpha", "1", "--lam", "100"], None,
          "point_mass_range"),
+        (["kernel", "--family", "plane-wave", "--p", "1", "--gamma", "2", "--n", "16",
+          "--length", "16"], None, "kernel_parameter"),
     ],
 )
 def test_bad_spec_input_exits_with_code(tmp_path, args, config, code):
@@ -320,6 +322,21 @@ def test_every_eigenvalue_spelling_prints_the_family_table(capsys, family, value
     rc = main(["kernel", "--family", *family, spelling, value, "--n", "16", "--length", "16"])
     assert rc == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+EIGENVALUE_SPELLINGS = ["--lam", "--lambda", "--p", "--a", "--gamma"]
+
+
+@pytest.mark.parametrize("second", EIGENVALUE_SPELLINGS)
+@pytest.mark.parametrize("first", EIGENVALUE_SPELLINGS)
+def test_kernel_refuses_a_second_eigenvalue_in_any_spelling(capsys, first, second):
+    # the spellings share one dest, where the last one used to win silently
+    rc = main(["kernel", "--family", "plane-wave", first, "1", second, "2",
+               "--n", "16", "--length", "16"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == (f"qrep: kernel_parameter: give the eigenvalue once, got {first} 1.0 "
+                   f"and {second} 2.0\n")
 
 
 def test_kernel_help_lists_one_eigenvalue_option(capsys):

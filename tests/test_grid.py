@@ -27,6 +27,7 @@ from qrep import (
 )
 from qrep.grid import (
     MOMENTUM,
+    _cis,
     _phase_table,
     _spline_coeffs,
     _spline_eval,
@@ -566,3 +567,46 @@ def test_only_grid_names_the_spline_helpers():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 names.update(alias.name.rpartition(".")[2] for alias in node.names)
         assert not [name for name in names if name.startswith("_spline")], path.name
+
+
+def _bits(values):
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(np.uint64)
+
+
+_TINY, _MAX = np.nextafter(0.0, 1.0), np.finfo(float).max
+_SPECIAL_PHASES = np.array([0.0, -0.0, np.pi, -np.pi, np.pi / 4.0, -np.pi / 4.0, _TINY, -_TINY,
+                            1e-310, -1e-310, np.finfo(float).tiny, -np.finfo(float).tiny,
+                            _MAX, -_MAX])
+
+
+def test_cis_is_exp_of_i_phase_bit_for_bit():
+    rng = np.random.default_rng(20231)
+    for _ in range(8):
+        phase = 10.0 ** rng.uniform(-8.0, 300.0, 2**17) * rng.choice([-1.0, 1.0], 2**17)
+        assert np.array_equal(_bits(_cis(phase)), _bits(np.exp(1j * phase)))
+    assert np.array_equal(_bits(_cis(_SPECIAL_PHASES)), _bits(np.exp(1j * _SPECIAL_PHASES)))
+    # +0 imaginary part at a -0 phase, as 1j * phase gives
+    assert _bits(_cis(-0.0))[1] == 0
+
+
+@pytest.mark.parametrize("phase", [*_SPECIAL_PHASES, 0.3, np.float64(-2.5)])
+def test_cis_of_a_scalar_is_the_complex_scalar_of_exp(phase):
+    out, ref = _cis(phase), np.exp(1j * phase)
+    assert type(out) is type(ref) is np.complex128
+    assert np.array_equal(_bits(out), _bits(ref))
+
+
+def test_cis_keeps_the_shape_of_its_phase():
+    phase = np.arange(12.0).reshape(3, 4)
+    assert np.array_equal(_bits(_cis(phase)), _bits(np.exp(1j * phase)))
+
+
+@pytest.mark.parametrize("x0", [0.0, -0.0, -20.0, 3.7, -1.7, -np.log(2.0) * 7.0])
+@pytest.mark.parametrize("x_grid", [make_grid(64, 16.0), Grid(1024, 0.037, -1.7),
+                                    log_grid(4096, -14.0, np.log(18.0))])
+def test_phase_table_is_the_old_exponential(x_grid, x0):
+    # k = 0 lies on each centred dual lattice, where -1j * k is a -0 imaginary part
+    _phase_table.cache_clear()
+    k_grid = dual_grid(x_grid)
+    table = _phase_table(k_grid, x0)
+    assert np.array_equal(_bits(table), _bits(np.exp(-1j * k_grid.points * x0)))

@@ -16,6 +16,7 @@ from qrep import (
     rotation_kernel,
     correlation_kernel,
 )
+from qrep.kernels import _Chirp, _interp_chirp, _rotation_chirp
 
 INV_SQRT_2PI = (2 * np.pi) ** -0.5
 
@@ -210,3 +211,82 @@ def test_fresnel_delta_resolution_guard(g1024):
 def test_fresnel_delta_rejects_nonpositive(g1024):
     with pytest.raises(ValueError, match="fresnel_eps_positive"):
         fresnel_delta(g1024, 0.0)
+
+
+# --- every sampler's phasor is the old np.exp(1j * phase), bit for bit ------
+
+
+def _bits(values):
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(np.uint64)
+
+
+def _chirp_reference(g, chirp, lam):
+    lam = np.float64(lam)
+    a, b, kappa, x = chirp.a, chirp.b, chirp.kappa, g.points
+    phase = np.pi / 4.0 - kappa * lam**2 - a * x**2 / (2.0 * b) + lam * x / b
+    return 1.0 / np.sqrt(2.0 * np.pi * b) * np.exp(1j * phase)
+
+
+@pytest.mark.parametrize("p", [0.0, -0.0, 1.5, -3.2, 40.0, np.pi / (40.0 / 1024)])
+def test_plane_wave_is_the_old_exponential(g1024, p):
+    ref = np.exp(1j * (p * g1024.points)) / np.sqrt(2.0 * np.pi)
+    assert np.array_equal(_bits(plane_wave(g1024, p).samples), _bits(ref))
+
+
+@pytest.mark.parametrize("a", [0.0, -0.0, 2.5, -7.25])
+def test_position_kernel_is_the_old_exponential(g1024, a):
+    k_grid = dual_grid(g1024)
+    ref = np.exp(1j * (-a * k_grid.points)) / np.sqrt(2.0 * np.pi)
+    assert np.array_equal(_bits(position_kernel_in_momentum(k_grid, a).samples), _bits(ref))
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.0, -0.0, 0.5, 2.0])
+@pytest.mark.parametrize("family,value", [("interp", 0.0), ("interp", 0.25), ("interp", 0.999),
+                                          ("rotation", np.pi / 6), ("rotation", np.pi / 2)])
+def test_chirp_kernels_are_the_old_exponential(g1024, family, value, lam):
+    if family == "interp":
+        out, chirp = interp_kernel(g1024, value, lam), _interp_chirp(value)
+    else:
+        out, chirp = rotation_kernel(g1024, value, lam), _rotation_chirp(value)
+    assert np.array_equal(_bits(out.samples), _bits(_chirp_reference(g1024, chirp, lam)))
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.5])
+def test_fresnel_delta_is_the_old_exponential(g1024, eps):
+    # the lambda = 0 member of X + (eps/2) P
+    ref = _chirp_reference(g1024, _Chirp(1.0, eps / 2.0, 0.0, np.inf, None), 0.0)
+    assert np.array_equal(_bits(fresnel_delta(g1024, eps).samples), _bits(ref))
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.0, 0.5, -1.0, 3.3, 19.9])
+def test_point_mass_is_the_old_exponential(g1024, lam):
+    out = interp_kernel(g1024, 1.0, lam).samples
+    j = int(np.flatnonzero(out)[0])
+    assert np.array_equal(_bits(out[j]), _bits(np.exp(0.5j * np.float64(lam) ** 2) / g1024.dx))
+
+
+@pytest.mark.parametrize("gamma", [-2.0, 0.0, -0.0, 1.0, 37.5])
+@pytest.mark.parametrize("par", [Parity.EVEN, Parity.ODD])
+def test_correlation_kernel_is_the_old_exponential(g1024, gamma, par):
+    x = g1024.points
+    ax = np.abs(x)
+    nonzero = ax > 0.0
+    amp, phase = np.zeros(g1024.n), np.zeros(g1024.n)
+    amp[nonzero] = CORRELATION_KERNEL_SCALE / np.sqrt(ax[nonzero])
+    phase[nonzero] = gamma * np.log(ax[nonzero])
+    ref = amp * np.exp(1j * phase)
+    if par is Parity.ODD:
+        ref = ref * np.sign(x)
+    assert np.array_equal(_bits(correlation_kernel(g1024, gamma, par).samples), _bits(ref))
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [lambda g: interp_kernel(g, 0.5, 1e200), lambda g: rotation_kernel(g, 1.5, -1e200),
+     lambda g: correlation_kernel(g, 1e308, Parity.EVEN)],
+    ids=["interp", "rotation", "correlation"],
+)
+def test_overflowing_phase_is_refused_before_any_phasor(g1024, sample):
+    # warnings are errors here, so a cos or sin of inf would fail with a RuntimeWarning
+    with pytest.raises(ValueError, match="kernel_phase_finite"):
+        sample(g1024)

@@ -1,7 +1,8 @@
 """The import layering of ``src/qrep``, read from each module's syntax tree.
 
 The library modules sit below the checks and the front end, every
-check-only helper lives in ``verify``, and only ``grid`` calls the FFT.
+check-only helper lives in ``verify``, only ``grid`` calls the FFT, and every
+unit phasor goes through ``grid._cis``.
 """
 
 import ast
@@ -131,3 +132,52 @@ def test_conjugation_checks_are_exported_from_verify():
     assert qrep.conjugation_defect is qrep.verify.conjugation_defect
     assert not hasattr(qrep, "windowed_conjugation_defect")
     assert not hasattr(qrep.verify, "windowed_conjugation_defect")
+
+
+def _imaginary_exps(tree: ast.Module) -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of each ``exp`` call, as ``np.exp``,
+    ``numpy.exp`` or a bare ``exp``, with an imaginary literal in its arguments."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "exp"
+                    and isinstance(f.value, ast.Name) and f.value.id in ("np", "numpy")
+                    or isinstance(f, ast.Name) and f.id == "exp"):
+                if any(isinstance(c, ast.Constant) and isinstance(c.value, complex)
+                       for arg in [*node.args, *node.keywords] for c in ast.walk(arg)):
+                    found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "")
+    return found
+
+
+def test_every_unit_phasor_goes_through_cis():
+    modules = sorted(p.stem for p in SRC.glob("*.py"))
+    found = {module: _imaginary_exps(_tree(module)) for module in modules}
+    assert [(m, site) for m, sites in found.items() for site in sites
+            if (m, site[0]) != ("grid", "_cis")] == []
+    assert {m for m in modules if "_cis" in _defined_functions(m)} == {"grid"}
+
+
+@pytest.mark.parametrize(
+    "source,functions",
+    [
+        ("np.exp(1j * x)", [""]),
+        ("numpy.exp(-0.5j * x**2)", [""]),
+        ("from numpy import exp\nexp(x * 2j)", [""]),
+        ("np.exp(a=1j)", [""]),
+        ("np.exp(-x**2)", []),
+        ("np.exp(x) * 1j", []),
+        ("np.cos(1j * x)", []),
+        ("def _cis(x):\n    return np.exp(1j * x)", ["_cis"]),
+        ("def f(x):\n    def g():\n        return np.exp(1j)\n    return np.exp(2j)", ["f", "g"]),
+    ],
+)
+def test_imaginary_exp_reader_sees_every_spelling(source, functions):
+    assert sorted(f for f, _ in _imaginary_exps(ast.parse(source))) == functions

@@ -248,3 +248,59 @@ def test_fd_derivative_matches_analytic():
     d = _fd_derivative(f, g.dx)
     m = np.isfinite(d.real)
     assert np.abs(d[m] - exact[m]).max() < 1e-9
+
+
+# --- the eigen-residual reads only its window --------------------------------
+
+
+def _whole_grid_residual(kernel, eigenvalue, window, a, b, c):
+    """The residual formed on every sample of the lattice, then masked."""
+    x, f = kernel.grid.points, kernel.samples
+    deriv = _fd_derivative(f, kernel.grid.dx)
+    op = (a * x - 0.5j * c) * f - 1j * ((b + c * x) * deriv)
+    resid = op - eigenvalue * f
+    mask = window & np.isfinite(resid.real)
+    num = np.sqrt(np.sum(np.abs(resid[mask]) ** 2))
+    den = np.sqrt(np.sum(np.abs(f[mask]) ** 2))
+    return float(num / den)
+
+
+def _residual_cases():
+    g_wide, g_fine = make_grid(8192, 40.0), make_grid(16384, 20.0)
+    dp = dual_grid(g_wide).dx
+    p = round(0.5 / dp) * dp
+    wave = (plane_wave(g_wide, p), p, (0.0, 1.0, 0.0))
+    chirp = (interp_kernel(g_fine, 0.75, 2.0), 2.0, (0.75, 0.25, 0.0))
+    corr = (correlation_kernel(g_wide, -2.0, Parity.ODD), -2.0, (0.0, 0.0, 1.0))
+    n = g_wide.n
+    head, tail = np.arange(n) < 40, np.arange(n) >= n - 40
+    ax = np.abs(g_wide.points)
+    return [
+        pytest.param(wave, ax <= g_wide.length / 4.0, id="quarter"),
+        pytest.param(chirp, np.abs(g_fine.points) <= g_fine.length / 4.0, id="quarter_fine"),
+        pytest.param(corr, (ax >= 1.0) & (ax <= 8.0), id="annulus"),
+        pytest.param(wave, head, id="first_sample"),
+        pytest.param(wave, tail, id="last_sample"),
+        pytest.param(wave, head | tail, id="both_ends"),
+        pytest.param(corr, np.ones(n, dtype=bool), id="whole_lattice"),
+        pytest.param(wave, np.arange(n) == 2, id="third_sample"),
+        pytest.param(wave, np.arange(n) == n - 3, id="third_to_last_sample"),
+    ]
+
+
+@pytest.mark.parametrize("case,window", _residual_cases())
+def test_windowed_residual_is_the_whole_grid_residual_bit_for_bit(case, window):
+    kernel, eigenvalue, (a, b, c) = case
+    got = _windowed_eigen_residual(kernel, eigenvalue, window, a, b, c)
+    ref = _whole_grid_residual(kernel, eigenvalue, window, a, b, c)
+    assert np.float64(got).view(np.uint64) == np.float64(ref).view(np.uint64)
+
+
+@pytest.mark.parametrize("edge", ["none", "first_two", "last_two"])
+def test_windowed_residual_refuses_a_window_with_no_derivative(edge):
+    # the two samples at each lattice end have no finite-difference derivative
+    g = make_grid(64, 16.0)
+    window = np.zeros(g.n, dtype=bool)
+    window[{"none": slice(0), "first_two": slice(0, 2), "last_two": slice(-2, None)}[edge]] = True
+    with pytest.raises(ValueError, match="eigen_window_empty"):
+        _windowed_eigen_residual(plane_wave(g, 0.5), 0.5, window, 0.0, 1.0, 0.0)

@@ -91,3 +91,23 @@ def test_hermite_order_guard(g1024, k):
 def test_hermite_fine_grid_stability():
     g = make_grid(8192, 40.0)
     assert abs(norm(hermite(g, 12)) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GaussianSpec(), GaussianSpec(s=1.0, c=2.0), GaussianSpec(s=1.5, x0=1.0, p0=-0.5),
+     GaussianSpec(s=0.8, x0=-3.0, p0=2.0, c=-1.0), GaussianSpec(s=1.0, p0=-0.0, c=-0.0)],
+)
+def test_gaussian_phasor_is_the_old_exponential(g1024, spec):
+    x = g1024.points
+    xc = x - spec.x0
+    amp = (np.pi * spec.s**2) ** -0.25 * np.exp(-(xc**2) / (2.0 * spec.s**2))
+    ref = amp * np.exp(1j * (0.5 * spec.c * xc**2 + spec.p0 * x))
+    out = gaussian(g1024, spec).samples
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("spec", [GaussianSpec(c=1e308), GaussianSpec(p0=1e308)])
+def test_gaussian_overflowing_phase_is_refused_before_any_phasor(g1024, spec):
+    with pytest.raises(ValueError, match="gaussian_phase_finite"):
+        gaussian(g1024, spec)

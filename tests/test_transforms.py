@@ -34,9 +34,10 @@ from qrep import (
     rotation_transform,
     to_momentum,
 )
-from qrep.grid import Grid, _spline_window, cubic_interpolate, inverse_fourier_sum
+from qrep.grid import Grid, _spline_window, cubic_interpolate, fourier_sum, inverse_fourier_sum
 from qrep.kernels import _chirp_resolved, _interp_chirp, _rotation_chirp
-from qrep.transforms import _CHIRP_FAMILIES, _default_u_window, _tail_mass
+from qrep.transforms import (_CHIRP_FAMILIES, _default_u_window, _exp_minus_i,
+                             _plane_wave_sums, _tail_mass)
 from qrep.verify import _factory_states, _oracle_grid
 
 # the default correlation window at length 40
@@ -818,3 +819,71 @@ def test_default_window_is_unchanged_on_centred_grids(n, length):
     g = make_grid(n, length)
     assert _default_u_window(g) == (min(-14.0, float(np.log(4.0 * g.dx))),
                                     float(np.log(min(0.45 * g.length, g.x_max))))
+
+
+# --- the chirp phasors are the old np.exp(+-1j * ...), bit for bit -----------
+
+
+def _bits(values):
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(np.uint64)
+
+
+def _old_linear_transform(psi, chirp):
+    a, b, kappa, mu = chirp.a, chirp.b, chirp.kappa, chirp.mu
+    g = psi.grid
+    if _chirp_resolved(a, b, g):
+        pre = np.exp(1j * (a / b) * g.points**2 / 2.0)
+        kgrid, big_g = fourier_sum(pre * psi.samples, g)
+        dlam = b * kgrid.dx
+        lam = Grid(g.n, dlam, -(g.n // 2) * dlam).points
+        return (np.exp(-1j * np.pi / 4.0) * np.exp(1j * kappa * lam**2) * big_g
+                / np.sqrt(2.0 * np.pi * b))
+    kgrid, tilde = fourier_sum(psi.samples, g)
+    pre = np.exp(-1j * (b / a) * kgrid.points**2 / 2.0)
+    s = inverse_fourier_sum(pre * (tilde / np.sqrt(2.0 * np.pi)), g)
+    lam = Grid(g.n, a * g.dx, a * g.x_min).points
+    return np.exp(-1j * mu * lam**2) * s / np.sqrt(2.0 * np.pi * a)
+
+
+CHIRP_SIDES = [("interp", 0.0, True), ("interp", 0.3, True), ("interp", 0.9, False),
+               ("interp", 1.0, False), ("rotation", 1e-3, False), ("rotation", 0.15, False),
+               ("rotation", np.pi / 4, True), ("rotation", np.pi / 2, True)]
+
+
+@pytest.mark.parametrize("family,value,position_side", CHIRP_SIDES)
+def test_chirp_transforms_are_the_old_exponentials(factory_states, family, value, position_side):
+    member = _CHIRP_FAMILIES[family]
+    chirp = member.chirp(value)
+    for name, psi in factory_states:
+        assert bool(_chirp_resolved(chirp.a, chirp.b, psi.grid)) is position_side
+        out = member.transform(psi, value).samples
+        assert np.array_equal(_bits(out), _bits(_old_linear_transform(psi, chirp))), name
+
+
+def test_exp_minus_i_is_the_old_exponential():
+    rng = np.random.default_rng(2303)
+    hi = np.concatenate([[0.0, -0.0, 0.0, -0.0, np.pi], rng.normal(scale=1e3, size=4096)])
+    lo = np.concatenate([[0.0, 0.0, -0.0, -0.0, 1e-17], rng.normal(scale=1e-13, size=4096)])
+    # hi = +0 (every ladder's k = 0 term) has an old imaginary part of -0
+    assert np.array_equal(_bits(_exp_minus_i(hi, lo)),
+                          _bits(np.exp(-1j * hi) * (1.0 - 1j * lo)))
+
+
+def test_chirp_oracle_is_the_old_exponentials(g1024, factory_states):
+    # at alpha = 0.3 this lam makes pi/4 - kappa lam^2 exactly +0, where the
+    # old scale's imaginary part was -0 and _cis(-0.0)'s is +0
+    zero_phase_lam = 1.4683306706413022
+    chirp = _interp_chirp(0.3)
+    assert np.pi / 4.0 - chirp.kappa * np.array([zero_phase_lam]) ** 2 == 0.0
+    lambdas = np.array([-2.0, -0.0, 0.0, 0.5, zero_phase_lam, 3.75])
+    for family, value in (("interp", 0.3), ("interp", 0.0), ("rotation", 0.8)):
+        chirp = _CHIRP_FAMILIES[family].chirp(value)
+        a, b = chirp.a, chirp.b
+        for name, psi in factory_states:
+            g = psi.grid
+            pre = np.exp(1j * (a * g.points**2 / (2.0 * b))) * psi.samples
+            scale = (np.exp(-1j * (np.pi / 4.0 - chirp.kappa * lambdas**2))
+                     / np.sqrt(2.0 * np.pi * b))
+            old = scale * _plane_wave_sums(g, pre, lambdas / b)
+            out = quadrature_oracle(psi, family, lambdas, **{_CHIRP_FAMILIES[family].param: value})
+            assert np.array_equal(_bits(out), _bits(old)), (family, name)

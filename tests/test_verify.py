@@ -9,6 +9,7 @@ from qrep import (
     apply_s_theta,
     correlation_transform,
     inner,
+    interp_transform,
     make_grid,
     run_all_suites,
     run_suite,
@@ -253,3 +254,20 @@ def test_support_spreads_over_the_weighty_coefficients(width):
     idx = verify._support(values)
     assert len(idx) == min(32, width)
     assert idx[0] == 500 and idx[-1] == 499 + width and np.all(np.diff(idx) > 0)
+
+
+def test_limit_targets_are_the_old_exponentials(all_reports, g1024):
+    # e^(-i lam^2/2) at lam = +0 had a -0 imaginary part; the target is that
+    # phase times a real sample, whose imaginary part is +0 either way
+    psi = verify._state(g1024, "gaussian")
+    old_phases = {"interp_limit_fourier": lambda lam: np.exp(-1j * np.pi / 4.0),
+                  "interp_limit_identity": lambda lam: np.exp(-0.5j * lam**2)}
+    observed = {(r.name, r.parameters["alpha"]): r.observed
+                for r in all_reports["limits"] if not r.name.endswith("_monotone")}
+    assert len(observed) == 6
+    for (name, alpha), value in observed.items():
+        out = interp_transform(psi, alpha)
+        lam = out.grid.points
+        target = old_phases[name](lam) * (np.pi**-0.25 * np.exp(-(lam**2) / 2.0))
+        old = float(np.abs(out.samples - target).max())
+        assert np.float64(value).view(np.uint64) == np.float64(old).view(np.uint64), name
