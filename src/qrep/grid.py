@@ -63,6 +63,11 @@ def _cis(phase):
     return out if out.ndim else out[()]
 
 
+def _span_points(g: Grid, lo: int, hi: int) -> np.ndarray:
+    """``g.points[lo:hi]`` bit for bit, formed on the index span ``[lo, hi)`` alone."""
+    return g.x_min + g.dx * np.arange(lo, hi)
+
+
 def _require_grid_size(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or n < 8 or n & (n - 1):
         raise ValueError(f"grid_size_power_of_two: n must be a power of two >= 8, got {n}")
@@ -94,7 +99,7 @@ class Grid:
 
     @property
     def points(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n)
+        return _span_points(self, 0, self.n)
 
     @property
     def x_max(self) -> float:

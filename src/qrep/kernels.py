@@ -5,6 +5,12 @@ grow with the domain length and no sampler normalizes its output.  Each
 sampler builds its result as ``amplitude * grid._cis(phase)`` with a real phase
 array, which keeps the modulus exactly constant where it should be constant.
 
+Each family's samples are formed on an index span ``[lo, hi)`` of the lattice,
+at ``x = g.points[lo:hi]`` bit for bit (``_plane_wave_samples``,
+``_member_samples``, ``_chirp_block``, ``_correlation_samples``).  The public
+samplers pass the whole lattice; the eigen-residuals of ``verify`` pass the
+span each one reads.  The guards run on whatever is sampled.
+
 Each member of the ``a X + b P`` families is a ``_Chirp``, built by
 ``_interp_chirp``/``_rotation_chirp``, the one place a family's parameter
 range is checked.  One rule says whether a lattice resolves a member's chirp,
@@ -21,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (_SQRT_2PI, Grid, MOMENTUM, POSITION, RepresentationLabel, Wavefunction, _cis,
-                   dual_grid)
+                   _span_points, dual_grid)
 
 __all__ = [
     "Parity",
@@ -74,8 +80,13 @@ def plane_wave(g: Grid, p: float) -> Wavefunction:
 
     The eigenvalue must be representable on the lattice, ``|p| <= pi/dx``.
     """
+    return Wavefunction(g, _plane_wave_samples(g, p, 0, g.n), POSITION)
+
+
+def _plane_wave_samples(g: Grid, p: float, lo: int, hi: int) -> np.ndarray:
+    """The samples of :func:`plane_wave` on the index span ``[lo, hi)``."""
     _require_resolved(g, p, "momentum_aliasing")
-    return Wavefunction(g, _cis(p * g.points) / _SQRT_2PI, POSITION)
+    return _cis(p * _span_points(g, lo, hi)) / _SQRT_2PI
 
 
 def position_kernel_in_momentum(g: Grid, a: float) -> Wavefunction:
@@ -153,31 +164,50 @@ def _require_finite_eigenvalue(name: str, value) -> None:
                          f"got {np.ravel(value)[~np.ravel(finite)][0]}")
 
 
-def _require_finite_phase(name: str, value: float, phase: np.ndarray) -> None:
-    """Refuse an eigenvalue so large that the kernel phase overflows."""
-    if not np.isfinite(phase).all():
+def _require_finite_phase(name: str, values, phase: np.ndarray) -> None:
+    """Refuse an eigenvalue so large that the kernel phase overflows.
+
+    ``phase`` holds one row, along its last axis, per entry of ``values``.
+    """
+    finite = np.isfinite(phase).all(axis=-1)
+    if not finite.all():
+        value = np.ravel(values)[~np.ravel(finite)][0]
         raise ValueError(f"kernel_phase_finite: the kernel phase overflows at {name} = {value}")
 
 
-def _member_samples(g: Grid, chirp: _Chirp, lam: float) -> np.ndarray:
-    """Eigenfunction samples of one ``a X + b P`` member on ``g``.
+def _chirp_block(g: Grid, chirp: _Chirp, lams, lo: int, hi: int) -> np.ndarray:
+    """The chirps of one ``a X + b P`` member (``b > 0``) for a 1-D array of
+    eigenvalues, one row each, on the index span ``[lo, hi)``, from one phasor call."""
+    _require_finite_eigenvalue("lam", lams)
+    a, b, kappa = chirp.a, chirp.b, chirp.kappa
+    lams = np.asarray(lams, dtype=float)
+    amp = 1.0 / np.sqrt(2.0 * np.pi * b)
+    x = _span_points(g, lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Each constant is a NumPy scalar power, the C pow of Python's bit for
+        # bit that overflows to inf where Python's raises OverflowError; an
+        # array's ``lams**2`` is np.square, which rounds differently.
+        const = np.array([np.pi / 4.0 - kappa * lam**2 for lam in lams])
+        phase = const[:, None] - a * x**2 / (2.0 * b) + lams[:, None] * x / b
+    _require_finite_phase("lam", lams, phase)
+    return amp * _cis(phase)
+
+
+def _member_samples(g: Grid, chirp: _Chirp, lam: float, lo: int, hi: int) -> np.ndarray:
+    """Eigenfunction samples of one ``a X + b P`` member on the index span ``[lo, hi)`` of ``g``.
 
     For ``b > 0`` the unit-modulus chirp; at ``b = 0`` (only ``alpha = 1``
     reaches it) the discrete point mass of :func:`interp_kernel`, whose
-    nearest sample must lie on the lattice (``point_mass_range``).
+    nearest sample must lie on the lattice (``point_mass_range``) and which
+    is sampled on the whole lattice only (``point_mass_span``).
     """
+    if chirp.b > 0.0:
+        return _chirp_block(g, chirp, [lam], lo, hi)[0]
     _require_finite_eigenvalue("lam", lam)
-    # NumPy's scalar power is the C pow of Python's, bit for bit, but
-    # overflows to inf where Python's raises OverflowError.
     lam = np.float64(lam)
-    a, b, kappa = chirp.a, chirp.b, chirp.kappa
-    if b > 0.0:
-        amp = 1.0 / np.sqrt(2.0 * np.pi * b)
-        x = g.points
-        with np.errstate(over="ignore", invalid="ignore"):
-            phase = np.pi / 4.0 - kappa * lam**2 - a * x**2 / (2.0 * b) + lam * x / b
-        _require_finite_phase("lam", lam, phase)
-        return amp * _cis(phase)
+    if (lo, hi) != (0, g.n):
+        raise ValueError(f"point_mass_span: the point mass is sampled on the whole lattice "
+                         f"[0, {g.n}), not on [{lo}, {hi})")
     if not g.x_min - g.dx / 2.0 <= lam < g.x_max + g.dx / 2.0:
         raise ValueError(f"point_mass_range: lam = {lam} has no nearest sample on the lattice "
                          f"[{g.x_min:g}, {g.x_max:g}]")
@@ -207,7 +237,7 @@ def interp_kernel(g: Grid, alpha: float, lam: float) -> Wavefunction:
     ``e^(i lam^2/2) / dx`` and all others are zero, which reproduces the
     inner-product action of the delta to first order in ``dx``.
     """
-    return Wavefunction(g, _member_samples(g, _interp_chirp(alpha), lam), POSITION)
+    return Wavefunction(g, _member_samples(g, _interp_chirp(alpha), lam, 0, g.n), POSITION)
 
 
 def rotation_kernel(g: Grid, theta: float, lam: float) -> Wavefunction:
@@ -217,7 +247,7 @@ def rotation_kernel(g: Grid, theta: float, lam: float) -> Wavefunction:
     ``(cos theta, sin theta)``; at ``theta = pi/2`` it is the constant-phase
     plane wave.
     """
-    return Wavefunction(g, _member_samples(g, _rotation_chirp(theta), lam), POSITION)
+    return Wavefunction(g, _member_samples(g, _rotation_chirp(theta), lam, 0, g.n), POSITION)
 
 
 def correlation_kernel(g: Grid, gamma: float, par: Parity) -> Wavefunction:
@@ -228,14 +258,19 @@ def correlation_kernel(g: Grid, gamma: float, par: Parity) -> Wavefunction:
     by assigning the ``x = 0`` sample the value 0; that single cell of
     measure ``dx`` contributes only O(sqrt(dx)) to any inner product.
     """
+    return Wavefunction(g, _correlation_samples(g, gamma, par, 0, g.n), POSITION)
+
+
+def _correlation_samples(g: Grid, gamma: float, par: Parity, lo: int, hi: int) -> np.ndarray:
+    """The samples of :func:`correlation_kernel` on the index span ``[lo, hi)``."""
     _require_finite_eigenvalue("gamma", gamma)
     if not isinstance(par, Parity):
         raise ValueError(f"parity_label: expected a Parity value, got {par!r}")
-    x = g.points
+    x = _span_points(g, lo, hi)
     ax = np.abs(x)
     nonzero = ax > 0.0
-    amp = np.zeros(g.n)
-    phase = np.zeros(g.n)
+    amp = np.zeros(len(x))
+    phase = np.zeros(len(x))
     amp[nonzero] = CORRELATION_KERNEL_SCALE / np.sqrt(ax[nonzero])
     with np.errstate(over="ignore"):
         phase[nonzero] = gamma * np.log(ax[nonzero])
@@ -243,7 +278,7 @@ def correlation_kernel(g: Grid, gamma: float, par: Parity) -> Wavefunction:
     samples = amp * _cis(phase)
     if par is Parity.ODD:
         samples = samples * np.sign(x)
-    return Wavefunction(g, samples, POSITION)
+    return samples
 
 
 def fresnel_delta(g: Grid, eps: float) -> Wavefunction:
@@ -261,7 +296,7 @@ def fresnel_delta(g: Grid, eps: float) -> Wavefunction:
         )
     label = RepresentationLabel("fresnel", float(eps))
     chirp = _Chirp(1.0, eps / 2.0, 0.0, np.inf, label)
-    return Wavefunction(g, _member_samples(g, chirp, 0.0), POSITION)
+    return Wavefunction(g, _member_samples(g, chirp, 0.0, 0, g.n), POSITION)
 
 
 def chirp_step_bound(rate: float, g: Grid) -> None:

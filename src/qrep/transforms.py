@@ -442,7 +442,7 @@ def quadrature_oracle(
                      / np.sqrt(2.0 * np.pi * b))
             out = scale * _plane_wave_sums(g, pre, lambdas / b)
         else:
-            out = np.array([np.vdot(_member_samples(g, chirp, lam), psi.samples) * g.dx
+            out = np.array([np.vdot(_member_samples(g, chirp, lam, 0, g.n), psi.samples) * g.dx
                             for lam in lambdas])
     elif family == "plane_wave":
         _require_resolved(g, lambdas, "momentum_aliasing")

@@ -21,24 +21,31 @@ spectrum (:func:`_spectral_conjugation_defect`), and the eigen-residual.  Two
 independent derivative discretizations are used on purpose: the spectral one
 backs every operator; the fourth-order finite difference backs the
 eigen-residuals, where the kernels are not periodic and an unrelated
-discretization guards against convention bugs in the first.
+discretization guards against convention bugs in the first.  Each
+eigen-residual samples its kernel only on the index span it reads, through
+the span samplers of ``kernels``, and the Gram check forms its 32 interp
+kernels as one block from one phasor call; both are the public samplers'
+samples bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .grid import (_SQRT_2PI, POSITION, Grid, Wavefunction, _cis, dual_grid, fourier_sum, inner,
-                   make_grid, norm)
+from .grid import (_SQRT_2PI, POSITION, Grid, Wavefunction, _cis, _span_points, dual_grid,
+                   fourier_sum, inner, make_grid, norm)
 from .kernels import (
     Parity,
     _Chirp,
+    _chirp_block,
     _chirp_resolved,
-    correlation_kernel,
+    _correlation_samples,
+    _member_samples,
+    _plane_wave_samples,
     fresnel_delta,
-    interp_kernel,
     plane_wave,
     position_kernel_in_momentum,
 )
@@ -137,25 +144,29 @@ def _fd_derivative(values: np.ndarray, dx: float) -> np.ndarray:
 
 
 def _windowed_eigen_residual(
-    kernel: Wavefunction, eigenvalue: float, window: np.ndarray, a: float, b: float, c: float
+    g: Grid, sample, eigenvalue: float, window: np.ndarray, a: float, b: float, c: float
 ) -> float:
-    """Relative residual of ``(a X + b P + c C - eigenvalue) kernel`` on a window.
+    """Relative residual of ``(a X + b P + c C - eigenvalue) f`` on a window of ``g``.
 
     Differentiates by finite differences: the kernels are not periodic, so
     the spectral derivative does not apply to them.  With ``f`` the kernel,
-    ``(a X + b P + c C) f = (a x - i c/2) f - i (b + c x) f'``.  Only the
-    window's span is read, plus the 2 samples on each side that the
-    derivative reaches, cut at the lattice ends; so the masked residuals, and
-    the result, are those of the whole lattice bit for bit.  The two samples
-    at each lattice end have no derivative and are left out; a window with
-    no other sample is refused (``eigen_window_empty``).
+    ``(a X + b P + c C) f = (a x - i c/2) f - i (b + c x) f'``.  The kernel is
+    sampled only on the span the residual reads, ``f = sample(lo, hi)`` on
+    the index span ``[lo, hi)``: the window's extent plus the 2 samples on
+    each side that the derivative reaches, cut at the lattice ends.  The span
+    samplers form ``g.points[lo:hi]`` bit for bit, so the masked residuals,
+    and the result, are those of the whole lattice bit for bit.  Samples
+    must be finite (``sample_finite``).  The two samples at each lattice end
+    have no derivative and are left out; a window with no other sample is
+    refused (``eigen_window_empty``).
     """
-    g = kernel.grid
     idx = np.flatnonzero(window)
     lo = max(int(idx[0]) - _FD_REACH, 0) if idx.size else 0
     hi = min(int(idx[-1]) + _FD_REACH + 1, g.n) if idx.size else 0
-    x = g.x_min + g.dx * np.arange(lo, hi)  # g.points[lo:hi]
-    f = kernel.samples[lo:hi]
+    x = _span_points(g, lo, hi)
+    f = sample(lo, hi)
+    if not np.isfinite(f).all():
+        raise ValueError("sample_finite: samples must all be finite")
     deriv = _fd_derivative(f, g.dx)
     op = (a * x - 0.5j * c) * f - 1j * ((b + c * x) * deriv)
     resid = op - eigenvalue * f
@@ -241,12 +252,13 @@ def _suite_eigen_residuals(g: Grid) -> list[CheckReport]:
     g_wide = make_grid(8192, 40.0)
     g_fine = make_grid(16384, 20.0)
 
+    # Each kernel is sampled only on the span its residual reads.
     dp = dual_grid(g_wide).dx
+    window = np.abs(g_wide.points) <= g_wide.length / 4.0
     for p_target in (-2.0, 0.5, 1.0):
         p = round(p_target / dp) * dp
-        k = plane_wave(g_wide, p)
-        window = np.abs(g_wide.points) <= g_wide.length / 4.0
-        res = _windowed_eigen_residual(k, p, window, 0.0, 1.0, 0.0)
+        sample = partial(_plane_wave_samples, g_wide, p)
+        res = _windowed_eigen_residual(g_wide, sample, p, window, 0.0, 1.0, 0.0)
         reports.append(CheckReport("momentum_eigenfunction", {"p": round(p, 12)}, res, 1e-6))
 
     window = np.abs(g_fine.points) <= g_fine.length / 4.0
@@ -258,8 +270,8 @@ def _suite_eigen_residuals(g: Grid) -> list[CheckReport]:
         for value in values:
             chirp = member.chirp(value)
             for lam in (-1.0, 0.0, 0.5, 2.0):
-                k = member.sample(g_fine, value, lam)
-                res = _windowed_eigen_residual(k, lam, window, chirp.a, chirp.b, 0.0)
+                sample = partial(_member_samples, g_fine, chirp, lam)
+                res = _windowed_eigen_residual(g_fine, sample, lam, window, chirp.a, chirp.b, 0.0)
                 params = {member.param: round(value, 12), "lam": lam}
                 reports.append(CheckReport(f"{family}_eigenfunction", params, res, 1e-6))
 
@@ -267,8 +279,8 @@ def _suite_eigen_residuals(g: Grid) -> list[CheckReport]:
     window = (ax >= 1.0) & (ax <= 8.0)
     for gamma in (-2.0, 0.0, 1.0):
         for par in (Parity.EVEN, Parity.ODD):
-            k = correlation_kernel(g_wide, gamma, par)
-            res = _windowed_eigen_residual(k, gamma, window, 0.0, 0.0, 1.0)
+            sample = partial(_correlation_samples, g_wide, gamma, par)
+            res = _windowed_eigen_residual(g_wide, sample, gamma, window, 0.0, 0.0, 1.0)
             params = {"gamma": gamma, "parity": par.value}
             reports.append(CheckReport("correlation_eigenfunction", params, res, 1e-6))
     return reports
@@ -529,13 +541,14 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
     reports.append(CheckReport("correlation_mean_c", {"state": "gaussian_chirped"}, err, 1e-5))
 
     # diagonal dominance of the windowed kernel overlap matrix: the discrete
-    # shadow of continuum orthogonality, a kernel-family check on a fixed grid
+    # shadow of continuum orthogonality, a kernel-family check on a fixed grid;
+    # its kernels are the rows of one block, interp_kernel's samples bit for bit
     alpha = 0.5
     gk = make_grid(1024, 40.0)
     lams = (1.0 - alpha) * dual_grid(gk).points[::32]
     window = np.exp(-gk.points**2 / (2.0 * (gk.length / 8.0) ** 2))
-    kernels = [interp_kernel(gk, alpha, l).samples for l in lams]
-    windowed = [window * kb for kb in kernels]
+    kernels = _chirp_block(gk, _CHIRP_FAMILIES["interp"].chirp(alpha), lams, 0, gk.n)
+    windowed = window * kernels
     gram = np.array([[np.vdot(ka, wb) * gk.dx for wb in windowed] for ka in kernels])
     agram = np.abs(gram)
     diag = np.diag(agram)

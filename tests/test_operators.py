@@ -22,7 +22,13 @@ from qrep import (
     to_momentum,
 )
 from qrep.grid import require_contained
+from qrep.kernels import _correlation_samples, _interp_chirp, _member_samples, _plane_wave_samples
 from qrep.verify import _fd_derivative, _windowed_eigen_residual
+
+
+def _span_of(w):
+    """A span sampler that reads a sampled kernel's ``[lo, hi)``."""
+    return lambda lo, hi: w.samples[lo:hi]
 
 
 def gaussian_moment_oracle(s, x0, p0, c):
@@ -64,7 +70,7 @@ def test_apply_p_plane_wave_eigenrelation():
     p = round(1.0 / dp) * dp
     w = plane_wave(g, p)
     window = np.abs(g.points) <= 10.0
-    res = _windowed_eigen_residual(w, p, window, 0.0, 1.0, 0.0)
+    res = _windowed_eigen_residual(g, _span_of(w), p, window, 0.0, 1.0, 0.0)
     assert res < 1e-9
 
 
@@ -97,7 +103,7 @@ def test_interp_kernel_eigen_residual():
     g = make_grid(16384, 20.0)
     window = np.abs(g.points) <= 5.0
     k = interp_kernel(g, 0.5, 0.5)
-    res = _windowed_eigen_residual(k, 0.5, window, 0.5, 0.5, 0.0)
+    res = _windowed_eigen_residual(g, _span_of(k), 0.5, window, 0.5, 0.5, 0.0)
     assert res <= 1e-6
 
 
@@ -155,7 +161,7 @@ def test_correlation_kernel_eigen_residual(gamma, par):
     k = correlation_kernel(g, gamma, par)
     ax = np.abs(g.points)
     window = (ax >= 1.0) & (ax <= 8.0)
-    res = _windowed_eigen_residual(k, gamma, window, 0.0, 0.0, 1.0)
+    res = _windowed_eigen_residual(g, _span_of(k), gamma, window, 0.0, 0.0, 1.0)
     assert res <= 1e-6
 
 
@@ -269,9 +275,15 @@ def _residual_cases():
     g_wide, g_fine = make_grid(8192, 40.0), make_grid(16384, 20.0)
     dp = dual_grid(g_wide).dx
     p = round(0.5 / dp) * dp
-    wave = (plane_wave(g_wide, p), p, (0.0, 1.0, 0.0))
-    chirp = (interp_kernel(g_fine, 0.75, 2.0), 2.0, (0.75, 0.25, 0.0))
-    corr = (correlation_kernel(g_wide, -2.0, Parity.ODD), -2.0, (0.0, 0.0, 1.0))
+    # each kernel with its span sampler
+    wave = (plane_wave(g_wide, p), lambda lo, hi: _plane_wave_samples(g_wide, p, lo, hi), p,
+            (0.0, 1.0, 0.0))
+    chirp = (interp_kernel(g_fine, 0.75, 2.0),
+             lambda lo, hi: _member_samples(g_fine, _interp_chirp(0.75), 2.0, lo, hi), 2.0,
+             (0.75, 0.25, 0.0))
+    corr = (correlation_kernel(g_wide, -2.0, Parity.ODD),
+            lambda lo, hi: _correlation_samples(g_wide, -2.0, Parity.ODD, lo, hi), -2.0,
+            (0.0, 0.0, 1.0))
     n = g_wide.n
     head, tail = np.arange(n) < 40, np.arange(n) >= n - 40
     ax = np.abs(g_wide.points)
@@ -290,10 +302,11 @@ def _residual_cases():
 
 @pytest.mark.parametrize("case,window", _residual_cases())
 def test_windowed_residual_is_the_whole_grid_residual_bit_for_bit(case, window):
-    kernel, eigenvalue, (a, b, c) = case
-    got = _windowed_eigen_residual(kernel, eigenvalue, window, a, b, c)
+    kernel, sample, eigenvalue, (a, b, c) = case
     ref = _whole_grid_residual(kernel, eigenvalue, window, a, b, c)
-    assert np.float64(got).view(np.uint64) == np.float64(ref).view(np.uint64)
+    for span in (_span_of(kernel), sample):
+        got = _windowed_eigen_residual(kernel.grid, span, eigenvalue, window, a, b, c)
+        assert np.float64(got).view(np.uint64) == np.float64(ref).view(np.uint64)
 
 
 @pytest.mark.parametrize("edge", ["none", "first_two", "last_two"])
@@ -303,4 +316,17 @@ def test_windowed_residual_refuses_a_window_with_no_derivative(edge):
     window = np.zeros(g.n, dtype=bool)
     window[{"none": slice(0), "first_two": slice(0, 2), "last_two": slice(-2, None)}[edge]] = True
     with pytest.raises(ValueError, match="eigen_window_empty"):
-        _windowed_eigen_residual(plane_wave(g, 0.5), 0.5, window, 0.0, 1.0, 0.0)
+        _windowed_eigen_residual(g, _span_of(plane_wave(g, 0.5)), 0.5, window, 0.0, 1.0, 0.0)
+
+
+def test_windowed_residual_refuses_samples_that_are_not_finite():
+    g = make_grid(64, 16.0)
+    window = np.abs(g.points) <= 4.0
+
+    def sample(lo, hi):
+        f = _plane_wave_samples(g, 0.5, lo, hi)
+        f[len(f) // 2] = np.nan
+        return f
+
+    with pytest.raises(ValueError, match="^sample_finite:"):
+        _windowed_eigen_residual(g, sample, 0.5, window, 0.0, 1.0, 0.0)

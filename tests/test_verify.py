@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,17 +7,25 @@ from qrep import (
     MOMENTUM,
     POSITION,
     SUITE_NAMES,
+    Parity,
     Wavefunction,
     apply_s_theta,
+    correlation_kernel,
     correlation_transform,
+    dual_grid,
+    grid,
     inner,
+    interp_kernel,
     interp_transform,
     make_grid,
+    plane_wave,
+    rotation_kernel,
     run_all_suites,
     run_suite,
     to_momentum,
     verify,
 )
+from qrep.kernels import _interp_chirp, _rotation_chirp
 from qrep.transforms import _CHIRP_FAMILIES, _default_u_window
 from qrep.verify import REQUIRED_COVERAGE
 
@@ -271,3 +281,98 @@ def test_limit_targets_are_the_old_exponentials(all_reports, g1024):
         target = old_phases[name](lam) * (np.pi**-0.25 * np.exp(-(lam**2) / 2.0))
         old = float(np.abs(out.samples - target).max())
         assert np.float64(value).view(np.uint64) == np.float64(old).view(np.uint64), name
+
+
+# --- every kernel record is the one the public samplers give ----------------
+
+
+def _bits(value):
+    return np.float64(value).view(np.uint64)
+
+
+def _key(name, params):
+    return name, repr(sorted(params.items(), key=str))
+
+
+def _whole_grid_residual(kernel, eigenvalue, window, a, b, c):
+    """The relative eigen-residual formed on every sample of the lattice, then masked."""
+    x, f, dx = kernel.grid.points, kernel.samples, kernel.grid.dx
+    deriv = np.full(len(f), np.nan, dtype=complex)
+    deriv[2:-2] = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * dx)
+    resid = (a * x - 0.5j * c) * f - 1j * ((b + c * x) * deriv) - eigenvalue * f
+    mask = window & np.isfinite(resid.real)
+    return float(np.sqrt(np.sum(np.abs(resid[mask]) ** 2)) / np.sqrt(np.sum(np.abs(f[mask]) ** 2)))
+
+
+def test_eigen_records_are_the_public_samplers_whole_grid_residuals(all_reports):
+    g_wide, g_fine = make_grid(8192, 40.0), make_grid(16384, 20.0)
+    quarter_wide = np.abs(g_wide.points) <= 10.0
+    quarter_fine = np.abs(g_fine.points) <= 5.0
+    ax = np.abs(g_wide.points)
+    annulus = (ax >= 1.0) & (ax <= 8.0)
+    expected = {}
+    dp = dual_grid(g_wide).dx
+    for p in (round(t / dp) * dp for t in (-2.0, 0.5, 1.0)):
+        res = _whole_grid_residual(plane_wave(g_wide, p), p, quarter_wide, 0.0, 1.0, 0.0)
+        expected[_key("momentum_eigenfunction", {"p": round(p, 12)})] = res
+    for family, param, sampler, chirp_of, values in (
+        ("interp", "alpha", interp_kernel, _interp_chirp, (0.25, 0.5, 0.75)),
+        ("rotation", "theta", rotation_kernel, _rotation_chirp, (np.pi / 6, np.pi / 4, np.pi / 3)),
+    ):
+        for value in values:
+            a, b = chirp_of(value).a, chirp_of(value).b
+            for lam in (-1.0, 0.0, 0.5, 2.0):
+                k = sampler(g_fine, value, lam)
+                res = _whole_grid_residual(k, lam, quarter_fine, a, b, 0.0)
+                expected[_key(f"{family}_eigenfunction", {param: round(value, 12), "lam": lam})] = res
+    for gamma in (-2.0, 0.0, 1.0):
+        for par in (Parity.EVEN, Parity.ODD):
+            k = correlation_kernel(g_wide, gamma, par)
+            res = _whole_grid_residual(k, gamma, annulus, 0.0, 0.0, 1.0)
+            expected[_key("correlation_eigenfunction", {"gamma": gamma, "parity": par.value})] = res
+    got = {_key(r.name, r.parameters): r.observed for r in all_reports["eigen_residuals"]}
+    assert len(expected) == 33 and set(got) == set(expected)
+    for key, value in expected.items():
+        assert _bits(got[key]) == _bits(value), key
+
+
+def test_gram_record_is_the_public_samplers_gram(all_reports):
+    gk = make_grid(1024, 40.0)
+    lams = 0.5 * dual_grid(gk).points[::32]
+    window = np.exp(-gk.points**2 / (2.0 * (gk.length / 8.0) ** 2))
+    kernels = [interp_kernel(gk, 0.5, lam).samples for lam in lams]
+    gram = np.abs([[np.vdot(ka, window * kb) * gk.dx for kb in kernels] for ka in kernels])
+    diag = np.diag(gram)
+    ratio = float(((gram.sum(axis=1) - diag) / diag).max())
+    (record,) = [r for r in all_reports["oracle_agreement"] if r.name == "delta_normalization_gram"]
+    assert _bits(record.observed) == _bits(ratio)
+
+
+def _span_size(window):
+    """The samples an eigen-residual on ``window`` reads: its extent and 2 more each side."""
+    idx = np.flatnonzero(window)
+    return min(int(idx[-1]) + 3, len(window)) - max(int(idx[0]) - 2, 0)
+
+
+def test_eigen_residuals_form_no_more_phasors_than_their_spans_hold(monkeypatch):
+    # sampling each kernel on its whole fixed grid formed 466 944 phasors
+    real = grid._cis
+    formed = []
+
+    def counting(phase):
+        out = real(phase)
+        formed.append(out.size)
+        return out
+
+    patched = [name for name, mod in sorted(sys.modules.items())
+               if name.startswith("qrep") and getattr(mod, "_cis", None) is real]
+    assert {"qrep.grid", "qrep.kernels", "qrep.verify"} <= set(patched)
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "_cis", counting)
+    verify._suite_eigen_residuals(make_grid(1024, 40.0))
+    g_wide, g_fine = make_grid(8192, 40.0), make_grid(16384, 20.0)
+    ax = np.abs(g_wide.points)
+    spans = (3 * _span_size(ax <= 10.0) + 24 * _span_size(np.abs(g_fine.points) <= 5.0)
+             + 6 * _span_size((ax >= 1.0) & (ax <= 8.0)))
+    assert spans == 228_717
+    assert len(formed) == 33 and sum(formed) <= spans
