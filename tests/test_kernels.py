@@ -355,14 +355,18 @@ def test_gram_block_rows_are_interp_kernels_bit_for_bit():
 
 def test_block_forms_each_constant_with_the_scalar_power(g1024):
     # an array's lams**2 is np.square, which rounds some squares differently
-    # from the scalar power each single sample forms
+    # from the scalar power each single sample forms; at x = 0 the phase is
+    # the constant alone, so a differing constant shows in the sample there
     lams = np.random.default_rng(2417).standard_normal(4000) * 3.0
-    scalar = np.array([np.float64(lam) ** 2 for lam in lams])
-    assert (scalar != np.square(lams)).any()
-    chirp = _rotation_chirp(np.pi / 3)
-    block = _chirp_block(g1024, chirp, lams, 100, 140)
-    for lam, row in zip(lams, block):
-        assert np.array_equal(_bits(row), _bits(_member_samples(g1024, chirp, lam, 100, 140)))
+    chirp = _interp_chirp(0.5)
+    scalar = np.array([np.pi / 4.0 - chirp.kappa * np.float64(lam) ** 2 for lam in lams])
+    differ = scalar != np.pi / 4.0 - chirp.kappa * np.square(lams)
+    assert differ.any()
+    lo, hi = g1024.n // 2 - 4, g1024.n // 2 + 4
+    block = _chirp_block(g1024, chirp, lams[differ], lo, hi)
+    for lam, row in zip(lams[differ], block):
+        assert np.array_equal(_bits(row), _bits(_member_samples(g1024, chirp, lam, lo, hi)))
+        assert np.array_equal(_bits(row), _bits(_chirp_reference(g1024, chirp, lam)[lo:hi]))
 
 
 @pytest.mark.parametrize(
