@@ -411,7 +411,8 @@ def quadrature_oracle(
       A ``|gamma| > pi/du`` of that lattice is refused with
       ``oracle_gamma_range``.
 
-    A parameter the family does not take is refused with ``oracle_family``.
+    A parameter the family does not take is refused with ``oracle_family``,
+    and ``lambdas`` of any shape but 1-D with ``oracle_eigenvalue_shape``.
     Every guard fires before any sum; a non-finite coefficient is refused
     with ``sample_finite``.
     """
@@ -419,6 +420,9 @@ def quadrature_oracle(
     if family not in _ORACLE_FAMILIES:
         raise ValueError(f"oracle_family: unknown kernel family {family!r}")
     lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.ndim != 1:
+        raise ValueError("oracle_eigenvalue_shape: lambdas must be a 1-D array, "
+                         f"got shape {lambdas.shape}")
     g = psi.grid
 
     member = _CHIRP_FAMILIES.get(family)
@@ -442,7 +446,7 @@ def quadrature_oracle(
                      / np.sqrt(2.0 * np.pi * b))
             out = scale * _plane_wave_sums(g, pre, lambdas / b)
         else:
-            out = np.array([np.vdot(_member_samples(g, chirp, lam, 0, g.n), psi.samples) * g.dx
+            out = np.array([np.vdot(_member_samples(g, chirp, lam), psi.samples) * g.dx
                             for lam in lambdas])
     elif family == "plane_wave":
         _require_resolved(g, lambdas, "momentum_aliasing")

@@ -22,29 +22,24 @@ independent derivative discretizations are used on purpose: the spectral one
 backs every operator; the fourth-order finite difference backs the
 eigen-residuals, where the kernels are not periodic and an unrelated
 discretization guards against convention bugs in the first.  Each
-eigen-residual samples its kernel only on the index span it reads, through
-the span samplers of ``kernels``, and the Gram check forms its 32 interp
-kernels as one block from one phasor call; both are the public samplers'
-samples bit for bit.
+eigen-residual takes its kernel from the public sampler on a fixed grid that
+spans its window; the Gram check forms its 32 interp kernels as one block.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .grid import (_SQRT_2PI, POSITION, Grid, Wavefunction, _cis, _span_points, dual_grid,
-                   fourier_sum, inner, make_grid, norm)
+from .grid import (_SQRT_2PI, POSITION, Grid, Wavefunction, _cis, dual_grid, fourier_sum, inner,
+                   make_grid, norm)
 from .kernels import (
     Parity,
     _Chirp,
     _chirp_block,
     _chirp_resolved,
-    _correlation_samples,
-    _member_samples,
-    _plane_wave_samples,
+    correlation_kernel,
     fresnel_delta,
     plane_wave,
     position_kernel_in_momentum,
@@ -133,50 +128,34 @@ def _monotone(name: str, errs: list[float]) -> CheckReport:
     return CheckReport(name, {}, max(b / a for a, b in zip(errs, errs[1:])), 1.0)
 
 
-_FD_REACH = 2  # samples on each side that the finite-difference derivative reads
-
-
 def _fd_derivative(values: np.ndarray, dx: float) -> np.ndarray:
-    """Fourth-order central first derivative; the outer two points are NaN."""
-    d = np.full(len(values), np.nan, dtype=complex)
-    d[2:-2] = (-values[4:] + 8.0 * values[3:-1] - 8.0 * values[1:-3] + values[:-4]) / (12.0 * dx)
-    return d
+    """Fourth-order central first derivative at the ``n - 4`` interior samples."""
+    return (-values[4:] + 8.0 * values[3:-1] - 8.0 * values[1:-3] + values[:-4]) / (12.0 * dx)
 
 
-def _windowed_eigen_residual(
-    g: Grid, sample, eigenvalue: float, window: np.ndarray, a: float, b: float, c: float
-) -> float:
-    """Relative residual of ``(a X + b P + c C - eigenvalue) f`` on a window of ``g``.
+def _windowed_eigen_residual(kernel: Wavefunction, eigenvalue: float, window: np.ndarray | None,
+                             a: float, b: float, c: float) -> float:
+    """Relative residual of ``(a X + b P + c C - eigenvalue) f`` for the kernel ``f``.
 
     Differentiates by finite differences: the kernels are not periodic, so
     the spectral derivative does not apply to them.  With ``f`` the kernel,
-    ``(a X + b P + c C) f = (a x - i c/2) f - i (b + c x) f'``.  The kernel is
-    sampled only on the span the residual reads, ``f = sample(lo, hi)`` on
-    the index span ``[lo, hi)``: the window's extent plus the 2 samples on
-    each side that the derivative reaches, cut at the lattice ends.  The span
-    samplers form ``g.points[lo:hi]`` bit for bit, so the masked residuals,
-    and the result, are those of the whole lattice bit for bit.  Samples
-    must be finite (``sample_finite``).  The two samples at each lattice end
-    have no derivative and are left out; a window with no other sample is
-    refused (``eigen_window_empty``).
+    ``(a X + b P + c C) f = (a x - i c/2) f - i (b + c x) f'``.  The residual
+    is formed at every sample at least 2 from a lattice end, where the
+    derivative is defined, and summed over those inside ``window`` (a mask
+    of the lattice; ``None`` keeps them all).  A window with no such sample
+    is refused (``eigen_window_empty``).
     """
-    idx = np.flatnonzero(window)
-    lo = max(int(idx[0]) - _FD_REACH, 0) if idx.size else 0
-    hi = min(int(idx[-1]) + _FD_REACH + 1, g.n) if idx.size else 0
-    x = _span_points(g, lo, hi)
-    f = sample(lo, hi)
-    if not np.isfinite(f).all():
-        raise ValueError("sample_finite: samples must all be finite")
-    deriv = _fd_derivative(f, g.dx)
-    op = (a * x - 0.5j * c) * f - 1j * ((b + c * x) * deriv)
-    resid = op - eigenvalue * f
-    mask = window[lo:hi] & np.isfinite(resid.real)
-    if not mask.any():
-        raise ValueError("eigen_window_empty: the window holds no sample at least "
-                         f"{_FD_REACH} from a lattice end")
-    num = np.sqrt(np.sum(np.abs(resid[mask]) ** 2))
-    den = np.sqrt(np.sum(np.abs(f[mask]) ** 2))
-    return float(num / den)
+    g = kernel.grid
+    x, f = g.points[2:-2], kernel.samples[2:-2]
+    deriv = _fd_derivative(kernel.samples, g.dx)
+    resid = (a * x - 0.5j * c) * f - 1j * ((b + c * x) * deriv) - eigenvalue * f
+    if window is not None:
+        inside = window[2:-2]
+        resid, f = resid[inside], f[inside]
+    if not f.size:
+        raise ValueError("eigen_window_empty: the window holds no sample at least 2 from a "
+                         "lattice end")
+    return float(np.sqrt(np.sum(np.abs(resid) ** 2)) / np.sqrt(np.sum(np.abs(f) ** 2)))
 
 
 def conjugation_defect(psi: Wavefunction) -> float:
@@ -186,8 +165,12 @@ def conjugation_defect(psi: Wavefunction) -> float:
     ``to_momentum``'s arithmetic; ``C psi`` is no state, so unguarded) against
     ``C_momentum(to_momentum(psi))``, where ``C_momentum`` is built by the
     conjugation rule, relative to the peak of the former.  This is the sharp,
-    operator-level check on a normalizable state.
+    operator-level check on a normalizable state.  The all-zero state has no
+    peak to compare against and is refused (``conjugation_zero_state``).
     """
+    if not psi.samples.any():
+        raise ValueError("conjugation_zero_state: the defect is relative to the peak of the "
+                         "Fourier map of C psi, which is 0 for the all-zero state")
     lhs = fourier_sum(apply_c(psi).samples, psi.grid)[1] / _SQRT_2PI
     rhs = apply_c_momentum(to_momentum(psi)).samples
     return float(np.abs(lhs - rhs).max() / np.abs(lhs).max())
@@ -246,22 +229,20 @@ def _suite_commutators(g: Grid) -> list[CheckReport]:
 
 def _suite_eigen_residuals(g: Grid) -> list[CheckReport]:
     reports = []
-    # The residuals test the kernel formulas, not the base lattice, so the
-    # grids are fixed.  The chirp kernels need a finer step over a smaller
-    # window to push the finite-difference error below tolerance.
-    g_wide = make_grid(8192, 40.0)
-    g_fine = make_grid(16384, 20.0)
+    # The residuals test the kernel formulas, not the base lattice, so each
+    # grid is fixed and spans its window.  The chirp kernels need a finer step
+    # to push the finite-difference error below tolerance.
+    g_wave = make_grid(4096, 20.0)
+    g_chirp = make_grid(8192, 10.0)
+    g_corr = make_grid(2048, 10.0)
 
-    # Each kernel is sampled only on the span its residual reads.
-    dp = dual_grid(g_wide).dx
-    window = np.abs(g_wide.points) <= g_wide.length / 4.0
+    # The momenta lie on the lattice dp = 2 pi/40 of a length-40 domain.
+    dp = np.pi / 20.0
     for p_target in (-2.0, 0.5, 1.0):
         p = round(p_target / dp) * dp
-        sample = partial(_plane_wave_samples, g_wide, p)
-        res = _windowed_eigen_residual(g_wide, sample, p, window, 0.0, 1.0, 0.0)
+        res = _windowed_eigen_residual(plane_wave(g_wave, p), p, None, 0.0, 1.0, 0.0)
         reports.append(CheckReport("momentum_eigenfunction", {"p": round(p, 12)}, res, 1e-6))
 
-    window = np.abs(g_fine.points) <= g_fine.length / 4.0
     for family, values in (
         ("interp", (0.25, 0.5, 0.75)),
         ("rotation", (np.pi / 6, np.pi / 4, np.pi / 3)),
@@ -270,17 +251,16 @@ def _suite_eigen_residuals(g: Grid) -> list[CheckReport]:
         for value in values:
             chirp = member.chirp(value)
             for lam in (-1.0, 0.0, 0.5, 2.0):
-                sample = partial(_member_samples, g_fine, chirp, lam)
-                res = _windowed_eigen_residual(g_fine, sample, lam, window, chirp.a, chirp.b, 0.0)
+                k = member.sample(g_chirp, value, lam)
+                res = _windowed_eigen_residual(k, lam, None, chirp.a, chirp.b, 0.0)
                 params = {member.param: round(value, 12), "lam": lam}
                 reports.append(CheckReport(f"{family}_eigenfunction", params, res, 1e-6))
 
-    ax = np.abs(g_wide.points)
-    window = (ax >= 1.0) & (ax <= 8.0)
+    window = np.abs(g_corr.points) >= 1.0
     for gamma in (-2.0, 0.0, 1.0):
         for par in (Parity.EVEN, Parity.ODD):
-            sample = partial(_correlation_samples, g_wide, gamma, par)
-            res = _windowed_eigen_residual(g_wide, sample, gamma, window, 0.0, 0.0, 1.0)
+            k = correlation_kernel(g_corr, gamma, par)
+            res = _windowed_eigen_residual(k, gamma, window, 0.0, 0.0, 1.0)
             params = {"gamma": gamma, "parity": par.value}
             reports.append(CheckReport("correlation_eigenfunction", params, res, 1e-6))
     return reports
@@ -547,7 +527,7 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
     gk = make_grid(1024, 40.0)
     lams = (1.0 - alpha) * dual_grid(gk).points[::32]
     window = np.exp(-gk.points**2 / (2.0 * (gk.length / 8.0) ** 2))
-    kernels = _chirp_block(gk, _CHIRP_FAMILIES["interp"].chirp(alpha), lams, 0, gk.n)
+    kernels = _chirp_block(gk, _CHIRP_FAMILIES["interp"].chirp(alpha), lams)
     windowed = window * kernels
     gram = np.array([[np.vdot(ka, wb) * gk.dx for wb in windowed] for ka in kernels])
     agram = np.abs(gram)

@@ -16,8 +16,7 @@ from qrep import (
     rotation_kernel,
     correlation_kernel,
 )
-from qrep.kernels import (_Chirp, _chirp_block, _correlation_samples, _interp_chirp,
-                          _member_samples, _plane_wave_samples, _rotation_chirp)
+from qrep.kernels import _Chirp, _chirp_block, _interp_chirp, _member_samples, _rotation_chirp
 
 INV_SQRT_2PI = (2 * np.pi) ** -0.5
 
@@ -293,61 +292,13 @@ def test_overflowing_phase_is_refused_before_any_phasor(g1024, sample):
         sample(g1024)
 
 
-# --- the span samplers are the public samplers' [lo:hi], bit for bit --------
-
-# (public sampler, span sampler) of every family, on one member each
-_FAMILIES = {
-    "plane_wave": (lambda g: plane_wave(g, -3.2),
-                   lambda g, lo, hi: _plane_wave_samples(g, -3.2, lo, hi)),
-    "interp": (lambda g: interp_kernel(g, 0.25, -1.0),
-               lambda g, lo, hi: _member_samples(g, _interp_chirp(0.25), -1.0, lo, hi)),
-    "rotation": (lambda g: rotation_kernel(g, np.pi / 6, 0.5),
-                 lambda g, lo, hi: _member_samples(g, _rotation_chirp(np.pi / 6), 0.5, lo, hi)),
-    "fresnel": (lambda g: fresnel_delta(g, 0.01),
-                lambda g, lo, hi: _member_samples(g, _Chirp(1.0, 0.005, 0.0, np.inf, None), 0.0,
-                                                  lo, hi)),
-    "corr-even": (lambda g: correlation_kernel(g, 1.0, Parity.EVEN),
-                  lambda g, lo, hi: _correlation_samples(g, 1.0, Parity.EVEN, lo, hi)),
-    "corr-odd": (lambda g: correlation_kernel(g, -2.0, Parity.ODD),
-                 lambda g, lo, hi: _correlation_samples(g, -2.0, Parity.ODD, lo, hi)),
-}
-
-# on the 1024-point lattice, whose x = 0 is the sample 512
-_SPANS = {"first_sample": (0, 300), "last_sample": (700, 1024), "holds_origin": (400, 620),
-          "single": (513, 514), "whole_lattice": (0, 1024)}
-
-
-@pytest.mark.parametrize("span", list(_SPANS.values()), ids=list(_SPANS))
-@pytest.mark.parametrize("family", list(_FAMILIES))
-def test_span_sampler_is_the_public_sampler_bit_for_bit(g1024, family, span):
-    public, sample = _FAMILIES[family]
-    lo, hi = span
-    got = sample(g1024, lo, hi)
-    assert got.shape == (hi - lo,)
-    assert np.array_equal(_bits(got), _bits(public(g1024).samples[lo:hi]))
-
-
-@pytest.mark.parametrize("family", ["corr-even", "corr-odd"])
-def test_correlation_span_keeps_the_origin_sample_zero(g1024, family):
-    lo, hi = _SPANS["holds_origin"]
-    assert g1024.points[g1024.n // 2] == 0.0
-    samples = _FAMILIES[family][1](g1024, lo, hi)
-    assert _bits(samples[g1024.n // 2 - lo]).tolist() == [0, 0]
-
-
-def test_point_mass_is_sampled_on_the_whole_lattice_only(g1024):
-    chirp = _interp_chirp(1.0)
-    whole = _member_samples(g1024, chirp, 0.5, 0, g1024.n)
-    assert np.array_equal(_bits(whole), _bits(interp_kernel(g1024, 1.0, 0.5).samples))
-    for lo, hi in [(0, 1023), (1, 1024), (500, 540)]:
-        with pytest.raises(ValueError, match="^point_mass_span:"):
-            _member_samples(g1024, chirp, 0.5, lo, hi)
+# --- the Gram block is the single-eigenvalue sampler, row by row ------------
 
 
 def test_gram_block_rows_are_interp_kernels_bit_for_bit():
     g = make_grid(1024, 40.0)
     lams = 0.5 * dual_grid(g).points[::32]
-    block = _chirp_block(g, _interp_chirp(0.5), lams, 0, g.n)
+    block = _chirp_block(g, _interp_chirp(0.5), lams)
     assert block.shape == (32, 1024)
     for lam, row in zip(lams, block):
         assert np.array_equal(_bits(row), _bits(interp_kernel(g, 0.5, lam).samples)), lam
@@ -362,26 +313,12 @@ def test_block_forms_each_constant_with_the_scalar_power(g1024):
     scalar = np.array([np.pi / 4.0 - chirp.kappa * np.float64(lam) ** 2 for lam in lams])
     differ = scalar != np.pi / 4.0 - chirp.kappa * np.square(lams)
     assert differ.any()
-    lo, hi = g1024.n // 2 - 4, g1024.n // 2 + 4
-    block = _chirp_block(g1024, chirp, lams[differ], lo, hi)
+    block = _chirp_block(g1024, chirp, lams[differ])
     for lam, row in zip(lams[differ], block):
-        assert np.array_equal(_bits(row), _bits(_member_samples(g1024, chirp, lam, lo, hi)))
-        assert np.array_equal(_bits(row), _bits(_chirp_reference(g1024, chirp, lam)[lo:hi]))
-
-
-@pytest.mark.parametrize(
-    "sample,code",
-    [(lambda g: _chirp_block(g, _interp_chirp(0.5), [0.0, np.inf], 0, 8), "eigenvalue_finite"),
-     (lambda g: _member_samples(g, _interp_chirp(0.5), 1e200, 500, 508), "kernel_phase_finite"),
-     (lambda g: _correlation_samples(g, 1e308, Parity.ODD, 0, 8), "kernel_phase_finite")],
-    ids=["block_lam", "chirp_phase", "correlation_phase"],
-)
-def test_span_samplers_keep_the_sampler_guards(g1024, sample, code):
-    # the phase is checked on the span sampled, under filterwarnings = error
-    with pytest.raises(ValueError, match=f"^{code}:"):
-        sample(g1024)
+        assert np.array_equal(_bits(row), _bits(_member_samples(g1024, chirp, lam)))
+        assert np.array_equal(_bits(row), _bits(_chirp_reference(g1024, chirp, lam)))
 
 
 def test_block_phase_refusal_names_the_overflowing_eigenvalue(g1024):
     with pytest.raises(ValueError, match=r"^kernel_phase_finite: .* lam = 1e\+200$"):
-        _chirp_block(g1024, _interp_chirp(0.5), [0.0, 1e200, 1.0], 0, g1024.n)
+        _chirp_block(g1024, _interp_chirp(0.5), [0.0, 1e200, 1.0])

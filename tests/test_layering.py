@@ -1,8 +1,9 @@
 """The import layering of ``src/qrep``, read from each module's syntax tree.
 
 The library modules sit below the checks and the front end, every
-check-only helper lives in ``verify``, only ``grid`` calls the FFT, and every
-unit phasor goes through ``grid._cis``.
+check-only helper lives in ``verify``, only ``grid`` calls the FFT, every
+unit phasor goes through ``grid._cis``, and ``verify`` takes from ``kernels``
+only public names and three named private helpers.
 """
 
 import ast
@@ -181,3 +182,59 @@ def test_every_unit_phasor_goes_through_cis():
 )
 def test_imaginary_exp_reader_sees_every_spelling(source, functions):
     assert sorted(f for f, _ in _imaginary_exps(ast.parse(source))) == functions
+
+
+# The private helpers ``verify`` may take from ``kernels``: the member tuple,
+# the Gram check's block and the resolution rule.  The eigen-residuals sample
+# through the public samplers, so no span sampler comes back.
+VERIFY_KERNEL_PRIVATES = {"_Chirp", "_chirp_block", "_chirp_resolved"}
+
+
+def _names_from(tree: ast.Module, module: str) -> set[str]:
+    """The names a syntax tree takes from the ``qrep`` module ``module``:
+    imported from it, or read as attributes of it once imported whole."""
+    found, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "qrep":
+                continue
+            if node.level == 0:
+                parts = parts[1:]
+            if parts == [module]:
+                found.update(alias.name for alias in node.names)
+            elif parts in ([], [""]):
+                aliases.update(a.asname or a.name for a in node.names if a.name == module)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == f"qrep.{module}":
+                    aliases.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in aliases:
+            found.add(node.attr)
+    return found
+
+
+def test_verify_takes_only_public_samplers_from_kernels():
+    from qrep import kernels
+
+    taken = _names_from(_tree("verify"), "kernels")
+    assert taken
+    assert taken - set(kernels.__all__) <= VERIFY_KERNEL_PRIVATES, sorted(taken)
+
+
+@pytest.mark.parametrize(
+    "source,names",
+    [
+        ("from .kernels import plane_wave, _span", {"plane_wave", "_span"}),
+        ("from qrep.kernels import _member_samples as m", {"_member_samples"}),
+        ("from . import kernels\nkernels._span(g)", {"_span"}),
+        ("from . import kernels as k\nk._span(g)", {"_span"}),
+        ("import qrep.kernels\nqrep.kernels._span(g)", {"_span"}),
+        ("import qrep.kernels as k\nk.plane_wave(g)", {"plane_wave"}),
+        ("from .grid import _span\nfrom numpy import kernels", set()),
+        ("from .transforms import kernels\nkernels._span", set()),
+    ],
+)
+def test_kernel_name_reader_sees_every_spelling(source, names):
+    assert _names_from(ast.parse(source), "kernels") == names

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -769,6 +770,24 @@ def test_oracle_rejects_unknown_family(g1024, unit_gaussian):
 def test_oracle_requires_parameters(g1024, unit_gaussian):
     with pytest.raises(ValueError, match="oracle_family"):
         quadrature_oracle(unit_gaussian, "interp", np.array([0.0]))
+
+
+@pytest.mark.parametrize("lambdas", [0.5, np.zeros((2, 2))], ids=["scalar", "2d"])
+@pytest.mark.parametrize("family,params", [
+    ("plane_wave", {}), ("interp", {"alpha": 0.5}), ("interp", {"alpha": 1.0}),
+    ("rotation", {"theta": 0.5}), ("correlation_even", {}), ("correlation_odd", {}),
+], ids=["plane_wave", "interp", "point_mass", "rotation", "correlation_even", "correlation_odd"])
+def test_oracle_refuses_eigenvalues_that_are_not_1d(unit_gaussian, family, params, lambdas):
+    shape = re.escape(str(np.shape(lambdas)))
+    with pytest.raises(ValueError, match=rf"^oracle_eigenvalue_shape: .* got shape {shape}$"):
+        quadrature_oracle(unit_gaussian, family, lambdas, **params)
+
+
+def test_conjugation_defect_refuses_the_zero_state(g1024):
+    # warnings are errors here, so a 0/0 would fail with a RuntimeWarning
+    zero = Wavefunction(g1024, np.zeros(g1024.n, dtype=complex), POSITION)
+    with pytest.raises(ValueError, match="^conjugation_zero_state:"):
+        conjugation_defect(zero)
 
 
 def test_oracle_rejects_unresolved_chirp():

@@ -304,31 +304,51 @@ def _whole_grid_residual(kernel, eigenvalue, window, a, b, c):
     return float(np.sqrt(np.sum(np.abs(resid[mask]) ** 2)) / np.sqrt(np.sum(np.abs(f[mask]) ** 2)))
 
 
+# Each eigen-residual's grid spans its window at the step it has always had.
+_EIGEN_GRIDS = {"wave": make_grid(4096, 20.0), "chirp": make_grid(8192, 10.0),
+                "corr": make_grid(2048, 10.0)}
+
+
+@pytest.mark.parametrize("name,wide,lo,sampler", [
+    ("wave", (8192, 40.0), 2048, lambda g: plane_wave(g, 3 * np.pi / 20.0)),
+    ("chirp", (16384, 20.0), 4096, lambda g: interp_kernel(g, 0.75, 2.0)),
+    ("corr", (8192, 40.0), 3072, lambda g: correlation_kernel(g, -2.0, Parity.ODD)),
+])
+def test_eigen_grids_are_windows_of_the_wide_grids_bit_for_bit(name, wide, lo, sampler):
+    # each window-sized grid holds the wide grid's points on its window bit
+    # for bit, so a kernel sampled on it is the wide grid's kernel there
+    g, g_wide = _EIGEN_GRIDS[name], make_grid(*wide)
+    assert g.dx == g_wide.dx
+    window = slice(lo, lo + g.n)
+    assert np.array_equal(g.points.view(np.uint64), g_wide.points[window].view(np.uint64))
+    assert np.array_equal(sampler(g).samples.view(np.uint64),
+                          sampler(g_wide).samples[window].view(np.uint64))
+
+
 def test_eigen_records_are_the_public_samplers_whole_grid_residuals(all_reports):
-    g_wide, g_fine = make_grid(8192, 40.0), make_grid(16384, 20.0)
-    quarter_wide = np.abs(g_wide.points) <= 10.0
-    quarter_fine = np.abs(g_fine.points) <= 5.0
-    ax = np.abs(g_wide.points)
-    annulus = (ax >= 1.0) & (ax <= 8.0)
+    g_wave, g_chirp, g_corr = _EIGEN_GRIDS["wave"], _EIGEN_GRIDS["chirp"], _EIGEN_GRIDS["corr"]
     expected = {}
-    dp = dual_grid(g_wide).dx
+    dp = 2.0 * np.pi / 40.0
+    every = np.ones(g_wave.n, dtype=bool)
     for p in (round(t / dp) * dp for t in (-2.0, 0.5, 1.0)):
-        res = _whole_grid_residual(plane_wave(g_wide, p), p, quarter_wide, 0.0, 1.0, 0.0)
+        res = _whole_grid_residual(plane_wave(g_wave, p), p, every, 0.0, 1.0, 0.0)
         expected[_key("momentum_eigenfunction", {"p": round(p, 12)})] = res
     for family, param, sampler, chirp_of, values in (
         ("interp", "alpha", interp_kernel, _interp_chirp, (0.25, 0.5, 0.75)),
         ("rotation", "theta", rotation_kernel, _rotation_chirp, (np.pi / 6, np.pi / 4, np.pi / 3)),
     ):
+        every = np.ones(g_chirp.n, dtype=bool)
         for value in values:
             a, b = chirp_of(value).a, chirp_of(value).b
             for lam in (-1.0, 0.0, 0.5, 2.0):
-                k = sampler(g_fine, value, lam)
-                res = _whole_grid_residual(k, lam, quarter_fine, a, b, 0.0)
+                k = sampler(g_chirp, value, lam)
+                res = _whole_grid_residual(k, lam, every, a, b, 0.0)
                 expected[_key(f"{family}_eigenfunction", {param: round(value, 12), "lam": lam})] = res
+    outside_unit = np.abs(g_corr.points) >= 1.0
     for gamma in (-2.0, 0.0, 1.0):
         for par in (Parity.EVEN, Parity.ODD):
-            k = correlation_kernel(g_wide, gamma, par)
-            res = _whole_grid_residual(k, gamma, annulus, 0.0, 0.0, 1.0)
+            k = correlation_kernel(g_corr, gamma, par)
+            res = _whole_grid_residual(k, gamma, outside_unit, 0.0, 0.0, 1.0)
             expected[_key("correlation_eigenfunction", {"gamma": gamma, "parity": par.value})] = res
     got = {_key(r.name, r.parameters): r.observed for r in all_reports["eigen_residuals"]}
     assert len(expected) == 33 and set(got) == set(expected)
@@ -355,7 +375,8 @@ def _span_size(window):
 
 
 def test_eigen_residuals_form_no_more_phasors_than_their_spans_hold(monkeypatch):
-    # sampling each kernel on its whole fixed grid formed 466 944 phasors
+    # each kernel is sampled on its window's own grid: no more phasors than
+    # the samples a residual on the wide grids reads, and exactly one per sample
     real = grid._cis
     formed = []
 
@@ -376,3 +397,4 @@ def test_eigen_residuals_form_no_more_phasors_than_their_spans_hold(monkeypatch)
              + 6 * _span_size((ax >= 1.0) & (ax <= 8.0)))
     assert spans == 228_717
     assert len(formed) == 33 and sum(formed) <= spans
+    assert sum(formed) == 3 * 4096 + 24 * 8192 + 6 * 2048 == 221_184
