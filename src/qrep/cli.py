@@ -258,6 +258,7 @@ def cmd_transform(args) -> int:
                 "norm_in": norm(psi),
                 "norm_out": math.sqrt(spectrum.channel_power()),
                 "tail_mass": spectrum.tail_mass,
+                "n_gamma": spectrum.u_grid.n,
             },
         )
         return 0
@@ -354,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="momentum | interp:alpha=A | rotation:theta=T | correlation")
     _add_state(pt)
     pt.add_argument("--u-min", dest="u_min", type=float, default=None,
-                    help="correlation window start in ln|x|; a given window gets 2 n points "
-                         "(the default window is in the README)")
+                    help="correlation window start in ln|x|; the state sets the point count, "
+                         "at most 2 n on a given window (the default window is in the README)")
     pt.add_argument("--u-max", dest="u_max", type=float, default=None,
                     help="correlation window end in ln|x|")
     _add_common(pt)

@@ -403,6 +403,19 @@ def cubic_interpolate(grid: Grid, samples: np.ndarray, t: np.ndarray) -> np.ndar
     return out
 
 
+def _require_log_support(g: Grid, u_grid: Grid) -> float:
+    """Reject a log lattice whose last point ``u_max`` reads past the samples
+    of either half-line of ``g`` (``log_window_support``); returns ``e^u_max``."""
+    r_max = np.exp(u_grid.x_max)
+    x_edge = min(g.x_max, -g.x_min)
+    if r_max > x_edge:
+        raise ValueError(
+            f"log_window_support: e^u_max = {r_max:.6g} exceeds the last sample "
+            f"{x_edge:.6g} of the shorter half-line"
+        )
+    return r_max
+
+
 def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Parity channels of ``psi`` on a logarithmic axis, ``(h_even, h_odd)``:
 
@@ -425,13 +438,7 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
     """
     require_label(psi, POSITION, "log_resample")
     g = psi.grid
-    r_max = np.exp(u_grid.x_max)
-    x_edge = min(g.x_max, -g.x_min)
-    if r_max > x_edge:
-        raise ValueError(
-            f"log_window_support: e^u_max = {r_max:.6g} exceeds the last sample "
-            f"{x_edge:.6g} of the shorter half-line"
-        )
+    r_max = _require_log_support(g, u_grid)
     lo, hi = _spline_window(g, -r_max, r_max)
     coeffs = _spline_coeffs(psi.samples[lo:hi])
     origin = g.n // 2 - lo

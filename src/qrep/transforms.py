@@ -32,6 +32,7 @@ from .grid import (
     _cis,
     _fourier_sum_inplace,
     _log_read_back,
+    _require_log_support,
     dual_grid,
     fourier_sum,
     inverse_fourier_sum,
@@ -232,6 +233,50 @@ def _default_n_gamma(g: Grid, u_window: tuple[float, float]) -> int:
     return n_gamma
 
 
+# The log lattice a state needs.  h(u) oscillates at the u-frequency x p, so
+# gamma_max = r p bounds its spectrum, with r and p the radii beyond which the
+# state holds less than _TAIL_FLOOR of its probability in position and in
+# momentum: below the rounding of its norm.  The lattice takes du = pi/(m
+# gamma_max), m = _DU_REFINE times the Nyquist step at gamma_max.  Its error
+# target is the spline read back of correlation_inverse, which falls as m^-4:
+# on 48 of the benchmark's n = 2^18, L = 640 draws (seeds 1, 2, 3 and 1601,
+# window (-20, ln 288)) m = 8 read a round trip <= 1.2e-7 and a Parseval
+# defect <= 4.4e-10, two decades inside correlation_roundtrip's 1e-5 and
+# correlation_parseval's 1e-6; m = 4 read a round trip of 2.0e-6.
+_TAIL_FLOOR = 1e-16
+_DU_REFINE = 8
+_MIN_N_GAMMA = 8
+
+
+def _tail_radius(g: Grid, samples: np.ndarray) -> float:
+    """Smallest radius beyond which ``sum |samples|^2`` over the samples of
+    ``g`` falls below ``_TAIL_FLOOR`` of the whole sum, in whole cells.
+
+    Sample ``j`` lies ``|round(x_min/dx) + j|`` cells from the origin.  The
+    weights are binned by that radius and summed inwards from the two ends
+    of the lattice at once: O(n), with no sort.
+    """
+    weight = np.abs(samples)
+    np.square(weight, out=weight)
+    first = int(np.rint(g.x_min / g.dx))
+    cells = np.abs(np.arange(first, first + g.n))
+    tail = np.cumsum(np.bincount(cells, weights=weight)[::-1])[::-1]
+    return (np.count_nonzero(tail >= _TAIL_FLOOR * tail[0]) - 1) * g.dx
+
+
+def _state_n_gamma(psi: Wavefunction, span: float, cap: int) -> int:
+    """Points of a log lattice over ``span`` in ``u`` that resolves ``psi``:
+    the power of two at or above ``span/du``, ``du = pi/(m r p)``, at least
+    ``_MIN_N_GAMMA`` and at most the power of two ``cap``."""
+    kgrid, tilde = fourier_sum(psi.samples, psi.grid)
+    gamma_max = _tail_radius(psi.grid, psi.samples) * _tail_radius(kgrid, tilde)
+    need = span * _DU_REFINE * gamma_max / np.pi
+    size = _MIN_N_GAMMA
+    while size < min(need, cap):
+        size *= 2
+    return size
+
+
 def correlation_transform(
     psi: Wavefunction, u_window: tuple[float, float] | None = None
 ) -> CorrelationSpectrum:
@@ -244,28 +289,38 @@ def correlation_transform(
         channel(gamma) = (2 pi)^(-1/2) sum_i h(u_i) e^(-i gamma u_i) du,
         h(u) = e^(u/2) (psi(e^u) +- psi(-e^u)) / sqrt(2).
 
-    The lattice depends only on the window: a given one gets ``2 n`` points;
-    the default, ``(min(-14, ln(4 dx)), ln(min(0.45 length, x_max, -x_min)))``,
-    which ends on the shorter half-line, gets
-    ``2 n`` doubled until ``du`` is no coarser than that of ``2 n`` points over
-    ``(ln(4 dx), u_max)`` (8n at n = 1024, length 40), since ``h`` oscillates
-    at the u-frequency ``p x`` away from the origin.
+    The lattice depends on the state as well as the window.  ``h`` oscillates
+    at the u-frequency ``p x``, so the state needs ``du <= pi/(m r p)``, with
+    ``m = 8`` and ``r`` and ``p`` the radii in position and momentum beyond
+    which it holds less than ``1e-16`` of its probability; it gets the power
+    of two at or above ``(u_max - u_min)/du`` points, at least 8, capped at
+    the window's count.  A given window's count is ``2 n``.  The default
+    window, ``(min(-14, ln(4 dx)), ln(min(0.45 length, x_max, -x_min)))``,
+    which ends on the shorter half-line, counts ``2 n`` doubled until ``du``
+    is no coarser than that of ``2 n`` points over ``(ln(4 dx), u_max)`` (8n
+    at n = 1024, length 40), so reaching down to the origin never coarsens
+    the lattice below that.  The unit Gaussian gets 2048 points on either
+    window at n = 1024.
     The default ``u_min`` leaves about 1e-6 of a
     unit-width state unseen near the origin, so a state of that scale can be
     read back by :func:`correlation_inverse`; narrower states need a lower
     ``u_min``.  The unseen probability is always reported in ``tail_mass``.
     The state must have decayed at both domain edges (``boundary_decay``), as
-    the spline read presumes.
+    the spline read presumes.  Every window guard fires before the state is
+    sized.
     """
     require_label(psi, POSITION, "correlation_transform")
     require_contained(psi)
     g = psi.grid
-    size = 2 * g.n
+    cap = 2 * g.n
     if u_window is None:
         u_window = _default_u_window(g)
-        size = _default_n_gamma(g, u_window)
+        cap = _default_n_gamma(g, u_window)
     u_min, u_max = float(u_window[0]), float(u_window[1])
-    ugrid = log_grid(size, u_min, u_max)
+    # every window guard fires on the capped lattice, before the state is sized;
+    # a coarser lattice ends lower in u, so log_resample's guard then holds
+    _require_log_support(g, log_grid(cap, u_min, u_max))
+    ugrid = log_grid(_state_n_gamma(psi, u_max - u_min, cap), u_min, u_max)
 
     # log_resample's two fresh channels are summed and scaled in place.
     even, odd = log_resample(psi, ugrid)
@@ -405,9 +460,9 @@ def quadrature_oracle(
     * ``correlation_even``/``correlation_odd``: plane waves in ``u = ln|x|``,
       frequency ``gamma`` on a parity channel of
       :func:`~qrep.grid.log_resample` on a log lattice of ``4 n`` points over
-      the default window of :func:`correlation_transform` (twice the density
-      of the ``2 n`` points that window gets when passed, which verify checks;
-      the default lattice reaches at least as far), times ``(2 pi)^(-1/2)``.
+      the default window of :func:`correlation_transform` (at least twice the
+      density of the at most ``2 n`` points that window gets when passed,
+      which verify checks), times ``(2 pi)^(-1/2)``.
       A ``|gamma| > pi/du`` of that lattice is refused with
       ``oracle_gamma_range``.
 

@@ -13,7 +13,8 @@ Operator products are read from single applications, ``<psi, A B psi> =
 BLAS thread count; across thread counts only the Fresnel-ladder records
 (``fresnel_delta_pairing``, ``fresnel_delta_monotone``) move, at rounding,
 since ``grid.inner`` is a BLAS dot product, while the oracle sums use none.
-Every check passes at L = 40, n = 512 to 2^18.
+Every check passes at L = 40, n = 512 to 2^18, for the six factory states
+the suites read; the claim covers no other state.
 
 Every check lives here, with the helpers only checks call: the conjugation
 rule for ``C``, on the operator (:func:`conjugation_defect`) and on the
@@ -111,6 +112,11 @@ _ANGLES = tuple(np.pi * k / 10.0 for k in (1, 2, 3, 4, 5))
 
 _ORACLE_POINTS = 32  # eigenvalues per oracle record
 _SUPPORT_FLOOR = 1e-3  # of the peak coefficient modulus
+# Least peak amplitude of a state the conjugation defect is read on,
+# tiny/eps = 2^-970: above it every value down to the peak's rounding is a
+# normal number.  The moved, chirped Gaussian scaled down read 1e-13 at a
+# peak of 7.5e-306, 4.6e-10 at 7.5e-311 and 3.4e-5 at 7.5e-316 (n = 1024).
+_CONJUGATION_MIN_PEAK = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def _support(values: np.ndarray) -> np.ndarray:
@@ -166,11 +172,19 @@ def conjugation_defect(psi: Wavefunction) -> float:
     ``C_momentum(to_momentum(psi))``, where ``C_momentum`` is built by the
     conjugation rule, relative to the peak of the former.  This is the sharp,
     operator-level check on a normalizable state.  The all-zero state has no
-    peak to compare against and is refused (``conjugation_zero_state``).
+    peak to compare against and is refused (``conjugation_zero_state``), and
+    so is a state whose peak amplitude is below ``_CONJUGATION_MIN_PEAK``,
+    whose defect reads the precision lost to subnormal numbers
+    (``conjugation_state_scale``).
     """
-    if not psi.samples.any():
+    peak = np.abs(psi.samples).max()
+    if peak == 0.0:
         raise ValueError("conjugation_zero_state: the defect is relative to the peak of the "
                          "Fourier map of C psi, which is 0 for the all-zero state")
+    if peak < _CONJUGATION_MIN_PEAK:
+        raise ValueError(f"conjugation_state_scale: the state's peak amplitude {peak:.3e} is "
+                         f"below {_CONJUGATION_MIN_PEAK:.3e}, where the values the defect "
+                         "reads are subnormal")
     lhs = fourier_sum(apply_c(psi).samples, psi.grid)[1] / _SQRT_2PI
     rhs = apply_c_momentum(to_momentum(psi)).samples
     return float(np.abs(lhs - rhs).max() / np.abs(lhs).max())
@@ -481,7 +495,7 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
     # The channel each state of definite parity leaves empty: its peak against
     # the other channel's is rounding (measured <= 6.4e-18, n = 256 to 2^14),
     # so only the other channel is summed against the oracle.
-    # On the 2n points a given window gets, whose whole gamma range the oracle reaches.
+    # On the at most 2n points a given window gets, whose whole gamma range the oracle reaches.
     zero_channel = {"gaussian": "odd", "hermite_1": "even"}
     for name in ("gaussian", "gaussian_moved", "hermite_1"):
         psi = states[name]

@@ -151,6 +151,22 @@ def test_transform_correlation_default_window_sees_the_state(tmp_path):
     assert meta["tail_mass"] <= 1e-6
 
 
+@pytest.mark.parametrize("window", [(), ("--u-min", "-14", "--u-max", str(math.log(18.0)))],
+                         ids=["default", "given"])
+def test_correlation_sidecar_names_the_lattice_size(tmp_path, window):
+    # the state sets the lattice, so the sidecar reports its size: half the
+    # table's rows, one per gamma and parity
+    out = tmp_path / "c.csv"
+    r = run_cli("transform", "--rep", "correlation", "--state", "gaussian:c=2", *window,
+                "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    rows = out.read_text().splitlines()[1:]
+    meta = json.loads(Path(str(out) + ".meta.json").read_text())
+    assert list(meta) == ["norm_in", "norm_out", "tail_mass", "n_gamma"]
+    assert meta["n_gamma"] == len(rows) // 2 and len(rows) % 2 == 0
+    assert meta["n_gamma"] == (4096 if not window else 2048)
+
+
 def _readme_cli_commands() -> list[list[str]]:
     """The commands of the README's CLI block, one argv each."""
     block = README.read_text().split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

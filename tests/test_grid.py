@@ -528,28 +528,31 @@ def test_phase_table_cache_stays_bounded_and_read_only():
 
 
 def test_correlation_round_trip_peak_memory():
-    # In units of n_gamma * 16 bytes, one channel: measured 5.62 for the
-    # transform and 6.42 for the round trip (spectrum included) at n = 2^14,
-    # 3.92 and 6.75 at n = 2^16.  At 2^14 the 2^14-point block buffers of the
-    # streamed passes are about 2 units, so only 2^16 sees a transform-side
-    # saving or a round-trip channel difference in a buffer of its own (7.36
-    # units there, 6.95 at 2^14).  Query-sized temporaries in the spline
-    # reads cost a unit or more.
-    for n, transform_bound, round_trip_bound in ((2**14, 7.0, 7.0), (2**16, 4.2, 7.0)):
+    # In units of n * 16 bytes, one complex array on the position grid: the
+    # state sizes the log lattice (2048 points for this state at every n), so
+    # position-sized buffers now set both peaks.  Measured 3.61 and 3.58 for
+    # the transform at n = 2^14 and 2^16, where the spline fit of psi over
+    # the window's knots is the peak (the sizing step's Fourier sum and
+    # radius bins reach 2.5), and 4.12 and 3.21 for the round trip, from the
+    # transform's end, with the spectrum held: the output, the ln|x| queries
+    # and, at 2^14, the 2^14-point block buffers of the spline reads.
+    for n in (2**14, 2**16):
         g = make_grid(n, 40.0)
         psi = gaussian(g, GaussianSpec(s=1.0, x0=0.3))
-        window, unit = (-14.0, np.log(18.0)), 2 * g.n * 16
-        correlation_inverse(correlation_transform(psi, window), g)  # keeps the phase table
+        window, unit = (-14.0, np.log(18.0)), g.n * 16
+        correlation_inverse(correlation_transform(psi, window), g)  # keeps the phase tables
         tracemalloc.start()
         try:
             spec = correlation_transform(psi, window)
             transform_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
             correlation_inverse(spec, g)
             round_trip_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert transform_peak <= transform_bound * unit, n
-        assert round_trip_peak <= round_trip_bound * unit, n
+        assert spec.u_grid.n == 2048, n
+        assert transform_peak <= 3.8 * unit, n
+        assert round_trip_peak <= 4.4 * unit, n
 
 
 def test_only_grid_names_the_spline_helpers():

@@ -1,5 +1,6 @@
-"""Property tests of the moment engine and the ``a X + b P`` transforms over
-randomly drawn valid states, and of the CLI over drawn spec text.
+"""Property tests of the moment engine, the ``a X + b P`` transforms and the
+correlation transform over randomly drawn valid states, and of the CLI over
+drawn spec text.
 
 States come from the ranges the verify suites and the benchmark's small-grid
 session use, on grids of 256 to 4096 points over a length of 40.
@@ -20,6 +21,8 @@ from qrep import (
     Wavefunction,
     apply_c,
     apply_p,
+    correlation_inverse,
+    correlation_transform,
     gaussian,
     hermite,
     inner,
@@ -29,6 +32,7 @@ from qrep import (
     rotation_transform,
 )
 from qrep.cli import main
+from qrep.transforms import _default_n_gamma, _default_u_window
 
 LENGTH = 40.0
 
@@ -66,6 +70,36 @@ members = st.one_of(
 
 # derandomized: the same examples on every run, so the suite stays a fixed gate
 property_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+# The tolerances of the verify records roundtrips/correlation_parseval and
+# roundtrips/correlation_roundtrip.
+CORRELATION_PARSEVAL_TOL = 1e-6
+CORRELATION_ROUNDTRIP_TOL = 1e-5
+
+
+@property_settings
+@given(st.one_of(
+    gaussian_specs.map(lambda spec: gaussian(make_grid(4096, LENGTH), spec)),
+    st.integers(0, 12).map(lambda k: hermite(make_grid(4096, LENGTH), k)),
+))
+def test_state_sized_correlation_lattice_keeps_parseval_and_the_round_trip(psi):
+    # The state sizes the log lattice, at most the count the window alone
+    # gave.  The window reaches to u = -20, so the drawn states' hole holds
+    # below 1e-6 and the spectrum reads back.
+    g = psi.grid
+    default = _default_u_window(g)
+    window = (-20.0, default[1])
+    assert correlation_transform(psi).u_grid.n <= _default_n_gamma(g, default)
+    spec = correlation_transform(psi, window)
+    assert spec.u_grid.n <= 2 * g.n
+    power = np.sum(np.abs(psi.samples) ** 2) * g.dx
+    assert abs(spec.channel_power() - (power - spec.tail_mass)) <= CORRELATION_PARSEVAL_TOL
+    rec = correlation_inverse(spec, g)
+    x = np.abs(g.points)
+    annulus = (x >= 4.0 * g.dx) & (x <= np.exp(window[1]))
+    err = np.abs(rec.samples - psi.samples)[annulus].max()
+    assert err <= CORRELATION_ROUNDTRIP_TOL
 
 
 @property_settings

@@ -37,8 +37,9 @@ from qrep import (
 )
 from qrep.grid import Grid, _spline_window, cubic_interpolate, fourier_sum, inverse_fourier_sum
 from qrep.kernels import _chirp_resolved, _interp_chirp, _rotation_chirp
-from qrep.transforms import (_CHIRP_FAMILIES, _default_u_window, _exp_minus_i,
-                             _plane_wave_sums, _tail_mass)
+from qrep.transforms import (_CHIRP_FAMILIES, _DU_REFINE, _default_n_gamma, _default_u_window,
+                             _exp_minus_i, _plane_wave_sums, _state_n_gamma, _tail_mass,
+                             _tail_radius)
 from qrep.verify import _factory_states, _oracle_grid
 
 # the default correlation window at length 40
@@ -409,9 +410,12 @@ def _correlation_inverse_reference(spec, g):
 
 @pytest.mark.parametrize("offset", [None, 0.37])
 def test_windowed_correlation_inverse_is_bit_identical_to_whole_sum_reference(offset):
-    # offset 0.37: the target grid is [0.37, 40.37), so the annulus meets
-    # the positive half-line only
-    g = make_grid(1024, 40.0)
+    # offset 0.37: the target grid is [0.37, 160.37), so the annulus meets
+    # the positive half-line only.  The state's lattice has 4096 knots here, of
+    # which the offset target's queries fit 1246; on make_grid(1024, 40.0) its
+    # lattice has 2048, and the queries' window of under 569 knots is widened
+    # to all of them.
+    g = make_grid(4096, 160.0)
     spec = correlation_transform(gaussian(g, GaussianSpec(s=1.0, x0=0.7, p0=-0.3, c=0.5)))
     target = g if offset is None else Grid(g.n, g.dx, offset)
     x = np.abs(target.points)
@@ -560,14 +564,73 @@ def test_default_window_sees_a_unit_state_and_reads_it_back(n):
     assert np.abs(rec.samples - psi.samples)[annulus].max() <= 1e-5
 
 
-@pytest.mark.parametrize("n,n_gamma", [(256, 16 * 256), (1024, 8 * 1024), (4096, 8 * 4096)])
-def test_default_lattice_is_as_fine_as_the_window_that_starts_at_4dx(n, n_gamma):
-    # reaching down to u = -14 must not coarsen du: h(u) oscillates at the
-    # u-frequency p x away from the origin
+def _tail_radius_reference(g, samples):
+    """The smallest radius, in whole cells, beyond which ``|samples|^2`` sums
+    below 1e-16 of its total: every radius tried from the origin out."""
+    cells = np.rint(np.abs(g.points) / g.dx)
+    weight = np.abs(samples) ** 2
+    for cell in np.unique(cells):
+        if weight[cells > cell].sum() < 1e-16 * weight.sum():
+            return cell * g.dx
+    raise AssertionError("no radius holds the whole weight")
+
+
+def _lattice_states(g):
+    return (gaussian(g, GaussianSpec()), gaussian(g, GaussianSpec(c=2.0)), hermite(g, 5),
+            gaussian(g, GaussianSpec(x0=10.0, p0=5.0)))
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_tail_radius_is_the_smallest_radius_that_holds_the_state(n):
     g = make_grid(n, 40.0)
-    spec = correlation_transform(gaussian(g, GaussianSpec()))
-    assert spec.u_grid.n == n_gamma
-    assert spec.u_grid.dx <= (CORR_WINDOW[1] - np.log(4.0 * g.dx)) / (2 * n)
+    for psi in _lattice_states(g):
+        kgrid, tilde = fourier_sum(psi.samples, g)
+        for lattice, samples in ((g, psi.samples), (kgrid, tilde)):
+            assert _tail_radius(lattice, samples) == _tail_radius_reference(lattice, samples)
+    # an offset grid bins both half-lines by their radius in cells
+    offset = Grid(n, g.dx, -0.3 * g.length)
+    spike = np.zeros(n)
+    spike[[3, n // 2, n - 5]] = (1e-9, 1.0, 1e-7)
+    assert _tail_radius(offset, spike) == _tail_radius_reference(offset, spike)
+    assert _tail_radius(offset, spike) == np.rint(abs(offset.points[n - 5]) / g.dx) * g.dx
+
+
+@pytest.mark.parametrize("n,n_gamma", [(256, 16 * 256), (1024, 8 * 1024), (4096, 8 * 4096)])
+def test_lattice_resolves_the_state_up_to_the_grid_count(n, n_gamma):
+    # The cap is the count the window alone gave: 2n for a given window, and
+    # for the default one 2n doubled until du is no coarser than 2n points
+    # over (ln(4 dx), u_max), so reaching down to u = -14 never coarsens du
+    # below that.  Under the cap the lattice is the fewest points, a power of
+    # two and at least 8, with du <= pi/(m r p): h(u) oscillates at the
+    # u-frequency x p.
+    g = make_grid(n, 40.0)
+    default = _default_u_window(g)
+    assert default == CORR_WINDOW
+    assert _default_n_gamma(g, default) == n_gamma
+    assert (default[1] - default[0]) / n_gamma <= (default[1] - np.log(4.0 * g.dx)) / (2 * n)
+    start_at_4dx = (float(np.log(4.0 * g.dx)), default[1])
+    uncapped = 0
+    for psi in _lattice_states(g):
+        kgrid, tilde = fourier_sum(psi.samples, g)
+        gamma_max = _tail_radius_reference(g, psi.samples) * _tail_radius_reference(kgrid, tilde)
+        du_need = np.pi / (_DU_REFINE * gamma_max)
+        for window, cap in ((None, n_gamma), (default, 2 * n), (start_at_4dx, 2 * n)):
+            u = correlation_transform(psi, window).u_grid
+            assert u == log_grid(u.n, *(window or default))
+            assert u.n <= cap
+            if u.n < cap:
+                uncapped += 1
+                assert u.dx <= du_need
+                assert u.n == 8 or 2.0 * u.dx > du_need
+    assert uncapped
+
+
+def test_unit_gaussian_needs_exactly_2n_points_on_the_session_window(g1024, unit_gaussian):
+    # the state's own count and the cap agree, so qrep transform writes
+    # 2 * 2n rows for it, as it did when the window alone set the lattice
+    span = CORR_WINDOW[1] - CORR_WINDOW[0]
+    assert _state_n_gamma(unit_gaussian, span, 2**30) == 2 * g1024.n
+    assert correlation_transform(unit_gaussian, CORR_WINDOW).u_grid.n == 2 * g1024.n
 
 
 def _outer_roundtrip_error(g, psi, **window):
@@ -781,6 +844,22 @@ def test_oracle_refuses_eigenvalues_that_are_not_1d(unit_gaussian, family, param
     shape = re.escape(str(np.shape(lambdas)))
     with pytest.raises(ValueError, match=rf"^oracle_eigenvalue_shape: .* got shape {shape}$"):
         quadrature_oracle(unit_gaussian, family, lambdas, **params)
+
+
+def test_conjugation_defect_refuses_a_state_of_subnormal_scale(g1024, unit_gaussian):
+    # one 1e-320 sample read a defect of 1.001 with no refusal
+    tiny = np.zeros(g1024.n, dtype=complex)
+    tiny[g1024.n // 2 + 7] = 1e-320
+    with pytest.raises(ValueError, match="^conjugation_state_scale:"):
+        conjugation_defect(Wavefunction(g1024, tiny, POSITION))
+    floor = np.finfo(float).tiny / np.finfo(float).eps
+    peak = np.abs(unit_gaussian.samples).max()
+    at_floor = Wavefunction(g1024, unit_gaussian.samples * (floor / peak), POSITION)
+    assert np.abs(at_floor.samples).max() >= floor
+    assert conjugation_defect(at_floor) < 1e-8
+    below = Wavefunction(g1024, unit_gaussian.samples * (0.5 * floor / peak), POSITION)
+    with pytest.raises(ValueError, match="^conjugation_state_scale:"):
+        conjugation_defect(below)
 
 
 def test_conjugation_defect_refuses_the_zero_state(g1024):
