@@ -25,7 +25,7 @@ Every other module builds on the conventions fixed here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -94,7 +94,9 @@ class Grid:
 
     @property
     def points(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n)
+        # A float arange holds the same values as an integer one (n < 2^53),
+        # and spares the conversion inside the multiply.
+        return self.x_min + self.dx * np.arange(self.n, dtype=float)
 
     @property
     def x_max(self) -> float:
@@ -125,6 +127,13 @@ class Wavefunction:
 
     The sample array is frozen after construction; operations return new
     instances, so shared values are safe to use concurrently.
+
+    ``_fourier`` is the :func:`fourier_sum` of the samples, ``(dual lattice,
+    sum)``, taken on first request and kept read-only for the instance's
+    life: one more ``n * 16`` bytes.  Every reader of the state's own sum
+    (``to_momentum``, ``apply_p``, the correlation sizing step, the momentum
+    side of the ``a X + b P`` maps) shares it, and each runs its own guards
+    on every call.
     """
 
     grid: Grid
@@ -141,6 +150,12 @@ class Wavefunction:
             raise ValueError(f"momentum_lattice: momentum samples need a centred lattice, got {g}")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
+
+    @cached_property
+    def _fourier(self) -> tuple[Grid, np.ndarray]:
+        kgrid, tilde = fourier_sum(self.samples, self.grid)
+        tilde.setflags(write=False)
+        return kgrid, tilde
 
 
 def make_grid(n: int, length: float) -> Grid:
@@ -416,6 +431,28 @@ def _require_log_support(g: Grid, u_grid: Grid) -> float:
     return r_max
 
 
+def _read_radius(psi: Wavefunction, r_max: float) -> float:
+    """Radius out to which :func:`log_resample` must read ``psi``: ``r_max``,
+    or ``_FIT_MARGIN`` cells past the farther end of the state's support if
+    that is less; 0 for the all-zero state.
+
+    The spline's slopes read the knots within 33 of each knot, so the
+    whole-lattice spline is ``+0`` on every cell more than 33 knots from a
+    nonzero sample.  Its not-a-knot end parts read the data within 35 knots
+    of a lattice end; where the support comes that near, the radius passes
+    both edges and nothing is cut.
+    """
+    g = psi.grid
+    # a boolean mask and argmax: an index array of the support would take n * 8 B
+    nonzero = psi.samples != 0.0
+    first = int(nonzero.argmax())
+    if not nonzero[first]:
+        return 0.0
+    last = g.n - 1 - int(nonzero[::-1].argmax())
+    far = max(-(g.x_min + first * g.dx), g.x_min + last * g.dx)
+    return min(r_max, far + _FIT_MARGIN * g.dx)
+
+
 def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Parity channels of ``psi`` on a logarithmic axis, ``(h_even, h_odd)``:
 
@@ -428,6 +465,12 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
     stay within the samples of both half-lines, ``e^u_max <= min(x_max,
     -x_min)``, so no value is extrapolated.
 
+    Only the state's support is read.  The spline is fitted out to
+    ``_FIT_MARGIN`` cells past the farther end of the nonzero samples, and
+    every ``u`` whose ``e^u`` lies beyond that reads ``+0``: the
+    whole-lattice spline is exactly ``+0`` there, so the result is the whole
+    read's bit for bit.
+
     The two returned arrays are the only channel-sized buffers: the reads of
     ``psi(e^u)`` and ``psi(-e^u)`` are written into them, and the parity
     parts and the weight ``e^(u/2)/sqrt(2)`` are formed block by block in
@@ -439,17 +482,29 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
     require_label(psi, POSITION, "log_resample")
     g = psi.grid
     r_max = _require_log_support(g, u_grid)
-    lo, hi = _spline_window(g, -r_max, r_max)
+    r_read = _read_radius(psi, r_max)
+    if r_read == 0.0:
+        return np.zeros(u_grid.n, dtype=complex), np.zeros(u_grid.n, dtype=complex)
+    # The reads stop at most one lattice point past the last u with e^u <=
+    # r_read; the fit reaches the point after that, clear of any rounding.
+    stop = u_grid.n
+    if r_read < r_max:
+        stop = min(stop, max(int(np.floor((np.log(r_read) - u_grid.x_min) / u_grid.dx)) + 2, 1))
+    r_fit = np.exp(u_grid.x_min + u_grid.dx * min(stop, u_grid.n - 1))
+    lo, hi = _spline_window(g, -r_fit, r_fit)
     coeffs = _spline_coeffs(psi.samples[lo:hi])
     origin = g.n // 2 - lo
-    h_even = np.empty(u_grid.n, dtype=complex)
-    h_odd = np.empty(u_grid.n, dtype=complex)
-    size = min(u_grid.n, _BLOCK)
-    u, r, odd = np.empty(size), np.empty(size), np.empty(size, dtype=complex)
-    for start in range(0, u_grid.n, size):
-        plus, minus = h_even[start : start + size], h_odd[start : start + size]
-        np.multiply(u_grid.dx, np.arange(start, start + size), out=u)
-        u += u_grid.x_min  # u_grid.points[start : start + size]
+    # allocated after the fit, so that they add nothing to its peak
+    h_even = np.zeros(u_grid.n, dtype=complex)
+    h_odd = np.zeros(u_grid.n, dtype=complex)
+    size = min(stop, _BLOCK)
+    u_buf, r_buf, odd_buf = np.empty(size), np.empty(size), np.empty(size, dtype=complex)
+    for start in range(0, stop, size):
+        end = min(start + size, stop)
+        plus, minus = h_even[start:end], h_odd[start:end]
+        u, r = u_buf[: end - start], r_buf[: end - start]
+        np.multiply(u_grid.dx, np.arange(start, end, dtype=float), out=u)
+        u += u_grid.x_min  # u_grid.points[start:end]
         np.exp(u, out=r)
         # The queries rise with u, so those in the centre cells lead the
         # block.  Their offsets must be positive, so that -e^u reads the cell
@@ -462,7 +517,7 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
         tau = np.divide(r[:c], g.dx, out=r[:c])
         _spline_eval_cell(coeffs, origin, tau, plus[:c])
         _spline_eval_cell(coeffs, origin - 1, np.subtract(1.0, tau, out=tau), minus[:c])
-        diff = np.subtract(plus, minus, out=odd)
+        diff = np.subtract(plus, minus, out=odd_buf[: end - start])
         plus += minus
         minus[...] = diff
         weight = np.divide(u, 2.0, out=u)

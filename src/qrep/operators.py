@@ -45,10 +45,10 @@ def apply_x(psi: Wavefunction) -> Wavefunction:
     return Wavefunction(psi.grid, psi.grid.points * psi.samples, psi.label)
 
 
-def _spectral_p(samples: np.ndarray, g: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """``(fourier_sum(samples), -i d/dx samples)``, with no guard."""
-    kgrid, tilde = fourier_sum(samples, g)
-    return tilde, inverse_fourier_sum(kgrid.points * tilde, g) / (2.0 * np.pi)
+def _spectral_p(kgrid: Grid, tilde: np.ndarray, g: Grid) -> np.ndarray:
+    """``-i d/dx`` of the samples on ``g`` whose :func:`fourier_sum` is
+    ``(kgrid, tilde)``, with no guard."""
+    return inverse_fourier_sum(kgrid.points * tilde, g) / (2.0 * np.pi)
 
 
 def apply_p(psi: Wavefunction) -> Wavefunction:
@@ -57,13 +57,14 @@ def apply_p(psi: Wavefunction) -> Wavefunction:
     The samples are transformed, multiplied by the dual variable, and
     transformed back, so the input must have decayed at the domain edge
     (spectral differentiation treats the data as periodic) and at the
-    momentum edge (the lattice must resolve it).
+    momentum edge (the lattice must resolve it).  The forward sum is the
+    state's kept one (``Wavefunction._fourier``).
     """
     require_label(psi, POSITION, "operator")
     require_contained(psi)
-    tilde, out = _spectral_p(psi.samples, psi.grid)
+    kgrid, tilde = psi._fourier
     require_momentum_decay(tilde)
-    return Wavefunction(psi.grid, out, psi.label)
+    return Wavefunction(psi.grid, _spectral_p(kgrid, tilde, psi.grid), psi.label)
 
 
 def _apply_linear(psi: Wavefunction, a: float, b: float) -> Wavefunction:
@@ -93,7 +94,7 @@ def apply_c(psi: Wavefunction) -> Wavefunction:
     ``psi`` is guarded as a state once, by :func:`apply_p`; ``x psi`` is not."""
     p_psi = apply_p(psi)
     x = psi.grid.points
-    _, p_x_psi = _spectral_p(x * psi.samples, psi.grid)
+    p_x_psi = _spectral_p(*fourier_sum(x * psi.samples, psi.grid), psi.grid)
     return Wavefunction(psi.grid, 0.5 * (x * p_psi.samples + p_x_psi), psi.label)
 
 

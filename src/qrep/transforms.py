@@ -34,7 +34,6 @@ from .grid import (
     _log_read_back,
     _require_log_support,
     dual_grid,
-    fourier_sum,
     inverse_fourier_sum,
     log_grid,
     log_resample,
@@ -81,11 +80,12 @@ def to_momentum(psi: Wavefunction) -> Wavefunction:
     psi_tilde(p) = (2 pi)^(-1/2) sum_j psi_j e^(-i p x_j) dx
 
     on the monotone dual lattice.  Exactly unitary on the grid.  The state
-    must have decayed at both position edges and both momentum edges.
+    must have decayed at both position edges and both momentum edges.  The
+    sum is the state's kept one (``Wavefunction._fourier``).
     """
     require_label(psi, POSITION, "to_momentum")
     require_contained(psi)
-    kgrid, tilde = fourier_sum(psi.samples, psi.grid)
+    kgrid, tilde = psi._fourier
     require_momentum_decay(tilde)
     return Wavefunction(kgrid, tilde / _SQRT_2PI, MOMENTUM)
 
@@ -112,6 +112,9 @@ def _linear_transform(psi: Wavefunction, chirp: _Chirp) -> Wavefunction:
     admits its chirp, else the momentum side resolves its own, so the chirp
     never steps by more than ``pi``.  Which side is taken is an internal
     choice, so neither side checks the momentum edge (``momentum_decay``).
+    The momentum side reads the state's kept sum (``Wavefunction._fourier``);
+    the position side forms its chirps and output in place, each product
+    with the operand order of the expressions above.
     """
     label = chirp.label
     require_label(psi, POSITION, f"{label.kind}_transform")
@@ -119,19 +122,24 @@ def _linear_transform(psi: Wavefunction, chirp: _Chirp) -> Wavefunction:
     a, b, kappa, mu = chirp.a, chirp.b, chirp.kappa, chirp.mu
     g = psi.grid
     if _chirp_resolved(a, b, g):
-        pre = _cis((a / b) * g.points**2 / 2.0)
-        kgrid, G = fourier_sum(pre * psi.samples, g)
+        x = g.points
+        np.square(x, out=x)
+        x *= a / b
+        x /= 2.0
+        G = _cis(x)
+        np.multiply(G, psi.samples, out=G)
+        kgrid = _fourier_sum_inplace(G, g)
         dlam = b * kgrid.dx
         lam_grid = Grid(g.n, dlam, -(g.n // 2) * dlam)
         lam = lam_grid.points
-        out = (
-            _cis(-np.pi / 4.0)
-            * _cis(kappa * lam**2)
-            * G
-            / np.sqrt(2.0 * np.pi * b)
-        )
+        np.square(lam, out=lam)
+        lam *= kappa
+        out = _cis(lam)
+        np.multiply(_cis(-np.pi / 4.0), out, out=out)
+        np.multiply(out, G, out=out)
+        out /= np.sqrt(2.0 * np.pi * b)
         return Wavefunction(lam_grid, out, label)
-    kgrid, tilde = fourier_sum(psi.samples, g)
+    kgrid, tilde = psi._fourier
     pre = _cis(-(b / a) * kgrid.points**2 / 2.0)
     S = inverse_fourier_sum(pre * (tilde / _SQRT_2PI), g)
     lam_grid = Grid(g.n, a * g.dx, a * g.x_min)
@@ -267,8 +275,10 @@ def _tail_radius(g: Grid, samples: np.ndarray) -> float:
 def _state_n_gamma(psi: Wavefunction, span: float, cap: int) -> int:
     """Points of a log lattice over ``span`` in ``u`` that resolves ``psi``:
     the power of two at or above ``span/du``, ``du = pi/(m r p)``, at least
-    ``_MIN_N_GAMMA`` and at most the power of two ``cap``."""
-    kgrid, tilde = fourier_sum(psi.samples, psi.grid)
+    ``_MIN_N_GAMMA`` and at most the power of two ``cap``.  ``p`` is read
+    from the state's kept Fourier sum (``Wavefunction._fourier``), which
+    ``to_momentum`` and ``apply_p`` share, so a state pays for it once."""
+    kgrid, tilde = psi._fourier
     gamma_max = _tail_radius(psi.grid, psi.samples) * _tail_radius(kgrid, tilde)
     need = span * _DU_REFINE * gamma_max / np.pi
     size = _MIN_N_GAMMA

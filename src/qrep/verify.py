@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .grid import (_SQRT_2PI, POSITION, Grid, Wavefunction, _cis, dual_grid, fourier_sum, inner,
+from .grid import (_SQRT_2PI, POSITION, Grid, Wavefunction, _cis, dual_grid, inner,
                    make_grid, norm)
 from .kernels import (
     Parity,
@@ -185,7 +185,7 @@ def conjugation_defect(psi: Wavefunction) -> float:
         raise ValueError(f"conjugation_state_scale: the state's peak amplitude {peak:.3e} is "
                          f"below {_CONJUGATION_MIN_PEAK:.3e}, where the values the defect "
                          "reads are subnormal")
-    lhs = fourier_sum(apply_c(psi).samples, psi.grid)[1] / _SQRT_2PI
+    lhs = apply_c(psi)._fourier[1] / _SQRT_2PI
     rhs = apply_c_momentum(to_momentum(psi)).samples
     return float(np.abs(lhs - rhs).max() / np.abs(lhs).max())
 

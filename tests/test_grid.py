@@ -26,9 +26,12 @@ from qrep import (
     norm,
 )
 from qrep.grid import (
+    _FIT_MARGIN,
     MOMENTUM,
     _cis,
     _phase_table,
+    _read_radius,
+    _require_log_support,
     _spline_coeffs,
     _spline_eval,
     _spline_slopes,
@@ -380,6 +383,52 @@ def test_log_resample_windowed_fit_is_bit_identical_to_whole_lattice_fit():
             assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
 
 
+def _support_read_cases():
+    # (state, the log lattice sizes on which the read stops short of e^u_max)
+    g640, g160 = make_grid(4096, 640.0), make_grid(4096, 160.0)
+    x = g160.points
+    subnormal = gaussian(g160, GaussianSpec(s=1.0)).samples.copy()
+    subnormal[(x > 20.0) & (x < 45.0) & (subnormal == 0.0)] = 3e-310 - 2e-310j
+    # cut where |psi| is still 1.1e-2, so the spline reaches its full 33 knots
+    cut = gaussian(g160, GaussianSpec(s=4.0, p0=0.7)).samples * (np.abs(x) <= 12.0)
+    edges = [1.0, 1j] @ np.random.default_rng(5).normal(size=(2, g160.n))
+    both = (64, 8192)
+    return [
+        (gaussian(g640, GaussianSpec(s=1.5, x0=-17.3, p0=0.4, c=0.3)), both),
+        (gaussian(g160, GaussianSpec(s=0.5, x0=25.0, p0=-1.0)), both),  # support on x > 0 only
+        (hermite(g160, 12), both),
+        (Wavefunction(g160, subnormal, POSITION), both),
+        (Wavefunction(g160, cut, POSITION), both),
+        (Wavefunction(g160, edges, POSITION), ()),  # nonzero at both lattice edges
+        (Wavefunction(g160, np.zeros(g160.n), POSITION), both),
+        # too few knots for a windowed fit: the whole lattice is fitted
+        (gaussian(make_grid(512, 640.0), GaussianSpec(s=5.0, x0=0.0, c=0.01)), (8192,)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_support_read_cases())))
+@pytest.mark.parametrize("n_u", [64, 8192])
+def test_log_resample_support_read_is_bit_identical_to_whole_window_read(
+        case, n_u, whole_window_channels):
+    psi, trimmed = _support_read_cases()[case]
+    g = psi.grid
+    u = log_grid(n_u, -20.0, np.log(0.45 * g.length))
+    r_max = _require_log_support(g, u)
+    assert (_read_radius(psi, r_max) < r_max) == (n_u in trimmed)
+    for h, ref in zip(log_resample(psi, u), whole_window_channels(psi, u)):
+        assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
+
+
+def test_support_read_stops_past_the_farther_end_of_the_support():
+    g = make_grid(4096, 160.0)
+    samples = np.zeros(g.n, dtype=complex)
+    samples[1000], samples[2300] = 1.0, 1e-320j  # x = -40.9 and x = 9.8
+    psi = Wavefunction(g, samples, POSITION)
+    assert _read_radius(psi, 72.0) == pytest.approx(-g.points[1000] + _FIT_MARGIN * g.dx)
+    assert _read_radius(psi, 30.0) == 30.0
+    assert _read_radius(Wavefunction(g, np.zeros(g.n), POSITION), 72.0) == 0.0
+
+
 def _cubic_interpolate_reference(grid, y, t):
     # the spline read as one expression per step, with float indices
     m = _spline_slopes(y)
@@ -532,10 +581,18 @@ def test_correlation_round_trip_peak_memory():
     # state sizes the log lattice (2048 points for this state at every n), so
     # position-sized buffers now set both peaks.  Measured 3.61 and 3.58 for
     # the transform at n = 2^14 and 2^16, where the spline fit of psi over
-    # the window's knots is the peak (the sizing step's Fourier sum and
-    # radius bins reach 2.5), and 4.12 and 3.21 for the round trip, from the
-    # transform's end, with the spectrum held: the output, the ln|x| queries
-    # and, at 2^14, the 2^14-point block buffers of the spline reads.
+    # the window's knots is the peak (the sizing step's radius bins reach
+    # 2.5), and 4.12 and 3.21 for the round trip, from the transform's end,
+    # with the spectrum held: the output, the ln|x| queries and, at 2^14, the
+    # 2^14-point block buffers of the spline reads.
+    #
+    # A state narrower than its window is fitted only on its support: at
+    # length 640 the unit Gaussian is 0 beyond |x| = 39, and the transform
+    # peak measured 1.64 and 1.50 (4.02 and 3.59 with the whole window fitted).
+    #
+    # A fresh state keeps its Fourier sum, so the transform leaves one unit
+    # held besides the spectrum, and that unit is held through the fit:
+    # measured peaks 4.61 and 4.58.
     for n in (2**14, 2**16):
         g = make_grid(n, 40.0)
         psi = gaussian(g, GaussianSpec(s=1.0, x0=0.3))
@@ -553,6 +610,29 @@ def test_correlation_round_trip_peak_memory():
         assert spec.u_grid.n == 2048, n
         assert transform_peak <= 3.8 * unit, n
         assert round_trip_peak <= 4.4 * unit, n
+
+        fresh = gaussian(g, GaussianSpec(s=1.0, x0=0.3))
+        tracemalloc.start()
+        try:
+            spec = correlation_transform(fresh, window)
+            held, fresh_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fresh._fourier[1].nbytes == unit
+        assert unit <= held - spec.even.nbytes - spec.odd.nbytes <= unit + 4096, n
+        assert fresh_peak <= 4.8 * unit, n
+
+        wide = make_grid(n, 640.0)
+        narrow = gaussian(wide, GaussianSpec(s=1.0, x0=0.3))
+        window = (-20.0, np.log(288.0))
+        correlation_inverse(correlation_transform(narrow, window), wide)
+        tracemalloc.start()
+        try:
+            correlation_transform(narrow, window)
+            narrow_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert narrow_peak <= 1.8 * unit, n
 
 
 def test_only_grid_names_the_spline_helpers():

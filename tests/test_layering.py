@@ -1,9 +1,10 @@
 """The import layering of ``src/qrep``, read from each module's syntax tree.
 
 The library modules sit below the checks and the front end, every
-check-only helper lives in ``verify``, only ``grid`` calls the FFT, every
-unit phasor goes through ``grid._cis``, and ``verify`` takes from ``kernels``
-only public names and three named private helpers.
+check-only helper lives in ``verify``, only ``grid`` calls the FFT or sums
+a state's own samples, every unit phasor goes through ``grid._cis``, and
+``verify`` takes from ``kernels`` only public names and three named private
+helpers.
 """
 
 import ast
@@ -114,6 +115,42 @@ def test_only_grid_calls_the_fft():
 )
 def test_fft_reader_sees_every_spelling(source, uses):
     assert _uses_fft(ast.parse(source)) is uses
+
+
+def _own_sum_calls(tree: ast.Module) -> list[int]:
+    """Lines of each call ``fourier_sum(<expr>.samples, ...)``, bare or as an
+    attribute: a state's own Fourier sum, which ``Wavefunction._fourier`` keeps."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args):
+            continue
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+        first = node.args[0]
+        if name == "fourier_sum" and isinstance(first, ast.Attribute) and first.attr == "samples":
+            found.append(node.lineno)
+    return found
+
+
+def test_only_grid_sums_a_state_of_its_own():
+    # every other module reads the kept sum, so a state pays for it once
+    modules = sorted(p.stem for p in SRC.glob("*.py"))
+    assert {m: lines for m in modules if m != "grid" and (lines := _own_sum_calls(_tree(m)))} == {}
+
+
+@pytest.mark.parametrize(
+    "source,count",
+    [
+        ("fourier_sum(psi.samples, g)", 1),
+        ("grid.fourier_sum(apply_c(psi).samples, psi.grid)", 1),
+        ("fourier_sum(x * psi.samples, g)", 0),
+        ("fourier_sum(samples, g)", 0),
+        ("_fourier_sum_inplace(psi.samples, g)", 0),
+        ("psi._fourier", 0),
+    ],
+)
+def test_own_sum_reader_sees_every_spelling(source, count):
+    assert len(_own_sum_calls(ast.parse(source))) == count
 
 
 def test_import_reader_sees_every_spelling():

@@ -3,7 +3,8 @@ correlation transform over randomly drawn valid states, and of the CLI over
 drawn spec text.
 
 States come from the ranges the verify suites and the benchmark's small-grid
-session use, on grids of 256 to 4096 points over a length of 40.
+session use, on grids of 256 to 4096 points over a length of 40; the
+support read of ``log_resample`` is drawn on 4096 points over 160 and 640.
 """
 
 import contextlib
@@ -27,6 +28,8 @@ from qrep import (
     hermite,
     inner,
     interp_transform,
+    log_grid,
+    log_resample,
     make_grid,
     moments,
     rotation_transform,
@@ -100,6 +103,22 @@ def test_state_sized_correlation_lattice_keeps_parseval_and_the_round_trip(psi):
     annulus = (x >= 4.0 * g.dx) & (x <= np.exp(window[1]))
     err = np.abs(rec.samples - psi.samples)[annulus].max()
     assert err <= CORRELATION_ROUNDTRIP_TOL
+
+
+# Off-centre Gaussians and Hermite states vanish, to the last bit, well inside
+# the window (-20, ln 0.45 L) at these lengths, so log_resample reads only
+# their support; the whole window's read must give the same bits.
+@property_settings
+@given(psi=st.sampled_from([640.0, 160.0]).flatmap(lambda length: st.one_of(
+    st.builds(GaussianSpec, s=st.floats(0.7, 3.0), x0=st.floats(-20.0, 20.0),
+              p0=st.floats(-2.0, 2.0), c=st.floats(-1.0, 1.0)).map(
+        lambda spec: gaussian(make_grid(4096, length), spec)),
+    st.integers(0, 12).map(lambda k: hermite(make_grid(4096, length), k)),
+)))
+def test_log_resample_support_read_is_bit_identical(psi, whole_window_channels):
+    u = log_grid(8192, -20.0, np.log(0.45 * psi.grid.length))
+    for h, ref in zip(log_resample(psi, u), whole_window_channels(psi, u)):
+        assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
 
 
 @property_settings

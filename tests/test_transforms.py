@@ -14,6 +14,7 @@ from qrep import (
     POSITION,
     GaussianSpec,
     Wavefunction,
+    apply_p,
     conjugation_defect,
     correlation_inverse,
     correlation_transform,
@@ -122,6 +123,66 @@ def test_kernel_norm_diverges_linearly_with_length():
         norms.append(norm(plane_wave(g, 1.0)) ** 2)
     assert norms[1] / norms[0] == pytest.approx(2.0, rel=1e-12)
     assert norms[2] / norms[1] == pytest.approx(2.0, rel=1e-12)
+
+
+# --- one Fourier sum per state ------------------------------------------------
+
+
+def _count_forward_sums(monkeypatch) -> list[int]:
+    """Wrap ``fourier_sum`` wherever a qrep module binds it; returns the list
+    the wrapper appends each call's length to."""
+    calls, original = [], qrep.grid.fourier_sum
+
+    def counting(values, g):
+        calls.append(len(values))
+        return original(values, g)
+
+    for module in (qrep.grid, qrep.operators, qrep.transforms, qrep.verify):
+        if hasattr(module, "fourier_sum"):
+            monkeypatch.setattr(module, "fourier_sum", counting)
+    return calls
+
+
+def test_a_state_pays_for_its_fourier_sum_once(monkeypatch):
+    g = make_grid(1024, 40.0)
+    spec = GaussianSpec(s=1.2, x0=0.7, p0=-0.3, c=0.5)
+    chirp = _interp_chirp(0.9)
+    assert not _chirp_resolved(chirp.a, chirp.b, g)  # the momentum side
+    readers = (to_momentum, correlation_transform, moments, lambda psi: interp_transform(psi, 0.9))
+    alone = [reader(gaussian(g, spec)) for reader in readers]  # each on a fresh state
+    calls = _count_forward_sums(monkeypatch)
+    psi = gaussian(g, spec)
+    together = [reader(psi) for reader in readers]
+    assert calls == [g.n]
+    # the kept sum changes no result
+    assert np.array_equal(together[0].samples, alone[0].samples)
+    assert np.array_equal(together[1].even, alone[1].even)
+    assert np.array_equal(together[1].odd, alone[1].odd)
+    assert together[2] == alone[2]
+    assert np.array_equal(together[3].samples, alone[3].samples)
+
+
+def test_kept_sum_is_read_only_and_belongs_to_its_state(unit_gaussian):
+    kgrid, tilde = unit_gaussian._fourier
+    assert unit_gaussian._fourier[1] is tilde
+    with pytest.raises(ValueError, match="read-only"):
+        tilde[0] = 0.0
+    ref_grid, ref = fourier_sum(unit_gaussian.samples, unit_gaussian.grid)
+    assert kgrid == ref_grid and np.array_equal(tilde.view(np.uint64), ref.view(np.uint64))
+    # a new state with the same samples takes its own sum
+    twin = Wavefunction(unit_gaussian.grid, unit_gaussian.samples, POSITION)
+    assert "_fourier" not in vars(twin)
+    assert not np.shares_memory(twin._fourier[1], tilde)
+    assert np.array_equal(twin._fourier[1], tilde)
+
+
+def test_momentum_guard_fires_on_every_call_on_the_kept_sum():
+    # to_momentum refuses this state (|phi| = 0.16 at the momentum edge)
+    psi = gaussian(make_grid(256, 40.0), GaussianSpec(s=1.0, c=15.0))
+    for op in (to_momentum, apply_p, to_momentum, moments, apply_p):
+        with pytest.raises(ValueError, match="^momentum_decay:"):
+            op(psi)
+        assert "_fourier" in vars(psi)
 
 
 # --- interpolating family ----------------------------------------------------
