@@ -78,6 +78,17 @@ def test_make_grid_rejects_bad_length(length):
         make_grid(8, length)
 
 
+@pytest.mark.parametrize("length", [40.0, 40.1, 640.0, 1e-3, 3.3e7])
+def test_points_are_the_integer_arange_formula_bit_for_bit(length):
+    # an integer below 2^53 converts to a float exactly, so the float arange
+    # of Grid.points gives the integer arange's points to the last bit
+    grids = [make_grid(2**k, length) for k in range(3, 19)]
+    grids.append(Grid(1024, length / 1024, -0.37 * length + length / 3072))
+    for g in grids:
+        old = g.x_min + g.dx * np.arange(g.n)
+        assert np.array_equal(g.points.view(np.uint64), old.view(np.uint64)), g
+
+
 def test_dual_grid_values():
     g = make_grid(8, 8.0)
     d = dual_grid(g)
