@@ -312,6 +312,67 @@ def test_kernel_refuses_an_option_its_family_does_not_read(args):
     assert "Traceback" not in r.stderr
 
 
+# The full text of each refusal of a family's parameter options: a foreign
+# option, its own option left out, and fresnel's eigenvalue.
+KERNEL_PARAMETER_REFUSALS = [
+    (["plane-wave", "--alpha", "0.3"], "plane-wave family takes no --alpha"),
+    (["position-in-momentum", "--theta", "1"], "position-in-momentum family takes no --theta"),
+    (["interp", "--alpha", "0.3", "--theta", "1"], "interp family takes no --theta"),
+    (["interp", "--theta", "1"], "interp family takes no --theta"),
+    (["rotation", "--theta", "1.5", "--eps", "4"], "rotation family takes no --eps"),
+    (["corr-odd", "--eps", "4"], "corr-odd family takes no --eps"),
+    (["fresnel", "--eps", "4", "--alpha", "0.3"], "fresnel family takes no --alpha"),
+    (["plane-wave", "--alpha", "0.3", "--theta", "1"], "plane-wave family takes no --alpha"),
+    (["fresnel", "--alpha", "0.3", "--theta", "1", "--eps", "4"],
+     "fresnel family takes no --alpha"),
+    (["interp"], "interp family requires --alpha"),
+    (["rotation"], "rotation family requires --theta"),
+    (["fresnel"], "fresnel family requires --eps"),
+    (["fresnel", "--eps", "4", "--lam", "1"],
+     "fresnel is the lambda = 0 member of X + (eps/2) P, got --lam 1.0"),
+]
+
+
+@pytest.mark.parametrize("family,text", KERNEL_PARAMETER_REFUSALS,
+                         ids=[" ".join(a) for a, _ in KERNEL_PARAMETER_REFUSALS])
+def test_kernel_parameter_refusals_print_their_full_text(capsys, family, text):
+    rc = main(["kernel", "--family", *family, "--n", "16", "--length", "16"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"qrep: kernel_parameter: {text}\n"
+
+
+REP_SPEC_REFUSALS = [
+    (["interp:alpha=0.5,beta=2"], "rep_spec_field: unknown interp fields ['beta']"),
+    (["interp:theta=1"], "rep_spec_field: unknown interp fields ['theta']"),
+    (["rotation:theta=1,alpha=0.2"], "rep_spec_field: unknown rotation fields ['alpha']"),
+    (["momentum:x=1,a=2"], "rep_spec_field: unknown momentum fields ['a', 'x']"),
+    (["correlation:u=1"], "rep_spec_field: unknown correlation fields ['u']"),
+    (["momentum", "--u-min", "-3", "--u-max", "1"],
+     "rep_spec_field: --u-min and --u-max set the correlation window; momentum takes neither"),
+    (["interp:alpha=0.5", "--u-max", "1"],
+     "rep_spec_field: --u-min and --u-max set the correlation window; interp takes neither"),
+    (["rotation:theta=1", "--u-min", "-3"],
+     "rep_spec_field: --u-min and --u-max set the correlation window; rotation takes neither"),
+    (["interp"], "rep_spec: interp representation requires alpha, e.g. interp:alpha=0.5"),
+    (["rotation"], "rep_spec: rotation representation requires theta, e.g. rotation:theta=0.5"),
+    (["correlation", "--u-min", "-3"], "rep_spec: provide both --u-min and --u-max or neither"),
+    (["nosuch"], "rep_spec_name: unknown representation 'nosuch' "
+                 "(want momentum, interp:alpha=..., rotation:theta=..., or correlation)"),
+    ([""], "rep_spec_name: unknown representation '' "
+           "(want momentum, interp:alpha=..., rotation:theta=..., or correlation)"),
+]
+
+
+@pytest.mark.parametrize("rep,text", REP_SPEC_REFUSALS,
+                         ids=[" ".join(a) or "empty" for a, _ in REP_SPEC_REFUSALS])
+def test_rep_spec_refusals_print_their_full_text(capsys, rep, text):
+    rc = main(["transform", "--rep", *rep, "--n", "64", "--length", "16"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"qrep: {text}\n"
+
+
 # sha256 of each family's table at n = 16, length 16, as printed when the
 # eigenvalue had one option per family: --p, --a, --lam (interp, rotation),
 # --gamma and none (fresnel, which reads only lambda = 0).

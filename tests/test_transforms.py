@@ -896,6 +896,29 @@ def test_oracle_requires_parameters(g1024, unit_gaussian):
         quadrature_oracle(unit_gaussian, "interp", np.array([0.0]))
 
 
+ORACLE_FAMILY_REFUSALS = [
+    ("nosuch", {}, "unknown kernel family 'nosuch'"),
+    ("position_in_momentum", {}, "unknown kernel family 'position_in_momentum'"),
+    ("fresnel", {}, "unknown kernel family 'fresnel'"),
+    ("interp", {}, "interp family requires alpha"),
+    ("rotation", {}, "rotation family requires theta"),
+    ("plane_wave", {"alpha": 0.3}, "plane_wave family takes no alpha"),
+    ("plane_wave", {"alpha": 0.3, "theta": 1.0}, "plane_wave family takes no alpha or theta"),
+    ("interp", {"theta": 1.0}, "interp family takes no theta"),
+    ("rotation", {"alpha": 0.5, "theta": 1.2}, "rotation family takes no alpha"),
+    ("correlation_even", {"theta": 1.0}, "correlation_even family takes no theta"),
+    ("correlation_odd", {"alpha": 0.1, "theta": 1.0},
+     "correlation_odd family takes no alpha or theta"),
+]
+
+
+@pytest.mark.parametrize("family,params,text", ORACLE_FAMILY_REFUSALS)
+def test_oracle_family_refusals_carry_their_full_text(unit_gaussian, family, params, text):
+    with pytest.raises(ValueError) as refused:
+        quadrature_oracle(unit_gaussian, family, np.array([0.0]), **params)
+    assert str(refused.value) == f"oracle_family: {text}"
+
+
 @pytest.mark.parametrize("lambdas", [0.5, np.zeros((2, 2))], ids=["scalar", "2d"])
 @pytest.mark.parametrize("family,params", [
     ("plane_wave", {}), ("interp", {"alpha": 0.5}), ("interp", {"alpha": 1.0}),
