@@ -22,20 +22,10 @@ import os
 import sys
 import tempfile
 
-from .grid import Grid, Wavefunction, dual_grid, make_grid, norm
-from .kernels import (
-    Parity,
-    _require_chirp_resolved,
-    correlation_kernel,
-    fresnel_delta,
-    interp_kernel,
-    plane_wave,
-    position_kernel_in_momentum,
-    rotation_kernel,
-)
+from .grid import Grid, Wavefunction, make_grid, norm
 from .operators import moments
 from .states import GaussianSpec, gaussian, hermite
-from .transforms import _CHIRP_FAMILIES, correlation_transform, to_momentum
+from .transforms import _FAMILIES, _family_value, correlation_transform
 from .verify import SATURATION_TOL, SUITE_NAMES, run_all_suites, run_suite
 
 
@@ -99,7 +89,10 @@ def _parse_kv(body: str, what: str) -> dict:
             if "=" not in item:
                 raise ValueError(f"{what}_syntax: expected key=value, got {item!r}")
             key, val = item.split("=", 1)
-            params[key.strip()] = _number(what, key.strip(), val)
+            key = key.strip()
+            if key in params:  # a dict would keep the last value silently
+                raise ValueError(f"{what}_field: give {key} once, got {body!r}")
+            params[key] = _number(what, key, val)
     return params
 
 
@@ -125,10 +118,19 @@ def _state_from_fields(g: Grid, name, params: dict) -> Wavefunction:
     raise ValueError(f"state_spec_name: unknown state {name!r} (want gaussian or hermite)")
 
 
+def _unique_fields(pairs: list) -> dict:
+    """A JSON object's fields; one given twice, of which ``json`` keeps the last, is refused."""
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ValueError(f"field {key!r} is given twice")
+    return dict(pairs)
+
+
 def _state_from_config(g: Grid, path: str) -> Wavefunction:
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=_unique_fields)
     except OSError as exc:
         raise ValueError(f"config_read: cannot read {path}: {exc.strerror or exc}") from None
     except ValueError as exc:
@@ -166,27 +168,9 @@ def _grid(args) -> Grid:
     return make_grid(args.n, args.length)
 
 
-def _fresnel(g: Grid, eps: float, lam: float) -> Wavefunction:
-    if lam != 0.0:
-        raise ValueError(
-            f"kernel_parameter: fresnel is the lambda = 0 member of X + (eps/2) P, got --lam {lam}"
-        )
-    return fresnel_delta(g, eps)
-
-
-# Every kernel family by its --family name: the one parameter option it takes,
-# if any, and its sampler of (grid, parameter, eigenvalue).
-_KERNELS = {
-    "plane-wave": (None, lambda g, _, lam: plane_wave(g, lam)),
-    "position-in-momentum": (
-        None, lambda g, _, lam: position_kernel_in_momentum(dual_grid(g), lam)),
-    "interp": ("alpha", interp_kernel),
-    "rotation": ("theta", rotation_kernel),
-    "corr-even": (None, lambda g, _, lam: correlation_kernel(g, lam, Parity.EVEN)),
-    "corr-odd": (None, lambda g, _, lam: correlation_kernel(g, lam, Parity.ODD)),
-    "fresnel": ("eps", _fresnel),
-}
-_KERNEL_PARAMS = tuple(param for param, _ in _KERNELS.values() if param)
+# Each family's table name by its --family spelling, hyphenated or an alias.
+_ALIASES = {"correlation_even": "corr-even", "correlation_odd": "corr-odd"}
+_KERNELS = {_ALIASES.get(name, name.replace("_", "-")): name for name in _FAMILIES}
 
 
 def cmd_kernel(args) -> int:
@@ -195,18 +179,15 @@ def cmd_kernel(args) -> int:
         given = " and ".join(f"{option} {value!r}" for option, value in args.lam)
         raise ValueError(f"kernel_parameter: give the eigenvalue once, got {given}")
     lam = args.lam[0][1] if args.lam else 0.0
-    fam = args.family
-    param, sample = _KERNELS[fam]
-    for other in _KERNEL_PARAMS:
-        if other != param and getattr(args, other) is not None:
-            raise ValueError(f"kernel_parameter: {fam} family takes no --{other}")
-    value = None if param is None else getattr(args, param)
-    if param is not None and value is None:
-        raise ValueError(f"kernel_parameter: {fam} family requires --{param}")
-    if fam in _CHIRP_FAMILIES:  # an unresolved chirp is refused before sampling
-        chirp = _CHIRP_FAMILIES[fam].chirp(value)
-        _require_chirp_resolved(chirp.a, chirp.b, g)
-    _emit_table(args, ["x", "re", "im", "abs"], _sample_columns(sample(g, value, lam)))
+    name = _KERNELS[args.family]
+    options = {f.param: getattr(args, f.param) for f in _FAMILIES.values() if f.param}
+    value = _family_value(name, options, "kernel_parameter", g, "--", args.family)
+    if name == "fresnel" and lam != 0.0:
+        raise ValueError(
+            f"kernel_parameter: fresnel is the lambda = 0 member of X + (eps/2) P, got --lam {lam}"
+        )
+    _emit_table(args, ["x", "re", "im", "abs"],
+                _sample_columns(_FAMILIES[name].sample(g, value, lam)))
     return 0
 
 
@@ -215,18 +196,22 @@ def _sidecar(args, payload: dict) -> None:
         _write_text(args.out + ".meta.json", json.dumps(payload, indent=2) + "\n")
 
 
+# The families with a forward map by --rep name; correlation's is a branch below.
+_REPS = {"momentum": "plane_wave", "interp": "interp", "rotation": "rotation"}
+
+
 def cmd_transform(args) -> int:
     g = _grid(args)
     psi = build_state(g, args)
     rep_name, _, rep_body = args.rep.partition(":")
-    if rep_name not in ("momentum", "correlation", *_CHIRP_FAMILIES):
+    if rep_name not in ("correlation", *_REPS):
         raise ValueError(
             f"rep_spec_name: unknown representation {rep_name!r} "
             "(want momentum, interp:alpha=..., rotation:theta=..., or correlation)"
         )
     rep_params = _parse_kv(rep_body, "rep_spec")
-    member = _CHIRP_FAMILIES.get(rep_name)
-    extra = set(rep_params) - ({member.param} if member else set())
+    param = _FAMILIES[_REPS[rep_name]].param if rep_name in _REPS else None
+    extra = set(rep_params) - {param}
     if extra:
         raise ValueError(f"rep_spec_field: unknown {rep_name} fields {sorted(extra)}")
     windowed = args.u_min is not None or args.u_max is not None
@@ -263,15 +248,12 @@ def cmd_transform(args) -> int:
         )
         return 0
 
-    if member is None:
-        out = to_momentum(psi)
-    elif member.param in rep_params:
-        out = member.transform(psi, rep_params[member.param])
-    else:
+    if param is not None and param not in rep_params:
         raise ValueError(
-            f"rep_spec: {rep_name} representation requires {member.param}, "
-            f"e.g. {rep_name}:{member.param}=0.5"
+            f"rep_spec: {rep_name} representation requires {param}, "
+            f"e.g. {rep_name}:{param}=0.5"
         )
+    out = _FAMILIES[_REPS[rep_name]].transform(psi, rep_params.get(param))
     _emit_table(args, ["lambda", "re", "im", "abs"], _sample_columns(out))
     _sidecar(args, {"norm_in": norm(psi), "norm_out": norm(out), "tail_mass": None})
     return 0

@@ -9,8 +9,8 @@ Each member of the ``a X + b P`` families is a ``_Chirp``, built by
 ``_interp_chirp``/``_rotation_chirp``, the one place a family's parameter
 range is checked.  One rule says whether a lattice resolves a member's chirp,
 ``a dx <= b dp`` (``_chirp_resolved``); the transforms pick their side by it,
-and ``nyquist_chirp_step`` refuses by it (``chirp_step_bound``, the oracle and
-``qrep kernel``).  The samplers apply no resolution guard.
+and ``nyquist_chirp_step`` refuses by it (``chirp_step_bound``, and for the
+oracle and ``qrep kernel`` ``transforms._family_value``); no sampler does.
 """
 
 from __future__ import annotations

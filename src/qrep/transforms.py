@@ -11,8 +11,9 @@ the coordinate, taken separately in each parity channel.
 
 Every fast path has a direct-summation oracle (`quadrature_oracle`) against
 which it is validated in the test and verify suites.  This module holds the
-maps and the oracle only; the checks built on them, the conjugation rule for
-``C`` among them, live in :mod:`qrep.verify`.
+maps, the oracle and the one table of eigenfunction families (``_FAMILIES``),
+which the oracle, the CLI and verify read; the checks built on the maps, the
+conjugation rule for ``C`` among them, live in :mod:`qrep.verify`.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .grid import (
     require_momentum_decay,
 )
 from .kernels import (
+    Parity,
     _Chirp,
     _chirp_resolved,
     _interp_chirp,
@@ -50,7 +52,11 @@ from .kernels import (
     _require_finite_eigenvalue,
     _require_resolved,
     _rotation_chirp,
+    correlation_kernel,
+    fresnel_delta,
     interp_kernel,
+    plane_wave,
+    position_kernel_in_momentum,
     rotation_kernel,
 )
 
@@ -169,13 +175,42 @@ def rotation_transform(psi: Wavefunction, theta: float) -> Wavefunction:
     return _linear_transform(psi, _rotation_chirp(theta))
 
 
-# What each ``a X + b P`` family is built from, by family name: its parameter,
-# its member, its eigenfunction sampler and its transform.
-_ChirpFamily = namedtuple("_ChirpFamily", "param chirp sample transform")
-_CHIRP_FAMILIES = {
-    "interp": _ChirpFamily("alpha", _interp_chirp, interp_kernel, interp_transform),
-    "rotation": _ChirpFamily("theta", _rotation_chirp, rotation_kernel, rotation_transform),
+# Every eigenfunction family, by its oracle name: the one parameter it takes,
+# or None; its member builder, for the ``a X + b P`` families; its sampler of
+# (grid, parameter, eigenvalue); its forward map of (state, parameter), where
+# qrep has one; and whether quadrature_oracle sums it.
+_Family = namedtuple("_Family", "param chirp sample transform summed")
+_FAMILIES = {
+    "plane_wave": _Family(None, None, lambda g, _, p: plane_wave(g, p),
+                          lambda psi, _: to_momentum(psi), True),
+    "position_in_momentum": _Family(
+        None, None, lambda g, _, a: position_kernel_in_momentum(dual_grid(g), a), None, False),
+    "interp": _Family("alpha", _interp_chirp, interp_kernel, interp_transform, True),
+    "rotation": _Family("theta", _rotation_chirp, rotation_kernel, rotation_transform, True),
+    "correlation_even": _Family(
+        None, None, lambda g, _, gamma: correlation_kernel(g, gamma, Parity.EVEN), None, True),
+    "correlation_odd": _Family(
+        None, None, lambda g, _, gamma: correlation_kernel(g, gamma, Parity.ODD), None, True),
+    "fresnel": _Family("eps", None, lambda g, eps, _: fresnel_delta(g, eps), None, False),
 }
+
+
+def _family_value(name: str, given: dict, code: str, g: Grid, flag: str, shown: str):
+    """The parameter of family ``name`` in ``given`` (each option's value or None),
+    None for a family without one.  A foreign option, or the family's own left
+    out, is refused with the caller's ``code``, option prefix ``flag`` and family
+    spelling ``shown``; then a chirp ``g`` does not resolve, with ``nyquist_chirp_step``."""
+    family = _FAMILIES[name]
+    extra = [flag + k for k, v in given.items() if v is not None and k != family.param]
+    if extra:
+        raise ValueError(f"{code}: {shown} family takes no {' or '.join(extra)}")
+    value = None if family.param is None else given[family.param]
+    if family.param is not None and value is None:
+        raise ValueError(f"{code}: {shown} family requires {flag}{family.param}")
+    if family.chirp is not None:
+        chirp = family.chirp(value)
+        _require_chirp_resolved(chirp.a, chirp.b, g)
+    return value
 
 
 @dataclass(frozen=True)
@@ -386,8 +421,6 @@ def correlation_inverse(spec: CorrelationSpectrum, g: Grid) -> Wavefunction:
     return Wavefunction(g, _log_read_back(spec.even, spec.odd, spec.u_grid, g), POSITION)
 
 
-_ORACLE_FAMILIES = ("plane_wave", "interp", "rotation", "correlation_even", "correlation_odd")
-
 # Veltkamp's splitter for doubles, 2^27 + 1.
 _SPLITTER = 134217729.0
 
@@ -482,27 +515,18 @@ def quadrature_oracle(
     with ``sample_finite``.
     """
     require_label(psi, POSITION, "quadrature_oracle")
-    if family not in _ORACLE_FAMILIES:
+    if family not in _FAMILIES or not _FAMILIES[family].summed:
         raise ValueError(f"oracle_family: unknown kernel family {family!r}")
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.ndim != 1:
         raise ValueError("oracle_eigenvalue_shape: lambdas must be a 1-D array, "
                          f"got shape {lambdas.shape}")
     g = psi.grid
+    value = _family_value(family, {"alpha": alpha, "theta": theta}, "oracle_family", g, "",
+                          family)
 
-    member = _CHIRP_FAMILIES.get(family)
-    params = {"alpha": alpha, "theta": theta}
-    own = member.param if member else None
-    extra = [k for k, v in params.items() if v is not None and k != own]
-    if extra:
-        raise ValueError(f"oracle_family: {family} family takes no {' or '.join(extra)}")
-
-    if member is not None:
-        value = params[member.param]
-        if value is None:
-            raise ValueError(f"oracle_family: {family} family requires {member.param}")
-        chirp = member.chirp(value)
-        _require_chirp_resolved(chirp.a, chirp.b, g)
+    if _FAMILIES[family].chirp is not None:
+        chirp = _FAMILIES[family].chirp(value)
         _require_finite_eigenvalue("lam", lambdas)
         a, b = chirp.a, chirp.b
         if b > 0.0:

@@ -43,7 +43,6 @@ from .kernels import (
     correlation_kernel,
     fresnel_delta,
     plane_wave,
-    position_kernel_in_momentum,
 )
 from .operators import (
     apply_c,
@@ -56,7 +55,7 @@ from .operators import (
 )
 from .states import GaussianSpec, gaussian, hermite
 from .transforms import (
-    _CHIRP_FAMILIES,
+    _FAMILIES,
     _default_u_window,
     correlation_inverse,
     correlation_transform,
@@ -261,7 +260,7 @@ def _suite_eigen_residuals(g: Grid) -> list[CheckReport]:
         ("interp", (0.25, 0.5, 0.75)),
         ("rotation", (np.pi / 6, np.pi / 4, np.pi / 3)),
     ):
-        member = _CHIRP_FAMILIES[family]
+        member = _FAMILIES[family]
         for value in values:
             chirp = member.chirp(value)
             for lam in (-1.0, 0.0, 0.5, 2.0):
@@ -310,7 +309,7 @@ def _suite_roundtrips(g: Grid) -> list[CheckReport]:
     )
 
     for family, value in (("interp", 0.5), ("rotation", np.pi / 4)):
-        member = _CHIRP_FAMILIES[family]
+        member = _FAMILIES[family]
         out = member.transform(psi, value)
         params = {member.param: round(value, 12)}
         reports.append(
@@ -415,27 +414,19 @@ def _modulus_spread(w: Wavefunction) -> float:
 
 def _suite_unbiasedness(g: Grid) -> list[CheckReport]:
     reports = []
-    for p in (0.0, 1.5, -3.2, round(0.9 * np.pi / g.dx, 6)):
-        reports.append(
-            CheckReport(
-                "plane_wave_unbiased", {"p": p}, _modulus_spread(plane_wave(g, p)), 1e-15
-            )
-        )
-    gp = dual_grid(g)
-    for a in (0.0, 2.0):
-        reports.append(
-            CheckReport(
-                "position_kernel_unbiased",
-                {"a": a},
-                _modulus_spread(position_kernel_in_momentum(gp, a)),
-                1e-15,
-            )
-        )
+    # the plane waves, and the position kernel on the dual lattice of g
+    for family, name, key, values in (
+        ("plane_wave", "plane_wave_unbiased", "p", (0.0, 1.5, -3.2, round(0.9 * np.pi / g.dx, 6))),
+        ("position_in_momentum", "position_kernel_unbiased", "a", (0.0, 2.0)),
+    ):
+        for value in values:
+            spread = _modulus_spread(_FAMILIES[family].sample(g, None, value))
+            reports.append(CheckReport(name, {key: value}, spread, 1e-15))
     for family, values, lams in (
         ("interp", (0.25, 0.5, 0.75, 0.9), (0.0, 1.0)),
         ("rotation", (np.pi / 6, np.pi / 4, np.pi / 3), (0.5,)),
     ):
-        member = _CHIRP_FAMILIES[family]
+        member = _FAMILIES[family]
         for value in values:
             expected = (2.0 * np.pi * member.chirp(value).b) ** -0.5
             for lam in lams:
@@ -462,7 +453,7 @@ def _member_oracle(g: Grid, family: str, value: float, name: str,
                    out: Wavefunction) -> CheckReport:
     """``out``, the member's output for the factory state ``name``, against the
     oracle on its ``_support``, summed on a grid that resolves the kernel chirp."""
-    member = _CHIRP_FAMILIES[family]
+    member = _FAMILIES[family]
     fine = _state(_oracle_grid(g, member.chirp(value)), name)
     sub = _support(out.samples)
     oracle = quadrature_oracle(fine, family, out.grid.points[sub], **{member.param: value})
@@ -489,7 +480,7 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
         ("rotation", 0.15, ("gaussian",)),
     ):
         for name in names:
-            out = _CHIRP_FAMILIES[family].transform(states[name], value)
+            out = _FAMILIES[family].transform(states[name], value)
             reports.append(_member_oracle(g, family, value, name, out))
 
     # The channel each state of definite parity leaves empty: its peak against
@@ -541,7 +532,7 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
     gk = make_grid(1024, 40.0)
     lams = (1.0 - alpha) * dual_grid(gk).points[::32]
     window = np.exp(-gk.points**2 / (2.0 * (gk.length / 8.0) ** 2))
-    kernels = _chirp_block(gk, _CHIRP_FAMILIES["interp"].chirp(alpha), lams)
+    kernels = _chirp_block(gk, _FAMILIES["interp"].chirp(alpha), lams)
     windowed = window * kernels
     gram = np.array([[np.vdot(ka, wb) * gk.dx for wb in windowed] for ka in kernels])
     agram = np.abs(gram)

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import qrep
-from qrep.cli import _grid, build_parser, main
+from qrep import gaussian, make_grid, quadrature_oracle
+from qrep.cli import _KERNELS, _REPS, _grid, build_parser, main
+from qrep.transforms import _FAMILIES
 
 QREP_ROOT = str(Path(qrep.__file__).resolve().parents[1])
 GOLDEN = Path(__file__).parent / "golden"
@@ -277,6 +279,10 @@ def test_invalid_state_spec_exit_code():
          "point_mass_range"),
         (["kernel", "--family", "plane-wave", "--p", "1", "--gamma", "2", "--n", "16",
           "--length", "16"], None, "kernel_parameter"),
+        # a field given twice, of which a dict would keep the last
+        (["transform", "--rep", "interp:alpha=0.2,alpha=0.9"], None, "rep_spec_field"),
+        (["moments", "--state", "gaussian:s=1, s=2"], None, "state_spec_field"),
+        (["moments"], '{"state": "gaussian", "s": 1.0, "s": 2.0}', "config_format"),
     ],
 )
 def test_bad_spec_input_exits_with_code(tmp_path, args, config, code):
@@ -290,56 +296,66 @@ def test_bad_spec_input_exits_with_code(tmp_path, args, config, code):
     assert "Traceback" not in r.stderr
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["--family", "plane-wave", "--alpha", "0.3"],
-        ["--family", "position-in-momentum", "--theta", "1"],
-        ["--family", "interp", "--alpha", "0.3", "--theta", "1"],
-        ["--family", "rotation", "--theta", "1.5", "--eps", "4"],
-        ["--family", "corr-odd", "--eps", "4"],
-        ["--family", "fresnel", "--eps", "4", "--alpha", "0.3"],
-        ["--family", "fresnel", "--eps", "4", "--lam", "1"],
-    ],
-    ids=" ".join,
-)
-def test_kernel_refuses_an_option_its_family_does_not_read(args):
-    # each family reads the eigenvalue and its own parameter option, no other;
-    # fresnel is the lambda = 0 member of X + (eps/2) P
-    r = run_cli("kernel", *args, "--n", "16", "--length", "16")
-    assert r.returncode == 2
-    assert r.stderr.startswith("qrep: kernel_parameter:"), r.stderr
-    assert "Traceback" not in r.stderr
-
-
-# The full text of each refusal of a family's parameter options: a foreign
-# option, its own option left out, and fresnel's eigenvalue.
-KERNEL_PARAMETER_REFUSALS = [
+# The full text of each refusal of a family's parameter options: the foreign
+# options, every one named, as the oracle names them, and fresnel's eigenvalue.
+FOREIGN_OPTION_REFUSALS = [
     (["plane-wave", "--alpha", "0.3"], "plane-wave family takes no --alpha"),
     (["position-in-momentum", "--theta", "1"], "position-in-momentum family takes no --theta"),
     (["interp", "--alpha", "0.3", "--theta", "1"], "interp family takes no --theta"),
-    (["interp", "--theta", "1"], "interp family takes no --theta"),
     (["rotation", "--theta", "1.5", "--eps", "4"], "rotation family takes no --eps"),
     (["corr-odd", "--eps", "4"], "corr-odd family takes no --eps"),
     (["fresnel", "--eps", "4", "--alpha", "0.3"], "fresnel family takes no --alpha"),
-    (["plane-wave", "--alpha", "0.3", "--theta", "1"], "plane-wave family takes no --alpha"),
-    (["fresnel", "--alpha", "0.3", "--theta", "1", "--eps", "4"],
-     "fresnel family takes no --alpha"),
-    (["interp"], "interp family requires --alpha"),
-    (["rotation"], "rotation family requires --theta"),
-    (["fresnel"], "fresnel family requires --eps"),
     (["fresnel", "--eps", "4", "--lam", "1"],
      "fresnel is the lambda = 0 member of X + (eps/2) P, got --lam 1.0"),
+    (["interp", "--theta", "1"], "interp family takes no --theta"),
+    (["plane-wave", "--alpha", "0.3", "--theta", "1"],
+     "plane-wave family takes no --alpha or --theta"),
+    (["fresnel", "--alpha", "0.3", "--theta", "1", "--eps", "4"],
+     "fresnel family takes no --alpha or --theta"),
 ]
 
 
-@pytest.mark.parametrize("family,text", KERNEL_PARAMETER_REFUSALS,
-                         ids=[" ".join(a) for a, _ in KERNEL_PARAMETER_REFUSALS])
-def test_kernel_parameter_refusals_print_their_full_text(capsys, family, text):
+@pytest.mark.parametrize("family,text", FOREIGN_OPTION_REFUSALS,
+                         ids=[" ".join(["--family", *f]) for f, _ in FOREIGN_OPTION_REFUSALS])
+def test_kernel_refuses_an_option_its_family_does_not_read(capsys, family, text):
+    # each family reads the eigenvalue and its own parameter option, no other;
+    # fresnel is the lambda = 0 member of X + (eps/2) P
     rc = main(["kernel", "--family", *family, "--n", "16", "--length", "16"])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err == f"qrep: kernel_parameter: {text}\n"
+
+
+@pytest.mark.parametrize("family,param", [("interp", "alpha"), ("rotation", "theta"),
+                                          ("fresnel", "eps")])
+def test_kernel_refuses_a_family_without_its_own_option(capsys, family, param):
+    rc = main(["kernel", "--family", family, "--n", "16", "--length", "16"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"qrep: kernel_parameter: {family} family requires --{param}\n"
+
+
+def test_every_family_spelling_and_rep_name_is_one_table_entry(capsys):
+    with pytest.raises(SystemExit):
+        main(["kernel", "--help"])
+    spelled = re.search(r"--family \{([a-z,-]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert spelled == ["plane-wave", "position-in-momentum", "interp", "rotation", "corr-even",
+                       "corr-odd", "fresnel"]
+    assert [_KERNELS[name] for name in spelled] == list(_FAMILIES)
+    # --rep names each family with a forward map once; correlation has a branch of its own
+    assert list(_REPS) == ["momentum", "interp", "rotation"]
+    assert list(_REPS.values()) == [name for name, f in _FAMILIES.items() if f.transform]
+
+
+def test_kernel_and_oracle_refuse_one_unresolved_chirp_alike(capsys):
+    g = make_grid(64, 16.0)
+    with pytest.raises(ValueError, match="^nyquist_chirp_step:") as refused:
+        quadrature_oracle(gaussian(g), "rotation", np.array([0.0]), theta=1e-3)
+    rc = main(["kernel", "--family", "rotation", "--theta", "1e-3", "--n", "64",
+               "--length", "16"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"qrep: {refused.value}\n"
 
 
 REP_SPEC_REFUSALS = [
@@ -348,6 +364,7 @@ REP_SPEC_REFUSALS = [
     (["rotation:theta=1,alpha=0.2"], "rep_spec_field: unknown rotation fields ['alpha']"),
     (["momentum:x=1,a=2"], "rep_spec_field: unknown momentum fields ['a', 'x']"),
     (["correlation:u=1"], "rep_spec_field: unknown correlation fields ['u']"),
+    (["interp:alpha=0.2,alpha=0.9"], "rep_spec_field: give alpha once, got 'alpha=0.2,alpha=0.9'"),
     (["momentum", "--u-min", "-3", "--u-max", "1"],
      "rep_spec_field: --u-min and --u-max set the correlation window; momentum takes neither"),
     (["interp:alpha=0.5", "--u-max", "1"],

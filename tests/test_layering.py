@@ -4,7 +4,8 @@ The library modules sit below the checks and the front end, every
 check-only helper lives in ``verify``, only ``grid`` calls the FFT or sums
 a state's own samples, every unit phasor goes through ``grid._cis``, and
 ``verify`` takes from ``kernels`` only public names and three named private
-helpers.
+helpers, ``cli`` takes nothing from ``kernels``, and one function outside
+``kernels`` refuses an unresolved chirp.
 """
 
 import ast
@@ -275,3 +276,50 @@ def test_verify_takes_only_public_samplers_from_kernels():
 )
 def test_kernel_name_reader_sees_every_spelling(source, names):
     assert _names_from(ast.parse(source), "kernels") == names
+
+
+def test_cli_takes_no_name_from_kernels():
+    # the CLI reads every family through the table in transforms
+    assert _names_from(_tree("cli"), "kernels") == set()
+    assert "kernels" not in _imported_modules("cli")
+
+
+def _callers(tree: ast.Module, name: str) -> list[str]:
+    """The enclosing function of each call of ``name``, bare or as an attribute."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_function_outside_kernels_refuses_an_unresolved_chirp():
+    # the oracle and qrep kernel both read a family's parameter through it
+    modules = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "kernels")
+    callers = [(m, f) for m in modules for f in _callers(_tree(m), "_require_chirp_resolved")]
+    assert callers == [("transforms", "_family_value")]
+
+
+@pytest.mark.parametrize(
+    "source,functions",
+    [
+        ("_require_chirp_resolved(a, b, g)", [""]),
+        ("def f():\n    kernels._require_chirp_resolved(a, b, g)", ["f"]),
+        ("def f():\n    def g():\n        _require_chirp_resolved(1, 2, h)\n    "
+         "_require_chirp_resolved(3, 4, h)", ["f", "g"]),
+        ("from .kernels import _require_chirp_resolved", []),
+        ("check = _require_chirp_resolved", []),
+        ("_require_chirp_resolved_twice(a, b, g)", []),
+    ],
+)
+def test_caller_reader_sees_every_spelling(source, functions):
+    assert sorted(_callers(ast.parse(source), "_require_chirp_resolved")) == functions

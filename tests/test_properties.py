@@ -1,10 +1,12 @@
-"""Property tests of the moment engine, the ``a X + b P`` transforms and the
-correlation transform over randomly drawn valid states, and of the CLI over
-drawn spec text.
+"""Property tests of the moment engine, every forward map of the family table
+and the correlation transform over randomly drawn valid states, and of the
+CLI over drawn spec text.
 
 States come from the ranges the verify suites and the benchmark's small-grid
 session use, on grids of 256 to 4096 points over a length of 40; the
-support read of ``log_resample`` is drawn on 4096 points over 160 and 640.
+forward maps also take Hermite orders up to 12 and normalized superpositions
+of two orders, and the support read of ``log_resample`` is drawn on 4096
+points over 160 and 640.
 """
 
 import contextlib
@@ -24,6 +26,7 @@ from qrep import (
     apply_p,
     correlation_inverse,
     correlation_transform,
+    from_momentum,
     gaussian,
     hermite,
     inner,
@@ -32,10 +35,12 @@ from qrep import (
     log_resample,
     make_grid,
     moments,
+    norm,
     rotation_transform,
+    to_momentum,
 )
 from qrep.cli import main
-from qrep.transforms import _default_n_gamma, _default_u_window
+from qrep.transforms import _FAMILIES, _default_n_gamma, _default_u_window
 
 LENGTH = 40.0
 
@@ -159,6 +164,44 @@ def test_member_moments_follow_from_position_moments(psi, member):
     assert abs(lam.var_x - var) <= 1e-12 * var
     det = m.lhs - m.corr_term**2
     assert abs(lam.lhs - lam.corr_term**2 - det) <= 1e-12 * det
+
+
+# Each forward map's |norm(out) - 1| tolerance, as its verify record holds it:
+# fourier_unitarity, interp_unitarity and rotation_unitarity.
+UNITARITY_TOL = {"plane_wave": 1e-10, "interp": 1e-8, "rotation": 1e-8}
+FOURIER_ROUNDTRIP_TOL = 1e-12  # roundtrips/fourier_roundtrip
+
+
+def _hermite_pair(n, orders, phase):
+    """``h_j + e^(i phase) h_k``, normalized on the grid."""
+    g = make_grid(n, LENGTH)
+    j, k = orders
+    s = hermite(g, j).samples + np.exp(1j * phase) * hermite(g, k).samples
+    return Wavefunction(g, s / np.sqrt(np.sum(np.abs(s) ** 2) * g.dx), POSITION)
+
+
+small_sizes = st.sampled_from([256, 512, 1024])
+unit_states = st.one_of(
+    states_on(small_sizes),  # the module's Gaussians and Hermite orders up to 8
+    st.tuples(small_sizes, st.integers(9, 12)).map(
+        lambda t: hermite(make_grid(t[0], LENGTH), t[1])),
+    st.tuples(small_sizes, st.lists(st.integers(0, 12), min_size=2, max_size=2, unique=True),
+              st.floats(0.0, 2.0 * np.pi)).map(lambda t: _hermite_pair(*t)),
+)
+
+
+@property_settings
+@given(unit_states, st.floats(0.0, 1.0), st.floats(0.0, np.pi / 2, exclude_min=True))
+def test_every_forward_map_keeps_the_norm(psi, alpha, theta):
+    # every table family with a forward map; alpha and theta reach both chirp sides
+    values = {"alpha": alpha, "theta": theta}
+    for name, family in _FAMILIES.items():
+        if family.transform is not None:
+            out = family.transform(psi, values.get(family.param))
+            assert isinstance(out, Wavefunction)
+            assert abs(norm(out) - 1.0) <= UNITARITY_TOL[name], name
+    back = from_momentum(to_momentum(psi))
+    assert np.abs(back.samples - psi.samples).max() <= FOURIER_ROUNDTRIP_TOL
 
 
 # Spec text for the CLI: each spec's own fields with any number, including

@@ -38,7 +38,7 @@ from qrep import (
 )
 from qrep.grid import Grid, _spline_window, cubic_interpolate, fourier_sum, inverse_fourier_sum
 from qrep.kernels import _chirp_resolved, _interp_chirp, _rotation_chirp
-from qrep.transforms import (_CHIRP_FAMILIES, _DU_REFINE, _default_n_gamma, _default_u_window,
+from qrep.transforms import (_DU_REFINE, _FAMILIES, _default_n_gamma, _default_u_window,
                              _exp_minus_i, _plane_wave_sums, _state_n_gamma, _tail_mass,
                              _tail_radius)
 from qrep.verify import _factory_states, _oracle_grid
@@ -274,7 +274,7 @@ def test_interp_near_identity_keeps_norm(g1024, unit_gaussian):
 )
 def test_momentum_side_matches_resolved_oracle(g1024, factory_states, family, value):
     # these chirps alias on g1024, so the oracle sums on a grid that resolves them
-    member = _CHIRP_FAMILIES[family]
+    member = _FAMILIES[family]
     chirp = member.chirp(value)
     fine_states = dict(_factory_states(_oracle_grid(g1024, chirp)))
     sub = np.arange(0, g1024.n, 64)
@@ -749,7 +749,6 @@ def test_conjugation_defect_guards_only_the_state(n, s):
 # summed at n = 4096.
 _MEMBERS = (("interp", 0.0), ("interp", 0.5), ("interp", 0.85), ("interp", 1.0),
             ("rotation", 0.15), ("rotation", np.pi / 4), ("rotation", np.pi / 2))
-_PARAM = {"interp": "alpha", "rotation": "theta"}
 _LONG = np.longdouble
 
 
@@ -831,8 +830,8 @@ def test_oracle_matches_the_long_double_direct_sum(factory_states_on, n):
                 old = [inner(plane_wave(ugrid, gam), channel) for gam in fs]
             old_err[family] = max(old_err.get(family, 0.0), np.abs(np.array(old) - exact).max())
         for family, value, chirp in _resolved_members(g):
-            fs = _spread(_CHIRP_FAMILIES[family].transform(psi, value).grid)
-            got = quadrature_oracle(psi, family, fs, **{_PARAM[family]: value})
+            fs = _spread(_FAMILIES[family].transform(psi, value).grid)
+            got = quadrature_oracle(psi, family, fs, **{_FAMILIES[family].param: value})
             assert np.abs(got - _exact_coefficients(psi, family, fs, chirp)).max() <= 4e-15, (
                 name, family, value)
     for family in lams:
@@ -850,8 +849,8 @@ def test_oracle_matches_the_public_samplers(factory_states):
         expected = [inner(plane_wave(g, p), psi) for p in ps]
         assert np.abs(quadrature_oracle(psi, "plane_wave", ps) - expected).max() <= 1e-13
         for family, value, _ in _resolved_members(g):
-            lams = _spread(_CHIRP_FAMILIES[family].transform(psi, value).grid)
-            got = quadrature_oracle(psi, family, lams, **{_PARAM[family]: value})
+            lams = _spread(_FAMILIES[family].transform(psi, value).grid)
+            got = quadrature_oracle(psi, family, lams, **{_FAMILIES[family].param: value})
             expected = [inner(samplers[family](g, value, lam), psi) for lam in lams]
             assert np.abs(got - expected).max() <= 1e-13, (name, family, value)
         for parity, h in zip(("even", "odd"), log_resample(psi, ugrid)):
@@ -894,6 +893,20 @@ def test_oracle_rejects_unknown_family(g1024, unit_gaussian):
 def test_oracle_requires_parameters(g1024, unit_gaussian):
     with pytest.raises(ValueError, match="oracle_family"):
         quadrature_oracle(unit_gaussian, "interp", np.array([0.0]))
+
+
+def test_oracle_sums_exactly_the_families_the_table_marks(unit_gaussian):
+    params = {"interp": {"alpha": 0.5}, "rotation": {"theta": 0.8}}
+    summed = []
+    for family in _FAMILIES:
+        try:
+            quadrature_oracle(unit_gaussian, family, np.array([0.0]), **params.get(family, {}))
+        except ValueError as exc:
+            assert str(exc) == f"oracle_family: unknown kernel family {family!r}"
+        else:
+            summed.append(family)
+    assert summed == [name for name, f in _FAMILIES.items() if f.summed]
+    assert set(_FAMILIES) - set(summed) == {"position_in_momentum", "fresnel"}
 
 
 ORACLE_FAMILY_REFUSALS = [
@@ -1034,7 +1047,7 @@ CHIRP_SIDES = [("interp", 0.0, True), ("interp", 0.3, True), ("interp", 0.9, Fal
 
 @pytest.mark.parametrize("family,value,position_side", CHIRP_SIDES)
 def test_chirp_transforms_are_the_old_exponentials(factory_states, family, value, position_side):
-    member = _CHIRP_FAMILIES[family]
+    member = _FAMILIES[family]
     chirp = member.chirp(value)
     for name, psi in factory_states:
         assert bool(_chirp_resolved(chirp.a, chirp.b, psi.grid)) is position_side
@@ -1059,7 +1072,7 @@ def test_chirp_oracle_is_the_old_exponentials(g1024, factory_states):
     assert np.pi / 4.0 - chirp.kappa * np.array([zero_phase_lam]) ** 2 == 0.0
     lambdas = np.array([-2.0, -0.0, 0.0, 0.5, zero_phase_lam, 3.75])
     for family, value in (("interp", 0.3), ("interp", 0.0), ("rotation", 0.8)):
-        chirp = _CHIRP_FAMILIES[family].chirp(value)
+        chirp = _FAMILIES[family].chirp(value)
         a, b = chirp.a, chirp.b
         for name, psi in factory_states:
             g = psi.grid
@@ -1067,5 +1080,5 @@ def test_chirp_oracle_is_the_old_exponentials(g1024, factory_states):
             scale = (np.exp(-1j * (np.pi / 4.0 - chirp.kappa * lambdas**2))
                      / np.sqrt(2.0 * np.pi * b))
             old = scale * _plane_wave_sums(g, pre, lambdas / b)
-            out = quadrature_oracle(psi, family, lambdas, **{_CHIRP_FAMILIES[family].param: value})
+            out = quadrature_oracle(psi, family, lambdas, **{_FAMILIES[family].param: value})
             assert np.array_equal(_bits(out), _bits(old)), (family, name)

@@ -26,7 +26,7 @@ from qrep import (
     verify,
 )
 from qrep.kernels import _interp_chirp, _rotation_chirp
-from qrep.transforms import _CHIRP_FAMILIES, _default_u_window
+from qrep.transforms import _FAMILIES, _default_u_window
 from qrep.verify import REQUIRED_COVERAGE
 
 
@@ -213,9 +213,9 @@ def _checked_coefficients(g, psi, family, kwargs):
     """The lattice and coefficients a verify record holds against the oracle."""
     if family == "plane_wave":
         out = to_momentum(psi)
-    elif family in _CHIRP_FAMILIES:
+    elif _FAMILIES[family].chirp is not None:
         # the oracle sums on a refinement of g, whose every (n'/n)-th point is g's
-        member = _CHIRP_FAMILIES[family]
+        member = _FAMILIES[family]
         base = Wavefunction(g, psi.samples[:: psi.grid.n // g.n], POSITION)
         out = member.transform(base, kwargs[member.param])
     else:
