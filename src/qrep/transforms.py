@@ -197,9 +197,9 @@ _FAMILIES = {
 
 def _family_value(name: str, given: dict, code: str, g: Grid, flag: str, shown: str):
     """The parameter of family ``name`` in ``given`` (each option's value or None),
-    None for a family without one.  A foreign option, or the family's own left
-    out, is refused with the caller's ``code``, option prefix ``flag`` and family
-    spelling ``shown``; then a chirp ``g`` does not resolve, with ``nyquist_chirp_step``."""
+    or None for a family without one.  Foreign options, or the family's own left
+    out, are refused with the caller's ``code``, option prefix ``flag`` and family
+    spelling ``shown``; then a chirp ``g`` does not resolve, by ``nyquist_chirp_step``."""
     family = _FAMILIES[name]
     extra = [flag + k for k, v in given.items() if v is not None and k != family.param]
     if extra:
@@ -509,8 +509,10 @@ def quadrature_oracle(
       A ``|gamma| > pi/du`` of that lattice is refused with
       ``oracle_gamma_range``.
 
-    A parameter the family does not take is refused with ``oracle_family``,
-    and ``lambdas`` of any shape but 1-D with ``oracle_eigenvalue_shape``.
+    A family the table does not mark as summed (``position_in_momentum``,
+    ``fresnel``) or a parameter the family does not take is refused with
+    ``oracle_family``, and ``lambdas`` of any shape but 1-D with
+    ``oracle_eigenvalue_shape``.
     Every guard fires before any sum; a non-finite coefficient is refused
     with ``sample_finite``.
     """
