@@ -200,15 +200,24 @@ def _sidecar(args, payload: dict) -> None:
 _REPS = {"momentum": "plane_wave", "interp": "interp", "rotation": "rotation"}
 
 
+def _rep_forms(shown) -> list[str]:
+    """Each ``--rep`` spelling, a parameter's value written ``shown(param)``;
+    correlation last."""
+    forms = []
+    for rep, name in _REPS.items():
+        param = _FAMILIES[name].param
+        forms.append(rep if param is None else f"{rep}:{param}={shown(param)}")
+    return forms + ["correlation"]
+
+
 def cmd_transform(args) -> int:
     g = _grid(args)
     psi = build_state(g, args)
     rep_name, _, rep_body = args.rep.partition(":")
     if rep_name not in ("correlation", *_REPS):
-        raise ValueError(
-            f"rep_spec_name: unknown representation {rep_name!r} "
-            "(want momentum, interp:alpha=..., rotation:theta=..., or correlation)"
-        )
+        *forms, last = _rep_forms(lambda _: "...")
+        raise ValueError(f"rep_spec_name: unknown representation {rep_name!r} "
+                         f"(want {', '.join(forms)}, or {last})")
     rep_params = _parse_kv(rep_body, "rep_spec")
     param = _FAMILIES[_REPS[rep_name]].param if rep_name in _REPS else None
     extra = set(rep_params) - {param}
@@ -326,15 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--lam", "--lambda", "--p", "--a", "--gamma", dest="lam", type=float,
                     action=_EachEigenvalue, default=(),
                     help="eigenvalue of the family's observable (p, a, gamma, lambda)")
-    pk.add_argument("--alpha", type=float, default=None, help="interp parameter")
-    pk.add_argument("--theta", type=float, default=None, help="rotation angle")
-    pk.add_argument("--eps", type=float, default=None, help="fresnel width")
+    for spelling, name in _KERNELS.items():
+        if _FAMILIES[name].param is not None:
+            pk.add_argument(f"--{_FAMILIES[name].param}", type=float, default=None,
+                            help=f"{spelling} parameter")
     _add_common(pk)
     pk.set_defaults(func=cmd_kernel)
 
     pt = sub.add_parser("transform", help="expand a state in another representation")
     pt.add_argument("--rep", required=True,
-                    help="momentum | interp:alpha=A | rotation:theta=T | correlation")
+                    help=" | ".join(_rep_forms(lambda param: param[0].upper())))
     _add_state(pt)
     pt.add_argument("--u-min", dest="u_min", type=float, default=None,
                     help="correlation window start in ln|x|; the state sets the point count, "

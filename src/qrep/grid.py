@@ -362,10 +362,9 @@ def _spline_window(grid: Grid, t_min: float, t_max: float) -> tuple[int, int]:
     return lo, hi
 
 
-# Elements per block of a streamed pass (spline reads, channel arithmetic,
-# phase factors): the block's buffers stay in cache, and no array-sized
-# temporary is allocated.
-_BLOCK = 2**14
+# Queries per block of a spline read: the block's cell indices, offsets and
+# coefficient buffer stay in cache, and no query-sized temporary is allocated.
+_BLOCK = 2**11
 
 
 def _spline_eval(grid: Grid, coeffs: tuple[np.ndarray, ...], t: np.ndarray,
@@ -383,16 +382,6 @@ def _spline_eval(grid: Grid, coeffs: tuple[np.ndarray, ...], t: np.ndarray,
         for c in coeffs[1:]:
             values *= tau
             values += np.take(c, k, out=buf, mode="clip")
-
-
-def _spline_eval_cell(coeffs: tuple[np.ndarray, ...], k: int, tau: np.ndarray,
-                      out: np.ndarray) -> None:
-    """:func:`_spline_eval` for queries that all lie in fitted cell
-    ``k``, at the offsets ``tau``: the same operations, on scalar coefficients."""
-    out.fill(coeffs[0][k])
-    for c in coeffs[1:]:
-        out *= tau
-        out += c[k]
 
 
 def cubic_interpolate(grid: Grid, samples: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -471,13 +460,9 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
     whole-lattice spline is exactly ``+0`` there, so the result is the whole
     read's bit for bit.
 
-    The two returned arrays are the only channel-sized buffers: the reads of
-    ``psi(e^u)`` and ``psi(-e^u)`` are written into them, and the parity
-    parts and the weight ``e^(u/2)/sqrt(2)`` are formed block by block in
-    place.  On a centred grid (``x_min = -(n/2) dx``) a query with ``e^u <=
-    dx/4`` lies in one of the two cells beside the origin knot, at offset
-    ``e^u/dx`` (``+e^u``) or ``1 - e^u/dx`` (``-e^u``); those queries are
-    read there without the cell arithmetic, with the same result bit for bit.
+    The reads of ``psi(e^u)`` and ``psi(-e^u)`` are written straight into
+    the two returned arrays, and the parity parts and the weight
+    ``e^(u/2)/sqrt(2)`` are formed over them in place.
     """
     require_label(psi, POSITION, "log_resample")
     g = psi.grid
@@ -493,38 +478,24 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
     r_fit = np.exp(u_grid.x_min + u_grid.dx * min(stop, u_grid.n - 1))
     lo, hi = _spline_window(g, -r_fit, r_fit)
     coeffs = _spline_coeffs(psi.samples[lo:hi])
-    origin = g.n // 2 - lo
     # allocated after the fit, so that they add nothing to its peak
     h_even = np.zeros(u_grid.n, dtype=complex)
     h_odd = np.zeros(u_grid.n, dtype=complex)
-    size = min(stop, _BLOCK)
-    u_buf, r_buf, odd_buf = np.empty(size), np.empty(size), np.empty(size, dtype=complex)
-    for start in range(0, stop, size):
-        end = min(start + size, stop)
-        plus, minus = h_even[start:end], h_odd[start:end]
-        u, r = u_buf[: end - start], r_buf[: end - start]
-        np.multiply(u_grid.dx, np.arange(start, end, dtype=float), out=u)
-        u += u_grid.x_min  # u_grid.points[start:end]
-        np.exp(u, out=r)
-        # The queries rise with u, so those in the centre cells lead the
-        # block.  Their offsets must be positive, so that -e^u reads the cell
-        # left of the origin knot, as _spline_cells puts it.
-        c = 0
-        if g.centred and r[0] / g.dx > 0.0:
-            c = int(np.searchsorted(r, 0.25 * g.dx, "right"))
-        _spline_eval(g, coeffs, r[c:], plus[c:], lo)
-        _spline_eval(g, coeffs, np.negative(r[c:], out=r[c:]), minus[c:], lo)
-        tau = np.divide(r[:c], g.dx, out=r[:c])
-        _spline_eval_cell(coeffs, origin, tau, plus[:c])
-        _spline_eval_cell(coeffs, origin - 1, np.subtract(1.0, tau, out=tau), minus[:c])
-        diff = np.subtract(plus, minus, out=odd_buf[: end - start])
-        plus += minus
-        minus[...] = diff
-        weight = np.divide(u, 2.0, out=u)
-        np.exp(weight, out=weight)
-        weight /= np.sqrt(2.0)
-        plus *= weight
-        minus *= weight
+    plus, minus = h_even[:stop], h_odd[:stop]
+    u = u_grid.dx * np.arange(stop, dtype=float)
+    u += u_grid.x_min  # u_grid.points[:stop]
+    r = np.exp(u)
+    _spline_eval(g, coeffs, r, plus, lo)
+    _spline_eval(g, coeffs, np.negative(r, out=r), minus, lo)
+    del coeffs, r  # freed before the parity parts' one temporary
+    diff = plus - minus
+    plus += minus
+    minus[...] = diff
+    weight = np.divide(u, 2.0, out=u)
+    np.exp(weight, out=weight)
+    weight /= np.sqrt(2.0)
+    plus *= weight
+    minus *= weight
     return h_even, h_odd
 
 
@@ -614,14 +585,9 @@ def _fourier_sum_inplace(out: np.ndarray, g: Grid) -> Grid:
     table = _phase_table(dual, g.x_min)
     np.negative(out[1::2], out=out[1::2])
     np.fft.fft(out, out=out)
-    # ``dx * table`` is formed a block at a time; it stays the first operand,
-    # as NumPy's complex multiply rounds by operand order.
-    size = min(g.n, _BLOCK)
-    scaled = np.empty(size, dtype=complex)
-    for start in range(0, g.n, size):
-        block = slice(start, start + size)
-        np.multiply(g.dx, table[block], out=scaled)
-        np.multiply(scaled, out[block], out=out[block])
+    # ``dx * table`` stays the first operand, as NumPy's complex multiply
+    # rounds by operand order.
+    np.multiply(g.dx * table, out, out=out)
     return dual
 
 

@@ -357,7 +357,9 @@ def test_windowed_fit_cut_ends_stay_clear_of_the_queried_cells():
 
 
 def _log_resample_cases():
-    # (position grid, log lattice, whether some queries lie in the centre cells)
+    # (position grid, log lattice, whether some queries lie in the two cells
+    # beside the origin knot, at e^u <= dx/4): the one generic read must
+    # match the whole-lattice reference on the origin's cells as elsewhere
     n, u_18 = 4096, np.log(18.0)
     cases = [
         (make_grid(n, 40.0), log_grid(2 * n, -14.0, u_18), True),
@@ -365,8 +367,8 @@ def _log_resample_cases():
         # offset by a third of a cell: no knot at the origin, generic reads only
         (Grid(n, 40.0 / n, -20.0 + 40.0 / (3 * n)), log_grid(2 * n, -14.0, u_18), False),
     ]
-    # grids whose dx/4 is exactly a query e^u, and the float just below one:
-    # the centre read ends exactly there, at e^u <= dx/4
+    # grids whose dx/4 is exactly a query e^u, and the float just below one,
+    # so that a query sits on that bound
     u = log_grid(2 * n, -14.0, u_18)
     r = np.exp(u.points)
     e = r[np.searchsorted(r, 40.0 / n / 4.0)]
@@ -590,12 +592,11 @@ def test_phase_table_cache_stays_bounded_and_read_only():
 def test_correlation_round_trip_peak_memory():
     # In units of n * 16 bytes, one complex array on the position grid: the
     # state sizes the log lattice (2048 points for this state at every n), so
-    # position-sized buffers now set both peaks.  Measured 3.61 and 3.58 for
-    # the transform at n = 2^14 and 2^16, where the spline fit of psi over
-    # the window's knots is the peak (the sizing step's radius bins reach
-    # 2.5), and 4.12 and 3.21 for the round trip, from the transform's end,
-    # with the spectrum held: the output, the ln|x| queries and, at 2^14, the
-    # 2^14-point block buffers of the spline reads.
+    # position-sized buffers set both peaks.  Measured 3.61 and 3.58 for the
+    # transform at n = 2^14 and 2^16, where the spline fit of psi over the
+    # window's knots is the peak (the sizing step's radius bins reach 2.5),
+    # and 3.30 and 2.72 for the round trip, from the transform's end, with
+    # the spectrum held: the output and the ln|x| queries of both half-lines.
     #
     # A state narrower than its window is fitted only on its support: at
     # length 640 the unit Gaussian is 0 beyond |x| = 39, and the transform
@@ -620,7 +621,7 @@ def test_correlation_round_trip_peak_memory():
             tracemalloc.stop()
         assert spec.u_grid.n == 2048, n
         assert transform_peak <= 3.8 * unit, n
-        assert round_trip_peak <= 4.4 * unit, n
+        assert round_trip_peak <= 3.5 * unit, n
 
         fresh = gaussian(g, GaussianSpec(s=1.0, x0=0.3))
         tracemalloc.start()
