@@ -16,6 +16,7 @@ written or read.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -27,10 +28,6 @@ from .operators import moments
 from .states import GaussianSpec, gaussian, hermite
 from .transforms import _FAMILIES, _family_value, correlation_transform
 from .verify import SATURATION_TOL, SUITE_NAMES, run_all_suites, run_suite
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -60,7 +57,7 @@ def _emit_table(args, header: list[str], columns: list[list]) -> None:
     else:
         lines = [",".join(header)]
         for row in rows:
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+            lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
         text = "\n".join(lines) + "\n"
     _write_text(args.out, text)
 
@@ -96,16 +93,9 @@ def _parse_kv(body: str, what: str) -> dict:
     return params
 
 
-def parse_state_spec(g: Grid, spec: str) -> Wavefunction:
-    """The state ``gaussian:s=1,x0=0,p0=0,c=2`` or ``hermite:k=3`` on ``g``."""
-    name, _, body = spec.partition(":")
-    return _state_from_fields(g, name, _parse_kv(body, "state_spec"))
-
-
 def _state_from_fields(g: Grid, name, params: dict) -> Wavefunction:
     if name == "gaussian":
-        allowed = {"s", "x0", "p0", "c"}
-        extra = set(params) - allowed
+        extra = set(params) - {"s", "x0", "p0", "c"}
         if extra:
             raise ValueError(f"state_spec_field: unknown gaussian fields {sorted(extra)}")
         return gaussian(g, GaussianSpec(**params))
@@ -148,10 +138,12 @@ _DEFAULT_STATE = "gaussian:s=1"
 
 
 def build_state(g: Grid, args):
-    """The state named by ``--state`` or by ``--config``, which are refused
-    together; ``gaussian:s=1`` when neither is given."""
+    """The state named by ``--state`` (``gaussian:s=1,x0=0,p0=0,c=2`` or
+    ``hermite:k=3``) or by ``--config``, which are refused together;
+    ``gaussian:s=1`` when neither is given."""
     if args.config is None:
-        return parse_state_spec(g, _DEFAULT_STATE if args.state is None else args.state)
+        name, _, body = (_DEFAULT_STATE if args.state is None else args.state).partition(":")
+        return _state_from_fields(g, name, _parse_kv(body, "state_spec"))
     if args.state is not None:
         raise ValueError("state_source: give --state or --config, not both")
     return _state_from_config(g, args.config)
@@ -314,6 +306,27 @@ def _add_state(sub):
     sub.add_argument("--config", default=None, help="JSON file with the same fields as --state")
 
 
+# The float options in full.  argparse takes a token that starts with '-' for an
+# option unless it looks like a plain negative decimal (by a pattern that varies
+# with the Python version), so main() joins -1e-3 or -inf to it, as --p=-1e-3.
+_EIGENVALUE_OPTIONS = ("--lam", "--lambda", "--p", "--a", "--gamma")
+_FLOAT_OPTIONS = frozenset({*_EIGENVALUE_OPTIONS, "--length", "--u-min", "--u-max",
+                            *(f"--{f.param}" for f in _FAMILIES.values() if f.param)})
+
+
+def _signed_values(argv: list[str]) -> list[str]:
+    """``argv`` with each float option joined by ``=`` to a signed number after it."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _FLOAT_OPTIONS and token.startswith("-"):
+            with contextlib.suppress(ValueError):
+                float(token)
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 class _EachEigenvalue(argparse.Action):
     """Collects every eigenvalue option given as ``(spelling, value)``: the five
     spellings share one dest, so a repeat is seen rather than silently kept."""
@@ -332,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pk = sub.add_parser("kernel", help="sample an eigenfunction family")
     pk.add_argument("--family", required=True, choices=tuple(_KERNELS))
-    pk.add_argument("--lam", "--lambda", "--p", "--a", "--gamma", dest="lam", type=float,
+    pk.add_argument(*_EIGENVALUE_OPTIONS, dest="lam", type=float,
                     action=_EachEigenvalue, default=(),
                     help="eigenvalue of the family's observable (p, a, gamma, lambda)")
     for spelling, name in _KERNELS.items():
@@ -370,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except BrokenPipeError:

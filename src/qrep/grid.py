@@ -460,9 +460,9 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
     whole-lattice spline is exactly ``+0`` there, so the result is the whole
     read's bit for bit.
 
-    The reads of ``psi(e^u)`` and ``psi(-e^u)`` are written straight into
-    the two returned arrays, and the parity parts and the weight
-    ``e^(u/2)/sqrt(2)`` are formed over them in place.
+    The reads of ``psi(e^u)`` and ``psi(-e^u)`` go straight into the two
+    returned arrays, the parity parts and the weight ``e^(u/2)/sqrt(2)`` are
+    formed over them in place, and one query-sized buffer is held at a time.
     """
     require_label(psi, POSITION, "log_resample")
     g = psi.grid
@@ -482,16 +482,19 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
     h_even = np.zeros(u_grid.n, dtype=complex)
     h_odd = np.zeros(u_grid.n, dtype=complex)
     plus, minus = h_even[:stop], h_odd[:stop]
-    u = u_grid.dx * np.arange(stop, dtype=float)
-    u += u_grid.x_min  # u_grid.points[:stop]
-    r = np.exp(u)
+    r = u_grid.dx * np.arange(stop, dtype=float)
+    r += u_grid.x_min  # u_grid.points[:stop]
+    np.exp(r, out=r)
     _spline_eval(g, coeffs, r, plus, lo)
     _spline_eval(g, coeffs, np.negative(r, out=r), minus, lo)
     del coeffs, r  # freed before the parity parts' one temporary
     diff = plus - minus
     plus += minus
     minus[...] = diff
-    weight = np.divide(u, 2.0, out=u)
+    del diff
+    weight = u_grid.dx * np.arange(stop, dtype=float)
+    weight += u_grid.x_min
+    np.divide(weight, 2.0, out=weight)
     np.exp(weight, out=weight)
     weight /= np.sqrt(2.0)
     plus *= weight

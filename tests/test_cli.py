@@ -296,6 +296,47 @@ def test_bad_spec_input_exits_with_code(tmp_path, args, config, code):
     assert "Traceback" not in r.stderr
 
 
+# The full text of each refusal of a state, a config file or a path, with
+# {dir} standing for a scratch directory that holds state.json, the config.
+STATE_AND_CONFIG_REFUSALS = [
+    (["--state", "gaussian:s"], None, "state_spec_syntax: expected key=value, got 's'"),
+    (["--state", "gaussian:s=abc"], None, "state_spec_value: s must be a number, got 'abc'"),
+    (["--state", "squeezed:r=1"], None,
+     "state_spec_name: unknown state 'squeezed' (want gaussian or hermite)"),
+    (["--state", "gaussian:q=1,r=2"], None,
+     "state_spec_field: unknown gaussian fields ['q', 'r']"),
+    (["--state", "hermite:j=1"], None, "state_spec_field: hermite takes only k"),
+    (["--state", "gaussian:s=1,s=2"], None, "state_spec_field: give s once, got 's=1,s=2'"),
+    (["--state", "gaussian:s=1"], '{"state": "gaussian", "s": 1.0}',
+     "state_source: give --state or --config, not both"),
+    ([], "not json", "config_format: {dir}/state.json is not valid JSON "
+                     "(Expecting value: line 1 column 1 (char 0))"),
+    ([], '{"s": 1.0}', 'config_format: {dir}/state.json must hold a JSON object with a string '
+                       '"state" field, e.g. {{"state": "gaussian", "s": 1.0}}'),
+    ([], '{"state": "gaussian", "s": 1.0, "s": 2.0}',
+     "config_format: {dir}/state.json is not valid JSON (field 's' is given twice)"),
+    (["--config", "{dir}/missing.json"], None,
+     "config_read: cannot read {dir}/missing.json: No such file or directory"),
+    (["--n", "2097152"], None,
+     "grid_size_limit: --n 2097152 exceeds the CLI limit 2^20 = 1048576"),
+    (["--out", "{dir}/missing/x.json"], None,
+     "output_write: cannot write {dir}/missing/x.json: No such file or directory"),
+]
+
+
+@pytest.mark.parametrize("args,config,text", STATE_AND_CONFIG_REFUSALS,
+                         ids=[text.partition(":")[0] for *_, text in STATE_AND_CONFIG_REFUSALS])
+def test_state_and_config_refusals_print_their_full_text(capsys, tmp_path, args, config, text):
+    args = [a.format(dir=tmp_path) for a in args]
+    if config is not None:
+        (tmp_path / "state.json").write_text(config)
+        args += ["--config", str(tmp_path / "state.json")]
+    rc = main(["moments", *args])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"qrep: {text.format(dir=tmp_path)}\n"
+
+
 # The full text of each refusal of a family's parameter options: the foreign
 # options, every one named, as the oracle names them, and fresnel's eigenvalue.
 FOREIGN_OPTION_REFUSALS = [
@@ -431,6 +472,34 @@ def test_kernel_refuses_a_second_eigenvalue_in_any_spelling(capsys, first, secon
     assert rc == 2 and out == ""
     assert err == (f"qrep: kernel_parameter: give the eigenvalue once, got {first} 1.0 "
                    f"and {second} 2.0\n")
+
+
+# Each float option with a command that reads it, on 64 points.
+FLOAT_OPTIONS = [
+    *[(["kernel", "--family", "plane-wave", "--length", "16"], s) for s in EIGENVALUE_SPELLINGS],
+    (["kernel", "--family", "interp", "--length", "16"], "--alpha"),
+    (["kernel", "--family", "rotation", "--length", "16"], "--theta"),
+    (["kernel", "--family", "fresnel", "--length", "16"], "--eps"),
+    (["moments"], "--length"),
+    (["transform", "--rep", "correlation", "--length", "16", "--u-max", "2"], "--u-min"),
+    (["transform", "--rep", "correlation", "--length", "16", "--u-min", "-16"], "--u-max"),
+]
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-2E0", "-.5", "-1.5e+1", "-inf"])
+@pytest.mark.parametrize("command,option", FLOAT_OPTIONS, ids=[o for _, o in FLOAT_OPTIONS])
+def test_a_negative_value_reads_alike_after_a_space_or_an_equals_sign(capsys, command, option,
+                                                                     value):
+    # argparse takes a token that starts with '-' for an option unless it looks
+    # like a plain negative decimal, which -1e-3 and -inf do not
+    def run(*given):
+        try:
+            rc = main([*command, *given, "--n", "64"])
+        except SystemExit as exc:
+            rc = exc.code
+        return rc, *capsys.readouterr()
+
+    assert run(option, value) == run(f"{option}={value}")
 
 
 def test_kernel_help_lists_one_eigenvalue_option(capsys):

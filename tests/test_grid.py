@@ -42,6 +42,7 @@ from qrep.grid import (
     require_label,
 )
 from qrep.operators import parity_flip
+from qrep.transforms import _default_u_window
 from qrep.verify import _factory_states
 
 
@@ -605,6 +606,10 @@ def test_correlation_round_trip_peak_memory():
     # A fresh state keeps its Fourier sum, so the transform leaves one unit
     # held besides the spectrum, and that unit is held through the fit:
     # measured peaks 4.61 and 4.58.
+    #
+    # The oracle's read, log_resample on 4 n points over the default window,
+    # holds the output, the fit and one query buffer: measured 13.24 and
+    # 12.84 (15.24 and 14.84 with u held beside e^u through the reads).
     for n in (2**14, 2**16):
         g = make_grid(n, 40.0)
         psi = gaussian(g, GaussianSpec(s=1.0, x0=0.3))
@@ -645,6 +650,15 @@ def test_correlation_round_trip_peak_memory():
         finally:
             tracemalloc.stop()
         assert narrow_peak <= 1.8 * unit, n
+
+        oracle_lattice = log_grid(4 * n, *_default_u_window(g))
+        tracemalloc.start()
+        try:
+            log_resample(psi, oracle_lattice)
+            oracle_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert oracle_peak <= 13.8 * unit, n
 
 
 def test_only_grid_names_the_spline_helpers():

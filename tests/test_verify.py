@@ -57,6 +57,18 @@ def test_uncertainty_suite_report_count(g1024):
     assert len(sat) == 5 and len(strict) == 4
 
 
+def test_unbiasedness_keeps_one_record_per_family_and_claim(all_reports):
+    # each at its family's hardest case; the sweeps over p, a, alpha, lambda
+    # and theta are the constant-modulus tests of test_kernels.py
+    chirp = {"alpha": 0.9, "lam": 1.0}
+    assert [(r.name, r.parameters) for r in all_reports["unbiasedness"]] == [
+        ("interp_modulus_value", chirp), ("interp_unbiased", chirp),
+        ("plane_wave_unbiased", {"p": 72.382295}), ("position_kernel_unbiased", {"a": 2.0}),
+        ("rotation_modulus_value", {"theta": 0.523598775598}),
+        ("rotation_unbiased", {"theta": 0.523598775598}),
+    ]
+
+
 def test_suites_deterministic(g1024):
     a = run_suite("roundtrips", g1024)
     b = run_suite("roundtrips", g1024)
