@@ -637,6 +637,25 @@ def test_csv_reproducible(tmp_path):
             ["transform", "--rep", "momentum", "--state", "gaussian:s=1",
              "--n", "64", "--length", "16"],
         ),
+        # One file per other representation: interp on its momentum side,
+        # rotation on its position side, correlation on a given window.  The
+        # exact-inner-product and n = 256 correlation items of the roadmap
+        # (items 7 and 5) regenerate these on purpose.
+        (
+            "transform_interp_n64.csv",
+            ["transform", "--rep", "interp:alpha=0.9", "--state", "gaussian:s=1,c=0.5",
+             "--n", "64", "--length", "16"],
+        ),
+        (
+            "transform_rotation_n64.csv",
+            ["transform", "--rep", "rotation:theta=1.2", "--state", "gaussian:s=1,p0=-0.5",
+             "--n", "64", "--length", "16"],
+        ),
+        (
+            "transform_correlation_n64.csv",
+            ["transform", "--rep", "correlation", "--state", "hermite:k=1",
+             "--u-min", "-6", "--u-max", "1.9", "--n", "64", "--length", "16"],
+        ),
         (
             "moments_gaussian_c2.json",
             ["moments", "--state", "gaussian:s=1,c=2"],
