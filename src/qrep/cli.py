@@ -188,75 +188,69 @@ def _sidecar(args, payload: dict) -> None:
         _write_text(args.out + ".meta.json", json.dumps(payload, indent=2) + "\n")
 
 
-# The families with a forward map by --rep name; correlation's is a branch below.
-_REPS = {"momentum": "plane_wave", "interp": "interp", "rotation": "rotation"}
+# Every representation by its --rep name: the family whose parameter and forward
+# map it reads, or None for correlation, whose map reads the --u-min/--u-max window.
+_REPS = {"momentum": "plane_wave", "interp": "interp", "rotation": "rotation", "correlation": None}
+_REP_PARAMS = {rep: None if family is None else _FAMILIES[family].param
+               for rep, family in _REPS.items()}
 
 
 def _rep_forms(shown) -> list[str]:
-    """Each ``--rep`` spelling, a parameter's value written ``shown(param)``;
-    correlation last."""
-    forms = []
-    for rep, name in _REPS.items():
-        param = _FAMILIES[name].param
-        forms.append(rep if param is None else f"{rep}:{param}={shown(param)}")
-    return forms + ["correlation"]
+    """Each ``--rep`` spelling, a parameter's value written ``shown(param)``."""
+    return [rep if param is None else f"{rep}:{param}={shown(param)}"
+            for rep, param in _REP_PARAMS.items()]
+
+
+def _rep_table(psi: Wavefunction, family, value, window) -> tuple[list, list, dict]:
+    """The header, columns and sidecar fields after ``norm_in`` of one
+    representation: ``family``'s forward map at ``value``, or with no family the
+    correlation spectrum on ``window``, its two parity channels one below the other."""
+    if family is not None:
+        out = _FAMILIES[family].transform(psi, value)
+        return (["lambda", "re", "im", "abs"], _sample_columns(out),
+                {"norm_out": norm(out), "tail_mass": None})
+    spectrum = correlation_transform(psi, u_window=window)
+    gam = spectrum.gamma_grid.points.tolist()
+    even, odd = spectrum.even, spectrum.odd
+    columns = [
+        gam + gam,
+        ["even"] * len(gam) + ["odd"] * len(gam),
+        even.real.tolist() + odd.real.tolist(),
+        even.imag.tolist() + odd.imag.tolist(),
+    ]
+    return ["gamma", "parity", "re", "im"], columns, {
+        "norm_out": math.sqrt(spectrum.channel_power()),
+        "tail_mass": spectrum.tail_mass,
+        "n_gamma": spectrum.u_grid.n,
+    }
 
 
 def cmd_transform(args) -> int:
     g = _grid(args)
     psi = build_state(g, args)
     rep_name, _, rep_body = args.rep.partition(":")
-    if rep_name not in ("correlation", *_REPS):
+    if rep_name not in _REPS:
         *forms, last = _rep_forms(lambda _: "...")
         raise ValueError(f"rep_spec_name: unknown representation {rep_name!r} "
                          f"(want {', '.join(forms)}, or {last})")
     rep_params = _parse_kv(rep_body, "rep_spec")
-    param = _FAMILIES[_REPS[rep_name]].param if rep_name in _REPS else None
+    family, param = _REPS[rep_name], _REP_PARAMS[rep_name]
     extra = set(rep_params) - {param}
     if extra:
         raise ValueError(f"rep_spec_field: unknown {rep_name} fields {sorted(extra)}")
-    windowed = args.u_min is not None or args.u_max is not None
-    if windowed and rep_name != "correlation":
-        raise ValueError(
-            "rep_spec_field: --u-min and --u-max set the correlation window; "
-            f"{rep_name} takes neither"
-        )
-
-    if rep_name == "correlation":
-        window = None
-        if windowed:
-            if args.u_min is None or args.u_max is None:
-                raise ValueError("rep_spec: provide both --u-min and --u-max or neither")
-            window = (args.u_min, args.u_max)
-        spectrum = correlation_transform(psi, u_window=window)
-        gam = spectrum.gamma_grid.points.tolist()
-        even, odd = spectrum.even, spectrum.odd
-        columns = [
-            gam + gam,
-            ["even"] * len(gam) + ["odd"] * len(gam),
-            even.real.tolist() + odd.real.tolist(),
-            even.imag.tolist() + odd.imag.tolist(),
-        ]
-        _emit_table(args, ["gamma", "parity", "re", "im"], columns)
-        _sidecar(
-            args,
-            {
-                "norm_in": norm(psi),
-                "norm_out": math.sqrt(spectrum.channel_power()),
-                "tail_mass": spectrum.tail_mass,
-                "n_gamma": spectrum.u_grid.n,
-            },
-        )
-        return 0
-
+    window = (args.u_min, args.u_max)
+    if family is not None and window != (None, None):
+        raise ValueError("rep_spec_field: --u-min and --u-max set the correlation window; "
+                         f"{rep_name} takes neither")
+    if window.count(None) == 1:
+        raise ValueError("rep_spec: provide both --u-min and --u-max or neither")
     if param is not None and param not in rep_params:
-        raise ValueError(
-            f"rep_spec: {rep_name} representation requires {param}, "
-            f"e.g. {rep_name}:{param}=0.5"
-        )
-    out = _FAMILIES[_REPS[rep_name]].transform(psi, rep_params.get(param))
-    _emit_table(args, ["lambda", "re", "im", "abs"], _sample_columns(out))
-    _sidecar(args, {"norm_in": norm(psi), "norm_out": norm(out), "tail_mass": None})
+        raise ValueError(f"rep_spec: {rep_name} representation requires {param}, "
+                         f"e.g. {rep_name}:{param}=0.5")
+    header, columns, fields = _rep_table(psi, family, rep_params.get(param),
+                                         None if None in window else window)
+    _emit_table(args, header, columns)
+    _sidecar(args, {"norm_in": norm(psi), **fields})
     return 0
 
 
@@ -306,9 +300,10 @@ def _add_state(sub):
     sub.add_argument("--config", default=None, help="JSON file with the same fields as --state")
 
 
-# The float options in full.  argparse takes a token that starts with '-' for an
-# option unless it looks like a plain negative decimal (by a pattern that varies
-# with the Python version), so main() joins -1e-3 or -inf to it, as --p=-1e-3.
+# The float options, which every parser takes in full only (allow_abbrev=False).
+# argparse takes a token that starts with '-' for an option unless it looks like
+# a plain negative decimal (by a pattern that varies with the Python version), so
+# main() joins -1e-3 or -inf to it, as --p=-1e-3.
 _EIGENVALUE_OPTIONS = ("--lam", "--lambda", "--p", "--a", "--gamma")
 _FLOAT_OPTIONS = frozenset({*_EIGENVALUE_OPTIONS, "--length", "--u-min", "--u-max",
                             *(f"--{f.param}" for f in _FAMILIES.values() if f.param)})
@@ -338,12 +333,13 @@ class _EachEigenvalue(argparse.Action):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qrep",
+        allow_abbrev=False,
         description="Sample eigenfunction kernels, change representation, "
         "compute moment reports, and run verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pk = sub.add_parser("kernel", help="sample an eigenfunction family")
+    pk = sub.add_parser("kernel", help="sample an eigenfunction family", allow_abbrev=False)
     pk.add_argument("--family", required=True, choices=tuple(_KERNELS))
     pk.add_argument(*_EIGENVALUE_OPTIONS, dest="lam", type=float,
                     action=_EachEigenvalue, default=(),
@@ -355,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pk)
     pk.set_defaults(func=cmd_kernel)
 
-    pt = sub.add_parser("transform", help="expand a state in another representation")
+    pt = sub.add_parser("transform", help="expand a state in another representation",
+                        allow_abbrev=False)
     pt.add_argument("--rep", required=True,
                     help=" | ".join(_rep_forms(lambda param: param[0].upper())))
     _add_state(pt)
@@ -367,12 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pt)
     pt.set_defaults(func=cmd_transform)
 
-    pm = sub.add_parser("moments", help="moment report and uncertainty bound")
+    pm = sub.add_parser("moments", help="moment report and uncertainty bound", allow_abbrev=False)
     _add_state(pm)
     _add_common(pm)
     pm.set_defaults(func=cmd_moments)
 
-    pv = sub.add_parser("verify", help="run a verification suite")
+    pv = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
     pv.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
     _add_common(pv)
     pv.set_defaults(func=cmd_verify)

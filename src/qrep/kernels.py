@@ -7,7 +7,8 @@ array, which keeps the modulus exactly constant where it should be constant.
 
 Each member of the ``a X + b P`` families is a ``_Chirp``, built by
 ``_interp_chirp``/``_rotation_chirp``, the one place a family's parameter
-range is checked.  One rule says whether a lattice resolves a member's chirp,
+range is checked.  A chirp carries no label: ``transforms._FAMILIES`` keys
+name each transform's output.  One rule says whether a lattice resolves a member's chirp,
 ``a dx <= b dp`` (``_chirp_resolved``); the transforms pick their side by it,
 and ``nyquist_chirp_step`` refuses by it (``chirp_step_bound``, and for the
 oracle and ``qrep kernel`` ``transforms._family_value``); no sampler does.
@@ -20,8 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (_SQRT_2PI, Grid, MOMENTUM, POSITION, RepresentationLabel, Wavefunction, _cis,
-                   dual_grid)
+from .grid import _SQRT_2PI, Grid, MOMENTUM, POSITION, Wavefunction, _cis, dual_grid
 
 __all__ = [
     "Parity",
@@ -89,14 +89,11 @@ def position_kernel_in_momentum(g: Grid, a: float) -> Wavefunction:
 
 
 # One member of the ``a X + b P`` families, the single owner of its parameter
-# range and label.  Its kernel phase is pi/4 - kappa lam^2 - a x^2/(2b) + lam x/b,
-# and mu = 1/(2ab) - kappa is the constant after the Fourier step.  Both are
-# closed forms, each inf at the endpoint whose transform side is never taken
-# (kappa at b = 0, mu at a = 0).
-_Chirp = NamedTuple(
-    "_Chirp",
-    [("a", float), ("b", float), ("kappa", float), ("mu", float), ("label", RepresentationLabel)],
-)
+# range; the family table names a transform's label.  Its kernel phase is
+# pi/4 - kappa lam^2 - a x^2/(2b) + lam x/b, and mu = 1/(2ab) - kappa is the
+# constant after the Fourier step.  Both are closed forms, each inf at the
+# endpoint whose transform side is never taken (kappa at b = 0, mu at a = 0).
+_Chirp = NamedTuple("_Chirp", [("a", float), ("b", float), ("kappa", float), ("mu", float)])
 
 
 def _interp_chirp(alpha: float) -> _Chirp:
@@ -105,22 +102,21 @@ def _interp_chirp(alpha: float) -> _Chirp:
     a, b = alpha, 1.0 - alpha
     kappa = a * (2.0 - a) / (2.0 * b) if b > 0.0 else np.inf
     mu = (1.0 + b - b * b) / (2.0 * a) if a > 0.0 else np.inf
-    return _Chirp(a, b, kappa, mu, RepresentationLabel("interp", float(alpha)))
+    return _Chirp(a, b, kappa, mu)
 
 
 def _rotation_chirp(theta: float) -> _Chirp:
     if not (0.0 < theta <= np.pi / 2):
         raise ValueError(f"rotation_theta_range: theta must lie in (0, pi/2], got {theta}")
-    label = RepresentationLabel("rotation", float(theta))
     # cos(pi/2) rounds to 6e-17, not 0; the right angle is the plane wave exactly.
     if theta == np.pi / 2:
-        return _Chirp(0.0, 1.0, 0.0, np.inf, label)
+        return _Chirp(0.0, 1.0, 0.0, np.inf)
     s, c = np.sin(theta), np.cos(theta)
     # Below theta ~ 3e-309 kappa overflows to inf, where the transform takes
     # the momentum side, which never reads kappa.
     with np.errstate(over="ignore"):
         kappa = (1.0 - s) / (2.0 * c * s)
-    return _Chirp(c, s, kappa, 1.0 / (2.0 * c), label)
+    return _Chirp(c, s, kappa, 1.0 / (2.0 * c))
 
 
 def _chirp_resolved(a: float, b: float, g: Grid) -> bool:
@@ -274,8 +270,7 @@ def fresnel_delta(g: Grid, eps: float) -> Wavefunction:
         raise ValueError(
             f"fresnel_resolution: eps = {eps:.4g} is below the bound 4*dx^2 = {4.0 * g.dx**2:.4g}"
         )
-    label = RepresentationLabel("fresnel", float(eps))
-    chirp = _Chirp(1.0, eps / 2.0, 0.0, np.inf, label)
+    chirp = _Chirp(1.0, eps / 2.0, 0.0, np.inf)
     return Wavefunction(g, _member_samples(g, chirp, 0.0), POSITION)
 
 

@@ -27,6 +27,7 @@ from .grid import (
     MOMENTUM,
     POSITION,
     Grid,
+    RepresentationLabel,
     Wavefunction,
     _SQRT_2PI,
     _annulus,
@@ -44,7 +45,6 @@ from .grid import (
 )
 from .kernels import (
     Parity,
-    _Chirp,
     _chirp_resolved,
     _interp_chirp,
     _member_samples,
@@ -105,8 +105,9 @@ def from_momentum(phi: Wavefunction) -> Wavefunction:
     return Wavefunction(xgrid, out, POSITION)
 
 
-def _linear_transform(psi: Wavefunction, chirp: _Chirp) -> Wavefunction:
-    """``<kernel_lam, psi>`` for one ``a X + b P`` member: one FFT, two on the momentum side.
+def _linear_transform(psi: Wavefunction, family: str, value: float) -> Wavefunction:
+    """``<kernel_lam, psi>`` for the ``a X + b P`` member ``value`` of the table
+    family ``family``, labelled by the two: one FFT, two on the momentum side.
 
     Position side, on ``lam_k = b p_k``:
         e^(-i pi/4) (2 pi b)^(-1/2) e^(i kappa lam^2)
@@ -122,8 +123,9 @@ def _linear_transform(psi: Wavefunction, chirp: _Chirp) -> Wavefunction:
     the position side forms its chirps and output in place, each product
     with the operand order of the expressions above.
     """
-    label = chirp.label
-    require_label(psi, POSITION, f"{label.kind}_transform")
+    chirp = _FAMILIES[family].chirp(value)
+    label = RepresentationLabel(family, float(value))
+    require_label(psi, POSITION, f"{family}_transform")
     require_contained(psi)
     a, b, kappa, mu = chirp.a, chirp.b, chirp.kappa, chirp.mu
     g = psi.grid
@@ -163,7 +165,7 @@ def interp_transform(psi: Wavefunction, alpha: float) -> Wavefunction:
     unitary on the grid; at ``alpha = 0`` it is ``e^(-i pi/4)`` times the Fourier map
     and at ``alpha = 1`` it is ``e^(-i x^2/2) psi(x)``, both to rounding.
     """
-    return _linear_transform(psi, _interp_chirp(alpha))
+    return _linear_transform(psi, "interp", alpha)
 
 
 def rotation_transform(psi: Wavefunction, theta: float) -> Wavefunction:
@@ -172,11 +174,12 @@ def rotation_transform(psi: Wavefunction, theta: float) -> Wavefunction:
     Same map as :func:`interp_transform` with coefficients ``(cos theta,
     sin theta)``, on ``lam_k = sin(theta) p_k`` or ``lam_j = cos(theta) x_j``.
     """
-    return _linear_transform(psi, _rotation_chirp(theta))
+    return _linear_transform(psi, "rotation", theta)
 
 
-# Every eigenfunction family, by its oracle name: the one parameter it takes,
-# or None; its member builder, for the ``a X + b P`` families; its sampler of
+# Every eigenfunction family, by its oracle name, which is also the label kind
+# of an ``a X + b P`` family's transform output: the one parameter it takes, or
+# None; its member builder, for the ``a X + b P`` families; its sampler of
 # (grid, parameter, eigenvalue); its forward map of (state, parameter), where
 # qrep has one; and whether quadrature_oracle sums it.
 _Family = namedtuple("_Family", "param chirp sample transform summed")

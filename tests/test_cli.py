@@ -383,9 +383,9 @@ def test_every_family_spelling_and_rep_name_is_one_table_entry(capsys):
     assert spelled == ["plane-wave", "position-in-momentum", "interp", "rotation", "corr-even",
                        "corr-odd", "fresnel"]
     assert [_KERNELS[name] for name in spelled] == list(_FAMILIES)
-    # --rep names each family with a forward map once; correlation has a branch of its own
-    assert list(_REPS) == ["momentum", "interp", "rotation"]
-    assert list(_REPS.values()) == [name for name, f in _FAMILIES.items() if f.transform]
+    # --rep names each family with a forward map once, and correlation, with no family
+    assert list(_REPS) == ["momentum", "interp", "rotation", "correlation"]
+    assert list(_REPS.values()) == [name for name, f in _FAMILIES.items() if f.transform] + [None]
 
 
 def test_kernel_and_oracle_refuse_one_unresolved_chirp_alike(capsys):
@@ -500,6 +500,29 @@ def test_a_negative_value_reads_alike_after_a_space_or_an_equals_sign(capsys, co
         return rc, *capsys.readouterr()
 
     assert run(option, value) == run(f"{option}={value}")
+
+
+ABBREVIATIONS = [
+    (["kernel", "--family", "plane-wave"], "--len"),
+    (["kernel", "--family", "plane-wave"], "--lambd"),
+    (["kernel", "--family", "interp"], "--alph"),
+    (["transform", "--rep", "correlation", "--u-max", "2"], "--u-mi"),
+]
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["space", "equals"])
+@pytest.mark.parametrize("command,option", ABBREVIATIONS, ids=[o for _, o in ABBREVIATIONS])
+def test_an_abbreviated_option_is_refused_however_its_value_is_given(capsys, command, option,
+                                                                    joined):
+    # argparse's abbreviation rules vary with the Python version, and a negative
+    # value after an abbreviation once read as a missing one; options are taken
+    # in full only, so both spellings stop in argparse, before qrep reads a value
+    given = [f"{option}=-1e1"] if joined else [option, "-1e1"]
+    with pytest.raises(SystemExit) as stopped:
+        main([*command, *given, "--n", "64"])
+    out, err = capsys.readouterr()
+    assert stopped.value.code == 2 and out == ""
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(given)}\n"), err
 
 
 def test_kernel_help_lists_one_eigenvalue_option(capsys):
@@ -637,6 +660,10 @@ def test_csv_reproducible(tmp_path):
             ["transform", "--rep", "momentum", "--state", "gaussian:s=1",
              "--n", "64", "--length", "16"],
         ),
+        (
+            "moments_gaussian_c2.json",
+            ["moments", "--state", "gaussian:s=1,c=2"],
+        ),
         # One file per other representation: interp on its momentum side,
         # rotation on its position side, correlation on a given window.  The
         # exact-inner-product and n = 256 correlation items of the roadmap
@@ -655,10 +682,6 @@ def test_csv_reproducible(tmp_path):
             "transform_correlation_n64.csv",
             ["transform", "--rep", "correlation", "--state", "hermite:k=1",
              "--u-min", "-6", "--u-max", "1.9", "--n", "64", "--length", "16"],
-        ),
-        (
-            "moments_gaussian_c2.json",
-            ["moments", "--state", "gaussian:s=1,c=2"],
         ),
     ],
 )

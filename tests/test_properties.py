@@ -41,8 +41,12 @@ from qrep import (
 )
 from qrep.cli import main
 from qrep.transforms import _FAMILIES, _default_n_gamma, _default_u_window
+from qrep.verify import run_suite
 
 LENGTH = 40.0
+
+# Each bound below is the tolerance of the verify record of the same name.
+TOL = {r.name: r.tolerance for r in run_suite("roundtrips", make_grid(1024, LENGTH))}
 
 grid_sizes = st.sampled_from([256, 512, 1024, 2048, 4096])
 # The session's packets chirp by |c| <= 1; the uncertainty suite's reach
@@ -80,12 +84,6 @@ members = st.one_of(
 property_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
-# The tolerances of the verify records roundtrips/correlation_parseval and
-# roundtrips/correlation_roundtrip.
-CORRELATION_PARSEVAL_TOL = 1e-6
-CORRELATION_ROUNDTRIP_TOL = 1e-5
-
-
 @property_settings
 @given(st.one_of(
     gaussian_specs.map(lambda spec: gaussian(make_grid(4096, LENGTH), spec)),
@@ -102,12 +100,12 @@ def test_state_sized_correlation_lattice_keeps_parseval_and_the_round_trip(psi):
     spec = correlation_transform(psi, window)
     assert spec.u_grid.n <= 2 * g.n
     power = np.sum(np.abs(psi.samples) ** 2) * g.dx
-    assert abs(spec.channel_power() - (power - spec.tail_mass)) <= CORRELATION_PARSEVAL_TOL
+    assert abs(spec.channel_power() - (power - spec.tail_mass)) <= TOL["correlation_parseval"]
     rec = correlation_inverse(spec, g)
     x = np.abs(g.points)
     annulus = (x >= 4.0 * g.dx) & (x <= np.exp(window[1]))
     err = np.abs(rec.samples - psi.samples)[annulus].max()
-    assert err <= CORRELATION_ROUNDTRIP_TOL
+    assert err <= TOL["correlation_roundtrip"]
 
 
 # Off-centre Gaussians and Hermite states vanish, to the last bit, well inside
@@ -166,10 +164,9 @@ def test_member_moments_follow_from_position_moments(psi, member):
     assert abs(lam.lhs - lam.corr_term**2 - det) <= 1e-12 * det
 
 
-# Each forward map's |norm(out) - 1| tolerance, as its verify record holds it:
-# fourier_unitarity, interp_unitarity and rotation_unitarity.
-UNITARITY_TOL = {"plane_wave": 1e-10, "interp": 1e-8, "rotation": 1e-8}
-FOURIER_ROUNDTRIP_TOL = 1e-12  # roundtrips/fourier_roundtrip
+# The verify record that bounds each forward map's |norm(out) - 1|.
+UNITARITY_RECORD = {"plane_wave": "fourier_unitarity", "interp": "interp_unitarity",
+                    "rotation": "rotation_unitarity"}
 
 
 def _hermite_pair(n, orders, phase):
@@ -199,9 +196,9 @@ def test_every_forward_map_keeps_the_norm(psi, alpha, theta):
         if family.transform is not None:
             out = family.transform(psi, values.get(family.param))
             assert isinstance(out, Wavefunction)
-            assert abs(norm(out) - 1.0) <= UNITARITY_TOL[name], name
+            assert abs(norm(out) - 1.0) <= TOL[UNITARITY_RECORD[name]], name
     back = from_momentum(to_momentum(psi))
-    assert np.abs(back.samples - psi.samples).max() <= FOURIER_ROUNDTRIP_TOL
+    assert np.abs(back.samples - psi.samples).max() <= TOL["fourier_roundtrip"]
 
 
 # Spec text for the CLI: each spec's own fields with any number, including
