@@ -38,6 +38,10 @@ def _write_text(path: str | None, text: str) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qrep-")
         try:
+            # mkstemp makes the file 0600: give it the mode open(path, "w") would leave
+            mask = os.umask(0)
+            os.umask(mask)
+            os.fchmod(fd, os.stat(path).st_mode & 0o777 if os.path.exists(path) else 0o666 & ~mask)
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
             os.replace(tmp, path)

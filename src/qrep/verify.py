@@ -279,23 +279,41 @@ def _suite_eigen_residuals(g: Grid) -> list[CheckReport]:
     return reports
 
 
+def _fourier_checks(psi: Wavefunction, name: str) -> list[CheckReport]:
+    """``fourier_roundtrip`` and ``fourier_unitarity`` of the unit state ``psi``."""
+    ft = to_momentum(psi)
+    err = float(np.abs(from_momentum(ft).samples - psi.samples).max())
+    return [CheckReport("fourier_roundtrip", {"state": name}, err, 1e-12),
+            CheckReport("fourier_unitarity", {"state": name}, abs(norm(ft) - 1.0), 1e-10)]
+
+
+def _unitarity_check(out: Wavefunction, family: str, params: dict) -> CheckReport:
+    """``<family>_unitarity``: ``out``, a chirp member's output for a unit state, keeps the norm."""
+    return CheckReport(f"{family}_unitarity", params, abs(norm(out) - 1.0), 1e-8)
+
+
+def _readback_checks(psi: Wavefunction, spec, name: str, reach: float) -> list[CheckReport]:
+    """``correlation_roundtrip``, ``correlation_roundtrip_norm`` and
+    ``correlation_parseval`` of ``spec``, the spectrum of the unit state ``psi``;
+    both round trips are read on ``4 dx <= |x| <= reach``."""
+    g = psi.grid
+    rec = correlation_inverse(spec, g)
+    x = np.abs(g.points)
+    annulus = (x >= 4.0 * g.dx) & (x <= reach)
+    err = float(np.abs(rec.samples - psi.samples)[annulus].max())
+    n_rec = float(np.sqrt(np.sum(np.abs(rec.samples[annulus]) ** 2) * g.dx))
+    n_in = float(np.sqrt(np.sum(np.abs(psi.samples[annulus]) ** 2) * g.dx))
+    defect = abs(spec.channel_power() - (1.0 - spec.tail_mass))
+    return [CheckReport("correlation_roundtrip", {"state": name}, err, 1e-5),
+            CheckReport("correlation_roundtrip_norm", {"state": name}, abs(n_rec - n_in), 1e-5),
+            CheckReport("correlation_parseval", {"state": name}, defect, 1e-6)]
+
+
 def _suite_roundtrips(g: Grid) -> list[CheckReport]:
     reports = []
     states = dict(_factory_states(g))
     for name, psi in states.items():
-        ft = to_momentum(psi)
-        back = from_momentum(ft)
-        reports.append(
-            CheckReport(
-                "fourier_roundtrip",
-                {"state": name},
-                float(np.abs(back.samples - psi.samples).max()),
-                1e-12,
-            )
-        )
-        reports.append(
-            CheckReport("fourier_unitarity", {"state": name}, abs(norm(ft) - 1.0), 1e-10)
-        )
+        reports += _fourier_checks(psi, name)
     psi = states["gaussian"]
     phi = to_momentum(psi)
     again = to_momentum(from_momentum(phi))
@@ -311,26 +329,11 @@ def _suite_roundtrips(g: Grid) -> list[CheckReport]:
     for family, value in (("interp", 0.5), ("rotation", np.pi / 4)):
         member = _FAMILIES[family]
         out = member.transform(psi, value)
-        params = {member.param: round(value, 12)}
-        reports.append(
-            CheckReport(f"{family}_unitarity", params, abs(norm(out) - 1.0), 1e-8)
-        )
+        reports.append(_unitarity_check(out, family, {member.param: round(value, 12)}))
         reports.append(_member_oracle(g, family, value, "gaussian", out))
 
     # The lattice the library ships: the default window at its default size.
-    spec = correlation_transform(psi)
-    rec = correlation_inverse(spec, g)
-    x = g.points
-    annulus = (np.abs(x) >= 4.0 * g.dx) & (np.abs(x) <= 10.0)
-    err = float(np.abs(rec.samples - psi.samples)[annulus].max())
-    reports.append(CheckReport("correlation_roundtrip", {"state": "gaussian"}, err, 1e-5))
-    n_rec = float(np.sqrt(np.sum(np.abs(rec.samples[annulus]) ** 2) * g.dx))
-    n_in = float(np.sqrt(np.sum(np.abs(psi.samples[annulus]) ** 2) * g.dx))
-    reports.append(
-        CheckReport("correlation_roundtrip_norm", {"state": "gaussian"}, abs(n_rec - n_in), 1e-5)
-    )
-    defect = abs(spec.channel_power() - (1.0 - spec.tail_mass))
-    reports.append(CheckReport("correlation_parseval", {"state": "gaussian"}, defect, 1e-6))
+    reports += _readback_checks(psi, correlation_transform(psi), "gaussian", 10.0)
     return reports
 
 
@@ -432,17 +435,24 @@ def _oracle_grid(g: Grid, chirp: _Chirp) -> Grid:
     return make_grid(n, g.length)
 
 
+def _oracle_check(name: str, params: dict, values: np.ndarray, points: np.ndarray,
+                  psi: Wavefunction, family: str, tol: float, **param) -> CheckReport:
+    """The record ``name``: ``values`` at ``points`` against the oracle of ``family``
+    summed on ``psi``, at their ``_support``, by the largest error."""
+    sub = _support(values)
+    oracle = quadrature_oracle(psi, family, points[sub], **param)
+    return CheckReport(name, params, float(np.abs(values[sub] - oracle).max()), tol)
+
+
 def _member_oracle(g: Grid, family: str, value: float, name: str,
                    out: Wavefunction) -> CheckReport:
     """``out``, the member's output for the factory state ``name``, against the
     oracle on its ``_support``, summed on a grid that resolves the kernel chirp."""
     member = _FAMILIES[family]
     fine = _state(_oracle_grid(g, member.chirp(value)), name)
-    sub = _support(out.samples)
-    oracle = quadrature_oracle(fine, family, out.grid.points[sub], **{member.param: value})
-    err = float(np.abs(out.samples[sub] - oracle).max())
     params = {member.param: round(value, 12), "state": name}
-    return CheckReport(f"{family}_oracle", params, err, 1e-8)
+    return _oracle_check(f"{family}_oracle", params, out.samples, out.grid.points, fine, family,
+                         1e-8, **{member.param: value})
 
 
 def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
@@ -450,10 +460,8 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
     states = dict(_factory_states(g))
     for name, psi in states.items():
         ft = to_momentum(psi)
-        sub = _support(ft.samples)
-        oracle = quadrature_oracle(psi, "plane_wave", ft.grid.points[sub])
-        err = float(np.abs(ft.samples[sub] - oracle).max())
-        reports.append(CheckReport("fourier_oracle", {"state": name}, err, 1e-10))
+        reports.append(_oracle_check("fourier_oracle", {"state": name}, ft.samples,
+                                     ft.grid.points, psi, "plane_wave", 1e-10))
     # (family, value, states); the Gaussian's alpha = 0.5 and theta = pi/4 records
     # are in roundtrips.  On the default grid the last two take the momentum side.
     for family, value, names in (
@@ -481,12 +489,9 @@ def _suite_oracle_agreement(g: Grid) -> list[CheckReport]:
             ratio = float(np.abs(zero).max() / np.abs(other).max())
             reports.append(CheckReport("correlation_parity_selection", {"state": name}, ratio, 1e-15))
         for channel, values in channels.items():
-            sub = _support(values)
-            gams = spec.gamma_grid.points[sub]
-            oracle = quadrature_oracle(psi, f"correlation_{channel}", gams)
-            err = float(np.abs(values[sub] - oracle).max())
-            params = {"state": name}
-            reports.append(CheckReport(f"correlation_oracle_{channel}", params, err, 1e-5))
+            reports.append(_oracle_check(f"correlation_oracle_{channel}", {"state": name}, values,
+                                         spec.gamma_grid.points, psi, f"correlation_{channel}",
+                                         1e-5))
 
     for name, psi in states.items():
         reports.append(

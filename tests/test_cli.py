@@ -611,6 +611,22 @@ def test_no_partial_file_on_error(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_out_files_take_the_mode_a_shell_redirect_gives(tmp_path):
+    # a new file gets 0o666 less the umask; an overwritten file keeps its mode
+    new, old = tmp_path / "m.json", tmp_path / "t.csv"
+    old.write_text("")
+    old.chmod(0o604)
+    mask = os.umask(0o027)
+    try:
+        assert main(["moments", "--n", "64", "--length", "16", "--out", str(new)]) == 0
+        assert main(["transform", "--rep", "momentum", "--n", "64", "--length", "16",
+                     "--out", str(old)]) == 0
+    finally:
+        os.umask(mask)
+    modes = [(p.name, p.stat().st_mode & 0o777) for p in sorted(tmp_path.iterdir())]
+    assert modes == [("m.json", 0o640), ("t.csv", 0o604), ("t.csv.meta.json", 0o640)]
+
+
 @pytest.mark.parametrize("command", [["moments"], ["verify", "--suite", "limits"]])
 def test_format_is_only_for_tabular_output(command):
     # moments and verify always write JSON

@@ -2,6 +2,12 @@
 and the correlation transform over randomly drawn valid states, and of the
 CLI over drawn spec text.
 
+Where a property is a verify record, the test calls the check function that
+record's suite calls (``_fourier_checks``, ``_unitarity_check``,
+``_readback_checks``) on the drawn state, so the bound and the arithmetic
+are verify's.  Each member is read from the family table: its forward map
+and, from its chirp, the coefficients ``(a, b)`` of ``a X + b P``.
+
 States come from the ranges the verify suites and the benchmark's small-grid
 session use, on grids of 256 to 4096 points over a length of 40; the
 forward maps also take Hermite orders up to 12 and normalized superpositions
@@ -24,29 +30,20 @@ from qrep import (
     Wavefunction,
     apply_c,
     apply_p,
-    correlation_inverse,
     correlation_transform,
-    from_momentum,
     gaussian,
     hermite,
     inner,
-    interp_transform,
     log_grid,
     log_resample,
     make_grid,
     moments,
-    norm,
-    rotation_transform,
-    to_momentum,
 )
 from qrep.cli import main
 from qrep.transforms import _FAMILIES, _default_n_gamma, _default_u_window
-from qrep.verify import run_suite
+from qrep.verify import _fourier_checks, _readback_checks, _unitarity_check
 
 LENGTH = 40.0
-
-# Each bound below is the tolerance of the verify record of the same name.
-TOL = {r.name: r.tolerance for r in run_suite("roundtrips", make_grid(1024, LENGTH))}
 
 grid_sizes = st.sampled_from([256, 512, 1024, 2048, 4096])
 # The session's packets chirp by |c| <= 1; the uncertainty suite's reach
@@ -72,12 +69,10 @@ def states_on(sizes):
 
 
 states = states_on(grid_sizes)
-# (transform, parameter, a, b) for one member of either a X + b P family
+# (family, parameter) for one member of either a X + b P family
 members = st.one_of(
-    st.floats(0.0, 1.0).map(lambda alpha: (interp_transform, alpha, alpha, 1.0 - alpha)),
-    st.floats(0.0, np.pi / 2, exclude_min=True).map(
-        lambda theta: (rotation_transform, theta, np.cos(theta), np.sin(theta))
-    ),
+    st.tuples(st.just("interp"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("rotation"), st.floats(0.0, np.pi / 2, exclude_min=True)),
 )
 
 # derandomized: the same examples on every run, so the suite stays a fixed gate
@@ -99,13 +94,8 @@ def test_state_sized_correlation_lattice_keeps_parseval_and_the_round_trip(psi):
     assert correlation_transform(psi).u_grid.n <= _default_n_gamma(g, default)
     spec = correlation_transform(psi, window)
     assert spec.u_grid.n <= 2 * g.n
-    power = np.sum(np.abs(psi.samples) ** 2) * g.dx
-    assert abs(spec.channel_power() - (power - spec.tail_mass)) <= TOL["correlation_parseval"]
-    rec = correlation_inverse(spec, g)
-    x = np.abs(g.points)
-    annulus = (x >= 4.0 * g.dx) & (x <= np.exp(window[1]))
-    err = np.abs(rec.samples - psi.samples)[annulus].max()
-    assert err <= TOL["correlation_roundtrip"]
+    for report in _readback_checks(psi, spec, "drawn", np.exp(window[1])):
+        assert report.passed, report
 
 
 # Off-centre Gaussians and Hermite states vanish, to the last bit, well inside
@@ -153,8 +143,10 @@ def test_member_moments_follow_from_position_moments(psi, member):
     # Relabelled as position samples on its lambda lattice, a member's output
     # has <lam> = a<X> + b<P>, var lam = a^2 var_x + b^2 var_p + 2ab corr_term,
     # and the same covariance determinant var_x var_p - corr_term^2.
-    transform, value, a, b = member
-    out = transform(psi, value)
+    family, value = member
+    out = _FAMILIES[family].transform(psi, value)
+    chirp = _FAMILIES[family].chirp(value)
+    a, b = chirp.a, chirp.b
     m = moments(psi)
     lam = moments(Wavefunction(out.grid, out.samples, POSITION))
     assert abs(lam.mean_x - (a * m.mean_x + b * m.mean_p)) <= 1e-12
@@ -162,11 +154,6 @@ def test_member_moments_follow_from_position_moments(psi, member):
     assert abs(lam.var_x - var) <= 1e-12 * var
     det = m.lhs - m.corr_term**2
     assert abs(lam.lhs - lam.corr_term**2 - det) <= 1e-12 * det
-
-
-# The verify record that bounds each forward map's |norm(out) - 1|.
-UNITARITY_RECORD = {"plane_wave": "fourier_unitarity", "interp": "interp_unitarity",
-                    "rotation": "rotation_unitarity"}
 
 
 def _hermite_pair(n, orders, phase):
@@ -190,15 +177,17 @@ unit_states = st.one_of(
 @property_settings
 @given(unit_states, st.floats(0.0, 1.0), st.floats(0.0, np.pi / 2, exclude_min=True))
 def test_every_forward_map_keeps_the_norm(psi, alpha, theta):
-    # every table family with a forward map; alpha and theta reach both chirp sides
+    # the Fourier map's records, then every chirp row of the table; alpha and
+    # theta reach both chirp sides
+    reports = _fourier_checks(psi, "drawn")
     values = {"alpha": alpha, "theta": theta}
     for name, family in _FAMILIES.items():
-        if family.transform is not None:
-            out = family.transform(psi, values.get(family.param))
-            assert isinstance(out, Wavefunction)
-            assert abs(norm(out) - 1.0) <= TOL[UNITARITY_RECORD[name]], name
-    back = from_momentum(to_momentum(psi))
-    assert np.abs(back.samples - psi.samples).max() <= TOL["fourier_roundtrip"]
+        if family.chirp is not None:
+            value = values[family.param]
+            reports.append(_unitarity_check(family.transform(psi, value), name,
+                                            {family.param: value}))
+    for report in reports:
+        assert report.passed, report
 
 
 # Spec text for the CLI: each spec's own fields with any number, including

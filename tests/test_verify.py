@@ -1,4 +1,8 @@
+import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +192,25 @@ def test_two_known_records_fail_at_256():
     grouped = run_all_suites(make_grid(256, 40.0))
     failed = [r.name for reports in grouped.values() for r in reports if not r.passed]
     assert sorted(failed) == ["correlation_mean_c", "correlation_parseval"], failed
+
+
+def test_only_the_fresnel_ladder_moves_with_the_blas_thread_count():
+    # grid.inner is a BLAS dot product that a second thread may split; every
+    # other record must read the same bits on one thread or two
+    root = str(Path(verify.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        r = subprocess.run([sys.executable, "-m", "qrep", "verify", "--suite", "all", "--n", "512",
+                            "--length", "40"], capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        runs.append(json.loads(r.stdout))
+    fixed = [[{**rec, "observed": None, "passed": None} for rec in run] for run in runs]
+    assert fixed[0] == fixed[1]
+    moved = {a["name"] for a, b in zip(*runs) if a["observed"] != b["observed"]}
+    assert moved <= {"fresnel_delta_pairing", "fresnel_delta_monotone"}, moved
 
 
 def test_limits_run_on_the_base_grid(g1024, monkeypatch):
