@@ -11,7 +11,8 @@ Every other module builds on the conventions fixed here:
 * integrals are rectangle sums ``sum_j f_j * dx``, which is exact for the
   band-limited periodic case and makes the discrete Fourier map unitary;
 * the spline is fitted and read here alone: ``log_resample`` reads a state
-  onto a lattice in ``u = ln|x|``, and ``_log_read_back`` reads it back;
+  onto a lattice in ``u = ln|x|``, and ``cubic_interpolate`` reads it back
+  (``transforms.correlation_inverse``);
 * a state's support, ``Wavefunction._support``, is the index span from its
   first to its last nonzero sample, and every sample outside it is ``+0``.
   The builders, the position side of the chirp maps, ``apply_x`` and
@@ -539,8 +540,7 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
     h_even = np.zeros(u_grid.n, dtype=complex)
     h_odd = np.zeros(u_grid.n, dtype=complex)
     plus, minus = h_even[:stop], h_odd[:stop]
-    r = u_grid.dx * np.arange(stop, dtype=float)
-    r += u_grid.x_min  # u_grid.points[:stop]
+    r = u_grid._span_points(0, stop)
     np.exp(r, out=r)
     _spline_eval(g, coeffs, r, plus, lo)
     _spline_eval(g, coeffs, np.negative(r, out=r), minus, lo)
@@ -549,60 +549,13 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
     plus += minus
     minus[...] = diff
     del diff
-    weight = u_grid.dx * np.arange(stop, dtype=float)
-    weight += u_grid.x_min
+    weight = u_grid._span_points(0, stop)
     np.divide(weight, 2.0, out=weight)
     np.exp(weight, out=weight)
     weight /= np.sqrt(2.0)
     plus *= weight
     minus *= weight
     return h_even, h_odd
-
-
-def _annulus(g: Grid, r_min: float, r_max: float) -> tuple[slice, slice]:
-    """Index ranges of the samples with ``r_min <= |x| <= r_max`` on ``x < 0``
-    and on ``x > 0``; a sample at ``x = 0`` lies on neither, even if ``r_min = 0``."""
-    x = g.points
-    r_min = max(r_min, np.nextafter(0.0, 1.0))
-    neg = slice(np.searchsorted(x, -r_max, "left"), np.searchsorted(x, -r_min, "right"))
-    pos = slice(np.searchsorted(x, r_min, "left"), np.searchsorted(x, r_max, "right"))
-    return neg, pos
-
-
-def _log_read_back(even: np.ndarray, odd: np.ndarray, u_grid: Grid, g: Grid) -> np.ndarray:
-    """Inverse of :func:`log_resample`: position samples on ``g`` from the
-    channels' coefficients ``even``, ``odd`` on the lattice dual to ``u_grid``.
-
-    The sum and difference of their inverse sums over ``sqrt(2 pi)`` carry
-    ``psi(e^u)`` and ``psi(-e^u)``; each is read onto its half-line by
-    :func:`cubic_interpolate`'s spline on the ``u`` knots and divided by
-    ``sqrt(2 |x|)``.  Samples outside the annulus ``e^u_min <= |x| <= e^u_max``
-    are zero.  The ``ln|x|`` queries of both half-lines set one knot window,
-    and only those knots are copied out of each inverse sum; a half-line's
-    spline is fitted and read only if it has queries, bit for bit as on the
-    whole lattice.
-    """
-    neg, pos = _annulus(g, np.exp(u_grid.x_min), np.exp(u_grid.x_max))
-    reads = [(s, r, np.log(r)) for s, r in ((pos, g.points[pos]), (neg, -g.points[neg]))]
-    queried = [t for *_, t in reads if t.size]
-    if not queried:
-        return np.zeros(g.n, dtype=complex)
-    lo, hi = _spline_window(u_grid, min(t.min() for t in queried), max(t.max() for t in queried))
-
-    h_even = inverse_fourier_sum(even, u_grid)[lo:hi] / _SQRT_2PI
-    h_odd = inverse_fourier_sum(odd, u_grid)[lo:hi] / _SQRT_2PI
-    # The difference takes h_even's buffer.  The output is allocated only
-    # now: held through the inverse sums, it raised lib_large's peak RSS.
-    h_sum = h_even + h_odd
-    h_diff = np.subtract(h_even, h_odd, out=h_even)
-    del h_odd
-    out = np.zeros(g.n, dtype=complex)
-    for (s, r, t), h in zip(reads, (h_sum, h_diff)):
-        if t.size:
-            values = out[s]
-            _spline_eval(u_grid, _spline_coeffs(h), t, values, lo)
-            values /= np.sqrt(2.0 * r)
-    return out
 
 
 # ---------------------------------------------------------------------------

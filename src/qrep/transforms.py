@@ -30,11 +30,10 @@ from .grid import (
     RepresentationLabel,
     Wavefunction,
     _SQRT_2PI,
-    _annulus,
     _cis,
     _fourier_sum_inplace,
-    _log_read_back,
     _require_log_support,
+    cubic_interpolate,
     dual_grid,
     inverse_fourier_sum,
     log_grid,
@@ -389,6 +388,16 @@ def correlation_transform(
     )
 
 
+def _annulus(g: Grid, r_min: float, r_max: float) -> tuple[slice, slice]:
+    """Index ranges of the samples with ``r_min <= |x| <= r_max`` on ``x < 0``
+    and on ``x > 0``; a sample at ``x = 0`` lies on neither, even if ``r_min = 0``."""
+    x = g.points
+    r_min = max(r_min, np.nextafter(0.0, 1.0))
+    neg = slice(np.searchsorted(x, -r_max, "left"), np.searchsorted(x, -r_min, "right"))
+    pos = slice(np.searchsorted(x, r_min, "left"), np.searchsorted(x, r_max, "right"))
+    return neg, pos
+
+
 def _tail_mass(psi: Wavefunction, r_min: float, r_max: float) -> float:
     """Probability outside the annulus ``r_min <= |x| <= r_max``.
 
@@ -396,16 +405,16 @@ def _tail_mass(psi: Wavefunction, r_min: float, r_max: float) -> float:
     hole ``|x| < r_min`` is the trapezoid integral of ``|psi|^2`` over
     ``[-r_min, r_min]``, its end cells cut by linear interpolation, so it
     sees odd states, which vanish at the origin, as well as even ones.  Both
-    read the index ranges of :func:`~qrep.grid._annulus`; the window lies
-    inside the lattice, as :func:`~qrep.grid.log_resample` requires.
+    read the index ranges of :func:`_annulus`; the window lies inside the
+    lattice, as :func:`~qrep.grid.log_resample` requires.
     """
     g, samples = psi.grid, psi.samples
     neg, pos = _annulus(g, r_min, r_max)
     tails = np.concatenate((samples[: neg.start], samples[pos.stop :]))
     outer = np.sum(np.abs(tails) ** 2) * g.dx
     # x[a - 1] <= -r_min < x[a] and x[b - 1] < r_min <= x[b]
-    a, b, x = neg.stop, pos.start, g.points
-    knots = x[a - 1:b + 1].copy()
+    a, b = neg.stop, pos.start
+    knots = g._span_points(a - 1, b + 1)
     w = np.abs(samples[a - 1:b + 1]) ** 2
     w_lo = w[0] + (-r_min - knots[0]) / g.dx * (w[1] - w[0])
     w_hi = w[-1] + (knots[-1] - r_min) / g.dx * (w[-2] - w[-1])
@@ -415,18 +424,40 @@ def _tail_mass(psi: Wavefunction, r_min: float, r_max: float) -> float:
 
 
 def correlation_inverse(spec: CorrelationSpectrum, g: Grid) -> Wavefunction:
-    """Position samples on ``g`` from a correlation spectrum: each channel's
-    inverse Fourier sum, then :func:`~qrep.grid.log_resample` inverted by the
-    spline of :func:`~qrep.grid.cubic_interpolate` on the ``u`` knots, onto
-    both half-lines.  Points outside the annulus ``e^u_min <= |x| <= e^u_max``
-    are zero.  The spectrum's ``tail_mass`` must not exceed ``INVERSE_TAIL_TOL``.
+    """Position samples on ``g`` from a correlation spectrum, inverting
+    :func:`~qrep.grid.log_resample`: the sum and the difference of the channels'
+    inverse Fourier sums, read by :func:`~qrep.grid.cubic_interpolate` at ``ln|x|``
+    on ``x > 0`` and on ``x < 0`` and divided by ``sqrt(2 |x|)``.  Points outside
+    the annulus ``e^u_min <= |x| <= e^u_max`` are zero.  The spectrum's
+    ``tail_mass`` must not exceed ``INVERSE_TAIL_TOL``.
     """
     if spec.tail_mass > INVERSE_TAIL_TOL:
         raise ValueError(
             f"inverse_tail_mass: tail mass {spec.tail_mass:.3e} exceeds {INVERSE_TAIL_TOL:g}; "
             "widen the log window before inverting"
         )
-    return Wavefunction(g, _log_read_back(spec.even, spec.odd, spec.u_grid, g), POSITION)
+    u_grid = spec.u_grid
+    h_even, h_odd = (inverse_fourier_sum(c, u_grid) / _SQRT_2PI for c in (spec.even, spec.odd))
+    h_diff = h_even - h_odd  # psi(-e^u); psi(e^u) is the sum, formed in h_even
+    h_even += h_odd
+    del h_odd
+    reads = []
+    for s, h in zip(_annulus(g, np.exp(u_grid.x_min), np.exp(u_grid.x_max)), (h_diff, h_even)):
+        if s.start < s.stop:  # a half-line with no sample in the annulus is not read
+            r = np.abs(g._span_points(s.start, s.stop))
+            values = cubic_interpolate(u_grid, h, np.log(r))
+            values /= np.sqrt(2.0 * r)
+            reads.append((s, values))
+            del r, values
+    # The output is allocated once both reads are done and the u-lattice sums
+    # freed; each read is freed once placed, before the state's copy.
+    del h_diff, h_even, h
+    out = np.zeros(g.n, dtype=complex)
+    while reads:
+        s, values = reads.pop()
+        out[s] = values
+        del values
+    return Wavefunction(g, out, POSITION)
 
 
 # Veltkamp's splitter for doubles, 2^27 + 1.

@@ -118,7 +118,7 @@ _SUPPORT_FLOOR = 1e-3  # of the peak coefficient modulus
 _CONJUGATION_MIN_PEAK = np.finfo(float).tiny / np.finfo(float).eps
 
 
-def _support(values: np.ndarray) -> np.ndarray:
+def _oracle_indices(values: np.ndarray) -> np.ndarray:
     """Up to ``_ORACLE_POINTS`` indices spread evenly over the coefficients that
     reach ``_SUPPORT_FLOOR`` of the peak modulus (all of them if every one is
     zero): an oracle record checks where the expansion carries weight, at any n."""
@@ -438,8 +438,8 @@ def _oracle_grid(g: Grid, chirp: _Chirp) -> Grid:
 def _oracle_check(name: str, params: dict, values: np.ndarray, points: np.ndarray,
                   psi: Wavefunction, family: str, tol: float, **param) -> CheckReport:
     """The record ``name``: ``values`` at ``points`` against the oracle of ``family``
-    summed on ``psi``, at their ``_support``, by the largest error."""
-    sub = _support(values)
+    summed on ``psi``, at their ``_oracle_indices``, by the largest error."""
+    sub = _oracle_indices(values)
     oracle = quadrature_oracle(psi, family, points[sub], **param)
     return CheckReport(name, params, float(np.abs(values[sub] - oracle).max()), tol)
 
@@ -447,7 +447,7 @@ def _oracle_check(name: str, params: dict, values: np.ndarray, points: np.ndarra
 def _member_oracle(g: Grid, family: str, value: float, name: str,
                    out: Wavefunction) -> CheckReport:
     """``out``, the member's output for the factory state ``name``, against the
-    oracle on its ``_support``, summed on a grid that resolves the kernel chirp."""
+    oracle at its ``_oracle_indices``, summed on a grid that resolves the kernel chirp."""
     member = _FAMILIES[family]
     fine = _state(_oracle_grid(g, member.chirp(value)), name)
     params = {member.param: round(value, 12), "state": name}

@@ -7,7 +7,7 @@ from qrep import GaussianSpec, gaussian, make_grid
 from qrep.grid import _SQRT_2PI, Grid, _cis, cubic_interpolate, fourier_sum, inverse_fourier_sum
 from qrep.kernels import _chirp_resolved
 from qrep.transforms import _FAMILIES
-from qrep.verify import _factory_states
+from qrep.verify import _factory_states, _fd_derivative
 
 
 @pytest.fixture(scope="session")
@@ -107,6 +107,19 @@ def whole_grid():
     )
 
 
-def max_abs(a, b=None):
-    arr = a if b is None else np.asarray(a) - np.asarray(b)
-    return float(np.abs(arr).max())
+def _whole_grid_residual(kernel, eigenvalue, window, a, b, c):
+    x, f = kernel.grid.points, kernel.samples
+    deriv = np.full(len(f), np.nan, dtype=complex)
+    deriv[2:-2] = _fd_derivative(f, kernel.grid.dx)
+    resid = (a * x - 0.5j * c) * f - 1j * ((b + c * x) * deriv) - eigenvalue * f
+    mask = window & np.isfinite(resid.real)
+    return float(np.sqrt(np.sum(np.abs(resid[mask]) ** 2)) / np.sqrt(np.sum(np.abs(f[mask]) ** 2)))
+
+
+@pytest.fixture(scope="session")
+def whole_grid_residual():
+    """The relative eigen-residual of ``kernel`` under ``a X + b P + c C``,
+    ``(kernel, eigenvalue, window, a, b, c)``, formed on every sample of the
+    lattice and then masked by ``window``; the two samples at each end, which
+    have no derivative, read NaN and drop out."""
+    return _whole_grid_residual

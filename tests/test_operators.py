@@ -285,20 +285,6 @@ def test_fd_derivative_matches_analytic():
 # --- the eigen-residual is the whole-grid residual, masked ------------------
 
 
-def _whole_grid_residual(kernel, eigenvalue, window, a, b, c):
-    """The residual formed on every sample of the lattice, then masked; the
-    two samples at each end, which have no derivative, read NaN."""
-    x, f = kernel.grid.points, kernel.samples
-    deriv = np.full(len(f), np.nan, dtype=complex)
-    deriv[2:-2] = _fd_derivative(f, kernel.grid.dx)
-    op = (a * x - 0.5j * c) * f - 1j * ((b + c * x) * deriv)
-    resid = op - eigenvalue * f
-    mask = window & np.isfinite(resid.real)
-    num = np.sqrt(np.sum(np.abs(resid[mask]) ** 2))
-    den = np.sqrt(np.sum(np.abs(f[mask]) ** 2))
-    return float(num / den)
-
-
 def _residual_cases():
     g_wide, g_fine = make_grid(8192, 40.0), make_grid(16384, 20.0)
     dp = dual_grid(g_wide).dx
@@ -324,10 +310,11 @@ def _residual_cases():
 
 
 @pytest.mark.parametrize("case,window", _residual_cases())
-def test_windowed_residual_is_the_whole_grid_residual_bit_for_bit(case, window):
+def test_windowed_residual_is_the_whole_grid_residual_bit_for_bit(case, window,
+                                                                   whole_grid_residual):
     kernel, eigenvalue, (a, b, c) = case
     mask = np.ones(kernel.grid.n, dtype=bool) if window is None else window
-    ref = _whole_grid_residual(kernel, eigenvalue, mask, a, b, c)
+    ref = whole_grid_residual(kernel, eigenvalue, mask, a, b, c)
     got = _windowed_eigen_residual(kernel, eigenvalue, window, a, b, c)
     assert np.float64(got).view(np.uint64) == np.float64(ref).view(np.uint64)
 

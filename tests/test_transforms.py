@@ -488,20 +488,26 @@ def _correlation_inverse_reference(spec, g):
     return out
 
 
-@pytest.mark.parametrize("offset", [None, 0.37])
+@pytest.mark.parametrize("offset", [None, 0.37, -30.0])
 def test_windowed_correlation_inverse_is_bit_identical_to_whole_sum_reference(offset):
     # offset 0.37: the target grid is [0.37, 160.37), so the annulus meets
     # the positive half-line only.  The state's lattice has 4096 knots here, of
     # which the offset target's queries fit 1246; on make_grid(1024, 40.0) its
     # lattice has 2048, and the queries' window of under 569 knots is widened
-    # to all of them.
+    # to all of them.  Offset -30: [-30, 130) reaches |x| = 30 on x < 0 and
+    # e^u_max = 71.7 on x > 0, so each half-line fits its own window, and the
+    # one of x < 0 is not the window that both half-lines' queries span.
     g = make_grid(4096, 160.0)
     spec = correlation_transform(gaussian(g, GaussianSpec(s=1.0, x0=0.7, p0=-0.3, c=0.5)))
     target = g if offset is None else Grid(g.n, g.dx, offset)
-    x = np.abs(target.points)
-    t = np.log(x[(x >= np.exp(spec.u_grid.x_min)) & (x <= np.exp(spec.u_grid.x_max))])
-    lo, hi = _spline_window(spec.u_grid, t.min(), t.max())
-    assert hi - lo < spec.u_grid.n  # only some knots are copied
+    x = target.points
+    windows = []
+    for r in (-x[x < 0.0], x[x > 0.0]):
+        t = np.log(r[(r >= np.exp(spec.u_grid.x_min)) & (r <= np.exp(spec.u_grid.x_max))])
+        if t.size:
+            windows.append(_spline_window(spec.u_grid, t.min(), t.max()))
+    assert all(hi - lo < spec.u_grid.n for lo, hi in windows)  # only some knots are fitted
+    assert (len(set(windows)) == 2) == (offset == -30.0)
     rec = correlation_inverse(spec, target).samples
     ref = _correlation_inverse_reference(spec, target)
     assert np.array_equal(rec.view(np.uint64), ref.view(np.uint64))

@@ -294,7 +294,7 @@ def test_oracle_records_check_where_the_coefficient_carries_weight(n, monkeypatc
 
 
 def test_support_of_an_all_zero_channel_spans_the_lattice():
-    idx = verify._support(np.zeros(1024, dtype=complex))
+    idx = verify._oracle_indices(np.zeros(1024, dtype=complex))
     assert len(idx) == 32 and idx[0] == 0 and idx[-1] == 1023
     assert np.all(np.diff(idx) >= 32)
 
@@ -304,7 +304,7 @@ def test_support_spreads_over_the_weighty_coefficients(width):
     values = np.zeros(1024, dtype=complex)
     values[500 : 500 + width] = 1.0
     values[[100, 900]] = 0.999e-3  # under the floor
-    idx = verify._support(values)
+    idx = verify._oracle_indices(values)
     assert len(idx) == min(32, width)
     assert idx[0] == 500 and idx[-1] == 499 + width and np.all(np.diff(idx) > 0)
 
@@ -337,16 +337,6 @@ def _key(name, params):
     return name, repr(sorted(params.items(), key=str))
 
 
-def _whole_grid_residual(kernel, eigenvalue, window, a, b, c):
-    """The relative eigen-residual formed on every sample of the lattice, then masked."""
-    x, f, dx = kernel.grid.points, kernel.samples, kernel.grid.dx
-    deriv = np.full(len(f), np.nan, dtype=complex)
-    deriv[2:-2] = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * dx)
-    resid = (a * x - 0.5j * c) * f - 1j * ((b + c * x) * deriv) - eigenvalue * f
-    mask = window & np.isfinite(resid.real)
-    return float(np.sqrt(np.sum(np.abs(resid[mask]) ** 2)) / np.sqrt(np.sum(np.abs(f[mask]) ** 2)))
-
-
 # Each eigen-residual's grid spans its window at the step it has always had.
 _EIGEN_GRIDS = {"wave": make_grid(4096, 20.0), "chirp": make_grid(8192, 10.0),
                 "corr": make_grid(2048, 10.0)}
@@ -368,13 +358,14 @@ def test_eigen_grids_are_windows_of_the_wide_grids_bit_for_bit(name, wide, lo, s
                           sampler(g_wide).samples[window].view(np.uint64))
 
 
-def test_eigen_records_are_the_public_samplers_whole_grid_residuals(all_reports):
+def test_eigen_records_are_the_public_samplers_whole_grid_residuals(all_reports,
+                                                                     whole_grid_residual):
     g_wave, g_chirp, g_corr = _EIGEN_GRIDS["wave"], _EIGEN_GRIDS["chirp"], _EIGEN_GRIDS["corr"]
     expected = {}
     dp = 2.0 * np.pi / 40.0
     every = np.ones(g_wave.n, dtype=bool)
     for p in (round(t / dp) * dp for t in (-2.0, 0.5, 1.0)):
-        res = _whole_grid_residual(plane_wave(g_wave, p), p, every, 0.0, 1.0, 0.0)
+        res = whole_grid_residual(plane_wave(g_wave, p), p, every, 0.0, 1.0, 0.0)
         expected[_key("momentum_eigenfunction", {"p": round(p, 12)})] = res
     for family, param, sampler, chirp_of, values in (
         ("interp", "alpha", interp_kernel, _interp_chirp, (0.25, 0.5, 0.75)),
@@ -385,13 +376,13 @@ def test_eigen_records_are_the_public_samplers_whole_grid_residuals(all_reports)
             a, b = chirp_of(value).a, chirp_of(value).b
             for lam in (-1.0, 0.0, 0.5, 2.0):
                 k = sampler(g_chirp, value, lam)
-                res = _whole_grid_residual(k, lam, every, a, b, 0.0)
+                res = whole_grid_residual(k, lam, every, a, b, 0.0)
                 expected[_key(f"{family}_eigenfunction", {param: round(value, 12), "lam": lam})] = res
     outside_unit = np.abs(g_corr.points) >= 1.0
     for gamma in (-2.0, 0.0, 1.0):
         for par in (Parity.EVEN, Parity.ODD):
             k = correlation_kernel(g_corr, gamma, par)
-            res = _whole_grid_residual(k, gamma, outside_unit, 0.0, 0.0, 1.0)
+            res = whole_grid_residual(k, gamma, outside_unit, 0.0, 0.0, 1.0)
             expected[_key("correlation_eigenfunction", {"gamma": gamma, "parity": par.value})] = res
     got = {_key(r.name, r.parameters): r.observed for r in all_reports["eigen_residuals"]}
     assert len(expected) == 33 and set(got) == set(expected)
