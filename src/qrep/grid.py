@@ -10,9 +10,9 @@ Every other module builds on the conventions fixed here:
   in FFT wrap order); momentum samples live on no other (``momentum_lattice``);
 * integrals are rectangle sums ``sum_j f_j * dx``, which is exact for the
   band-limited periodic case and makes the discrete Fourier map unitary;
-* the spline is fitted and read here alone: ``log_resample`` reads a state
-  onto a lattice in ``u = ln|x|``, and ``cubic_interpolate`` reads it back
-  (``transforms.correlation_inverse``);
+* the spline is fitted and read by ``cubic_interpolate`` alone, one call per
+  half-line either way: ``log_resample`` reads a state onto a lattice in
+  ``u = ln|x|``, and ``transforms.correlation_inverse`` reads it back;
 * a state's support, ``Wavefunction._support``, is the index span from its
   first to its last nonzero sample, and every sample outside it is ``+0``.
   The builders, the position side of the chirp maps, ``apply_x`` and
@@ -171,9 +171,9 @@ class Wavefunction:
     the last nonzero sample, ``(0, 0)`` for the all-zero state, taken once:
     the builders and ``apply_x`` keep the span they formed (``_from_span``),
     and any other state scans its samples on first request.  The builders,
-    the position side of the chirp maps, ``apply_x`` and ``log_resample``
-    scale their per-sample work with it; a state they build is ``+0`` at
-    every sample outside it.
+    the position side of the chirp maps, ``apply_x``, ``log_resample`` and
+    the correlation sizing step scale their per-sample work with it; a state
+    they build is ``+0`` at every sample outside it.
     """
 
     grid: Grid
@@ -462,8 +462,9 @@ def cubic_interpolate(grid: Grid, samples: np.ndarray, t: np.ndarray) -> np.ndar
         raise ValueError(f"sample_count: expected {grid.n} samples, got shape {y.shape}")
     t = np.asarray(t, dtype=float)
     lo, hi = _spline_window(grid, t.min(), t.max()) if t.size else (0, grid.n)
+    # allocated before the fit for heap placement: after it, peak RSS ran higher and wider
+    out = np.empty(t.shape, dtype=np.result_type(y.dtype, float))
     coeffs = _spline_coeffs(y[lo:hi])
-    out = np.empty(t.shape, dtype=coeffs[0].dtype)
     _spline_eval(grid, coeffs, t.reshape(-1), out.reshape(-1), lo)
     return out
 
@@ -505,22 +506,17 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
 
         h_even(u), h_odd(u) = e^(u/2) (psi(e^u) +- psi(-e^u)) / sqrt(2).
 
-    Both half-lines are read from one fit of :func:`cubic_interpolate`'s
-    spline, the not-a-knot cubic spline on the uniform position knots (SciPy's
+    Each half-line is read by one :func:`cubic_interpolate` call, the
+    not-a-knot cubic spline on the uniform position knots (SciPy's
     ``CubicSpline`` default), so the result is accurate to that spline's
     interpolation error.  ``psi`` must be position-labelled.  The window must
     stay within the samples of both half-lines, ``e^u_max <= min(x_max,
     -x_min)``, so no value is extrapolated.
 
-    Only the state's support (``Wavefunction._support``) is read.  The
-    spline is fitted out to ``_FIT_MARGIN`` cells past its farther end, and
-    every ``u`` whose ``e^u`` lies beyond that reads ``+0``: the
-    whole-lattice spline is exactly ``+0`` there, so the result is the whole
-    read's bit for bit.
-
-    The reads of ``psi(e^u)`` and ``psi(-e^u)`` go straight into the two
-    returned arrays, the parity parts and the weight ``e^(u/2)/sqrt(2)`` are
-    formed over them in place, and one query-sized buffer is held at a time.
+    Only the state's support (``Wavefunction._support``) is read.  The reads
+    stop ``_FIT_MARGIN`` cells past its farther end, and every ``u`` whose
+    ``e^u`` lies beyond that reads ``+0``: the whole-lattice spline is
+    exactly ``+0`` there, so the result is the whole read's bit for bit.
     """
     require_label(psi, POSITION, "log_resample")
     g = psi.grid
@@ -528,23 +524,15 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
     r_read = _read_radius(psi, r_max)
     if r_read == 0.0:
         return np.zeros(u_grid.n, dtype=complex), np.zeros(u_grid.n, dtype=complex)
-    # The reads stop at most one lattice point past the last u with e^u <=
-    # r_read; the fit reaches the point after that, clear of any rounding.
+    # The reads stop at most one lattice point past the last u with e^u <= r_read.
     stop = u_grid.n
     if r_read < r_max:
         stop = min(stop, max(int(np.floor((np.log(r_read) - u_grid.x_min) / u_grid.dx)) + 2, 1))
-    r_fit = np.exp(u_grid.x_min + u_grid.dx * min(stop, u_grid.n - 1))
-    lo, hi = _spline_window(g, -r_fit, r_fit)
-    coeffs = _spline_coeffs(psi.samples[lo:hi])
-    # allocated after the fit, so that they add nothing to its peak
-    h_even = np.zeros(u_grid.n, dtype=complex)
-    h_odd = np.zeros(u_grid.n, dtype=complex)
-    plus, minus = h_even[:stop], h_odd[:stop]
     r = u_grid._span_points(0, stop)
     np.exp(r, out=r)
-    _spline_eval(g, coeffs, r, plus, lo)
-    _spline_eval(g, coeffs, np.negative(r, out=r), minus, lo)
-    del coeffs, r  # freed before the parity parts' one temporary
+    plus = cubic_interpolate(g, psi.samples, r)
+    minus = cubic_interpolate(g, psi.samples, np.negative(r, out=r))
+    del r  # freed before the parity parts' one temporary
     diff = plus - minus
     plus += minus
     minus[...] = diff
@@ -555,7 +543,10 @@ def log_resample(psi: Wavefunction, u_grid: Grid) -> tuple[np.ndarray, np.ndarra
     weight /= np.sqrt(2.0)
     plus *= weight
     minus *= weight
-    return h_even, h_odd
+    # every u past stop reads +0: each channel grows in place, zero-filled
+    plus.resize(u_grid.n, refcheck=False)
+    minus.resize(u_grid.n, refcheck=False)
+    return plus, minus
 
 
 # ---------------------------------------------------------------------------

@@ -298,20 +298,26 @@ _DU_REFINE = 8
 _MIN_N_GAMMA = 8
 
 
-def _tail_radius(g: Grid, samples: np.ndarray) -> float:
-    """Smallest radius beyond which ``sum |samples|^2`` over the samples of
-    ``g`` falls below ``_TAIL_FLOOR`` of the whole sum, in whole cells.
+def _tail_radius(g: Grid, samples: np.ndarray, first: int = 0) -> float:
+    """Smallest radius beyond which ``sum |samples|^2`` falls below
+    ``_TAIL_FLOOR`` of the whole sum, in whole cells; ``samples`` are those
+    of ``g`` from index ``first`` on, and every other sample is 0.
 
     Sample ``j`` lies ``|round(x_min/dx) + j|`` cells from the origin.  The
     weights are binned by that radius and summed inwards from the two ends
-    of the lattice at once: O(n), with no sort.
+    of the lattice at once: O(len(samples)), with no sort.  A floor of 0
+    (the all-zero state) holds at every radius, so the lattice's largest is
+    taken.
     """
     weight = np.abs(samples)
     np.square(weight, out=weight)
-    first = int(np.rint(g.x_min / g.dx))
-    cells = np.abs(np.arange(first, first + g.n))
+    origin = int(np.rint(g.x_min / g.dx))
+    cells = np.abs(np.arange(origin + first, origin + first + len(samples)))
     tail = np.cumsum(np.bincount(cells, weights=weight)[::-1])[::-1]
-    return (np.count_nonzero(tail >= _TAIL_FLOOR * tail[0]) - 1) * g.dx
+    floor = _TAIL_FLOOR * tail[0] if tail.size else 0.0
+    if not floor:
+        return max(-origin, origin + g.n - 1) * g.dx
+    return (np.count_nonzero(tail >= floor) - 1) * g.dx
 
 
 def _state_n_gamma(psi: Wavefunction, span: float, cap: int) -> int:
@@ -319,9 +325,12 @@ def _state_n_gamma(psi: Wavefunction, span: float, cap: int) -> int:
     the power of two at or above ``span/du``, ``du = pi/(m r p)``, at least
     ``_MIN_N_GAMMA`` and at most the power of two ``cap``.  ``p`` is read
     from the state's kept Fourier sum (``Wavefunction._fourier``), which
-    ``to_momentum`` and ``apply_p`` share, so a state pays for it once."""
+    ``to_momentum`` and ``apply_p`` share, so a state pays for it once;
+    ``r`` is read from the state's support (``Wavefunction._support``)."""
     kgrid, tilde = psi._fourier
-    gamma_max = _tail_radius(psi.grid, psi.samples) * _tail_radius(kgrid, tilde)
+    first, stop = psi._support
+    r = _tail_radius(psi.grid, psi.samples[first:stop], first)
+    gamma_max = r * _tail_radius(kgrid, tilde)
     need = span * _DU_REFINE * gamma_max / np.pi
     size = _MIN_N_GAMMA
     while size < min(need, cap):

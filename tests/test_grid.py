@@ -386,8 +386,8 @@ def test_log_resample_windowed_fit_is_bit_identical_to_whole_lattice_fit():
     for g, u, centre in _log_resample_cases():
         psi = gaussian(g, GaussianSpec(s=1.0, x0=0.3, c=0.5))
         r = np.exp(u.points)
-        lo, hi = _spline_window(g, -r.max(), r.max())
-        assert 0 < lo and hi < g.n
+        for lo, hi in (_spline_window(g, r[0], r[-1]), _spline_window(g, -r[-1], -r[0])):
+            assert 0 < lo and hi < g.n  # each half-line fits a window of knots
         assert (g.x_min == -(g.n // 2) * g.dx and r[0] <= g.dx / 4) == centre
         plus = _whole_lattice_read(g, psi.samples, r)
         minus = _whole_lattice_read(g, psi.samples, -r)
@@ -593,27 +593,29 @@ def test_phase_table_cache_stays_bounded_and_read_only():
 def test_correlation_round_trip_peak_memory():
     # In units of n * 16 bytes, one complex array on the position grid: the
     # state sizes the log lattice (2048 points for this state at every n), so
-    # position-sized buffers set both peaks.  Measured 3.61 and 3.58 for the
-    # transform at n = 2^14 and 2^16, where the spline fit of psi over the
-    # window's knots is the peak (the sizing step's radius bins reach 2.5),
-    # and 2.57 and 2.13 for the round trip, from the transform's end, with
-    # the spectrum held.  At 2^16 the output and the state's copy of it set
-    # the peak.  At 2^14, where a u-lattice array is an eighth of a unit, the
+    # position-sized buffers set both peaks.  Measured 2.14 and 1.87 for the
+    # transform at n = 2^14 and 2^16, where the fit of the second half-line
+    # is the peak: its slopes, their scratch and two coefficient arrays over
+    # the 0.45 n knots its own queries reach, beside the u-lattice queries,
+    # the second read's output and the first half-line's values.  The round
+    # trip measured 2.57 and 2.13, from the transform's end, with the
+    # spectrum held.  At 2^16 the output and the state's copy of it set the
+    # peak.  At 2^14, where a u-lattice array is an eighth of a unit, the
     # read of the second half-line does: the two u-lattice sums, the first
     # half-line's values, and the second's |x|, ln|x|, output, fit and
     # per-block work buffers.
     #
-    # A state narrower than its window is fitted only on its support: at
+    # A state narrower than its window is read only on its support: at
     # length 640 the unit Gaussian is 0 beyond |x| = 39, and the transform
-    # peak measured 1.64 and 1.50 (4.02 and 3.59 with the whole window fitted).
+    # peak measured 1.50 at both sizes.
     #
     # A fresh state keeps its Fourier sum, so the transform leaves one unit
-    # held besides the spectrum, and that unit is held through the fit:
-    # measured peaks 4.61 and 4.58.
+    # held besides the spectrum, and that unit is held through the fits:
+    # measured peaks 3.14 and 2.87.
     #
     # The oracle's read, log_resample on 4 n points over the default window,
-    # holds the output, the fit and one query buffer: measured 13.24 and
-    # 12.84 (15.24 and 14.84 with u held beside e^u through the reads).
+    # peaks when the parity parts are formed: the two reads and the one
+    # temporary, 4 units each, measured 12.00 at both sizes.
     for n in (2**14, 2**16):
         g = make_grid(n, 40.0)
         psi = gaussian(g, GaussianSpec(s=1.0, x0=0.3))
@@ -629,7 +631,7 @@ def test_correlation_round_trip_peak_memory():
         finally:
             tracemalloc.stop()
         assert spec.u_grid.n == 2048, n
-        assert transform_peak <= 3.8 * unit, n
+        assert transform_peak <= 2.3 * unit, n
         assert round_trip_peak <= 2.7 * unit, n
 
         fresh = gaussian(g, GaussianSpec(s=1.0, x0=0.3))
@@ -641,7 +643,7 @@ def test_correlation_round_trip_peak_memory():
             tracemalloc.stop()
         assert fresh._fourier[1].nbytes == unit
         assert unit <= held - spec.even.nbytes - spec.odd.nbytes <= unit + 4096, n
-        assert fresh_peak <= 4.8 * unit, n
+        assert fresh_peak <= 3.3 * unit, n
 
         wide = make_grid(n, 640.0)
         narrow = gaussian(wide, GaussianSpec(s=1.0, x0=0.3))
@@ -662,7 +664,7 @@ def test_correlation_round_trip_peak_memory():
             oracle_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert oracle_peak <= 13.8 * unit, n
+        assert oracle_peak <= 12.6 * unit, n
 
 
 def test_only_grid_names_the_spline_helpers():

@@ -4,8 +4,9 @@ The library modules sit below the checks and the front end, every
 check-only helper lives in ``verify``, only ``grid`` calls the FFT or sums
 a state's own samples, every unit phasor goes through ``grid._cis``, and
 ``verify`` takes from ``kernels`` only public names and three named private
-helpers, ``cli`` takes nothing from ``kernels``, and one function outside
-``kernels`` refuses an unresolved chirp.
+helpers, ``cli`` takes nothing from ``kernels``, one function outside
+``kernels`` refuses an unresolved chirp, and in ``grid`` only
+``cubic_interpolate`` fits or reads the spline.
 """
 
 import ast
@@ -307,6 +308,15 @@ def test_one_function_outside_kernels_refuses_an_unresolved_chirp():
     modules = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "kernels")
     callers = [(m, f) for m in modules for f in _callers(_tree(m), "_require_chirp_resolved")]
     assert callers == [("transforms", "_family_value")]
+
+
+def test_only_cubic_interpolate_fits_or_reads_the_spline():
+    # both directions of the log-lattice read choose, fit and read their knots
+    # one way; the spline helpers may call each other
+    tree = _tree("grid")
+    callers = {f for name in ("_spline_window", "_spline_coeffs", "_spline_eval")
+               for f in _callers(tree, name) if not f.startswith("_spline")}
+    assert callers == {"cubic_interpolate"}
 
 
 @pytest.mark.parametrize(

@@ -651,13 +651,15 @@ def test_default_window_sees_a_unit_state_and_reads_it_back(n):
 
 def _tail_radius_reference(g, samples):
     """The smallest radius, in whole cells, beyond which ``|samples|^2`` sums
-    below 1e-16 of its total: every radius tried from the origin out."""
+    below 1e-16 of its total: every radius tried from the origin out.  Where
+    that floor is 0 (the all-zero state, or a total below about 5e-308) no
+    radius holds the weight strictly below it, and the largest is taken."""
     cells = np.rint(np.abs(g.points) / g.dx)
     weight = np.abs(samples) ** 2
     for cell in np.unique(cells):
         if weight[cells > cell].sum() < 1e-16 * weight.sum():
             return cell * g.dx
-    raise AssertionError("no radius holds the whole weight")
+    return cells.max() * g.dx
 
 
 def _lattice_states(g):
@@ -668,16 +670,29 @@ def _lattice_states(g):
 @pytest.mark.parametrize("n", [256, 1024, 4096])
 def test_tail_radius_is_the_smallest_radius_that_holds_the_state(n):
     g = make_grid(n, 40.0)
-    for psi in _lattice_states(g):
+    # support [-16, -4]: binned alone, it is off centre and inside the lattice
+    x = g.points
+    narrow = Wavefunction(g, np.exp(-((x + 10.0) ** 2)) * (np.abs(x + 10.0) <= 6.0), POSITION)
+    zero = Wavefunction(g, np.zeros(n), POSITION)
+    faint = Wavefunction(g, narrow.samples * 1e-160, POSITION)  # its floor underflows to 0
+    assert 0 < narrow._support[0] and narrow._support[1] < n // 2
+    for psi in (*_lattice_states(g), narrow, zero, faint):
+        first, stop = psi._support
         kgrid, tilde = fourier_sum(psi.samples, g)
+        # the position side bins the support alone, as the sizing step does
+        assert _tail_radius(g, psi.samples[first:stop], first) == _tail_radius(g, psi.samples)
         for lattice, samples in ((g, psi.samples), (kgrid, tilde)):
             assert _tail_radius(lattice, samples) == _tail_radius_reference(lattice, samples)
+    # where the floor is 0 the whole lattice's count is kept
+    assert _tail_radius(g, zero.samples) == _tail_radius(g, faint.samples) == (n // 2) * g.dx
     # an offset grid bins both half-lines by their radius in cells
     offset = Grid(n, g.dx, -0.3 * g.length)
     spike = np.zeros(n)
     spike[[3, n // 2, n - 5]] = (1e-9, 1.0, 1e-7)
     assert _tail_radius(offset, spike) == _tail_radius_reference(offset, spike)
     assert _tail_radius(offset, spike) == np.rint(abs(offset.points[n - 5]) / g.dx) * g.dx
+    # and an empty support there takes its largest radius, on x > 0
+    assert _tail_radius(offset, spike[:0]) == np.rint(offset.x_max / g.dx) * g.dx
 
 
 @pytest.mark.parametrize("n,n_gamma", [(256, 16 * 256), (1024, 8 * 1024), (4096, 8 * 4096)])
