@@ -29,6 +29,7 @@ from .grid import (
     Grid,
     RepresentationLabel,
     Wavefunction,
+    _FIT_MARGIN,
     _SQRT_2PI,
     _cis,
     _fourier_sum_inplace,
@@ -397,13 +398,29 @@ def correlation_transform(
     )
 
 
+def _points_below(g: Grid, v: float, inclusive: bool) -> int:
+    """How many points of ``g`` lie below ``v``, or at or below it if
+    ``inclusive``: ``np.searchsorted(g.points, v)`` with side ``"right"`` or
+    ``"left"``, found from ``x_min`` and ``dx`` with no pass over the lattice.
+    The estimate is corrected against the points as ``Grid.points`` forms
+    them, ``j dx + x_min``."""
+    def counted(j: int) -> bool:
+        x = j * g.dx + g.x_min
+        return x <= v if inclusive else x < v
+    j = int(np.clip(np.ceil((v - g.x_min) / g.dx), 0, g.n))
+    while j > 0 and not counted(j - 1):
+        j -= 1
+    while j < g.n and counted(j):
+        j += 1
+    return j
+
+
 def _annulus(g: Grid, r_min: float, r_max: float) -> tuple[slice, slice]:
     """Index ranges of the samples with ``r_min <= |x| <= r_max`` on ``x < 0``
     and on ``x > 0``; a sample at ``x = 0`` lies on neither, even if ``r_min = 0``."""
-    x = g.points
     r_min = max(r_min, np.nextafter(0.0, 1.0))
-    neg = slice(np.searchsorted(x, -r_max, "left"), np.searchsorted(x, -r_min, "right"))
-    pos = slice(np.searchsorted(x, r_min, "left"), np.searchsorted(x, r_max, "right"))
+    neg = slice(_points_below(g, -r_max, False), _points_below(g, -r_min, True))
+    pos = slice(_points_below(g, r_min, False), _points_below(g, r_max, True))
     return neg, pos
 
 
@@ -432,13 +449,29 @@ def _tail_mass(psi: Wavefunction, r_min: float, r_max: float) -> float:
     return float(outer + hole)
 
 
+# A read-back sum below this fraction of the two sums' peak is rounding.  On
+# 40 lib_large draws (n = 2^18, L = 640, window (-20, ln 288), seed 1) the
+# sums read at most 3.6e-16 of their peak where log_resample wrote +0, and
+# this floor reads each half-line out to a median |x| of 16 (at most 50),
+# against e^u_max = 288.
+_READ_FLOOR = 1e-14
+
+
 def correlation_inverse(spec: CorrelationSpectrum, g: Grid) -> Wavefunction:
     """Position samples on ``g`` from a correlation spectrum, inverting
     :func:`~qrep.grid.log_resample`: the sum and the difference of the channels'
     inverse Fourier sums, read by :func:`~qrep.grid.cubic_interpolate` at ``ln|x|``
     on ``x > 0`` and on ``x < 0`` and divided by ``sqrt(2 |x|)``.  Points outside
     the annulus ``e^u_min <= |x| <= e^u_max`` are zero.  The spectrum's
-    ``tail_mass`` must not exceed ``INVERSE_TAIL_TOL``.
+    ``tail_mass`` must not exceed ``INVERSE_TAIL_TOL``, and both sums must be
+    finite (``sample_finite``).
+
+    Each half-line is read only out to ``_FIT_MARGIN`` knots past the last
+    knot where its sum exceeds ``1e-14`` of the two sums' peak, the reach
+    :func:`~qrep.grid.log_resample` gives a state's support; a half-line with
+    no such knot is not read.  Every sample read is the whole annulus's read
+    bit for bit, and every other sample is ``+0``, where that read gives
+    values at the sums' rounding level.
     """
     if spec.tail_mass > INVERSE_TAIL_TOL:
         raise ValueError(
@@ -446,12 +479,26 @@ def correlation_inverse(spec: CorrelationSpectrum, g: Grid) -> Wavefunction:
             "widen the log window before inverting"
         )
     u_grid = spec.u_grid
-    h_even, h_odd = (inverse_fourier_sum(c, u_grid) / _SQRT_2PI for c in (spec.even, spec.odd))
-    h_diff = h_even - h_odd  # psi(-e^u); psi(e^u) is the sum, formed in h_even
-    h_even += h_odd
-    del h_odd
+    # a non-finite channel makes the sums NaN; the guard below refuses them,
+    # with no floating-point warning first
+    with np.errstate(invalid="ignore", over="ignore"):
+        h_even, h_odd = (inverse_fourier_sum(c, u_grid) / _SQRT_2PI for c in (spec.even, spec.odd))
+        h_diff = h_even - h_odd  # psi(-e^u); psi(e^u) is the sum, formed in h_even
+        h_even += h_odd
+        del h_odd
+        sizes = [np.abs(h) for h in (h_diff, h_even)]
+    peaks = [size.max() for size in sizes]
+    if not np.isfinite(peaks).all():
+        raise ValueError("sample_finite: the correlation channels' inverse sums must all be finite")
+    floor = _READ_FLOOR * max(peaks)
+    r_min, r_max = np.exp(u_grid.x_min), np.exp(u_grid.x_max)
     reads = []
-    for s, h in zip(_annulus(g, np.exp(u_grid.x_min), np.exp(u_grid.x_max)), (h_diff, h_even)):
+    for side, (h, size) in enumerate(zip((h_diff, h_even), sizes)):
+        above = np.flatnonzero(size > floor)
+        if not above.size:  # a half-line whose sum never leaves rounding is not read
+            continue
+        r_read = min(r_max, np.exp(u_grid.x_min + (above[-1] + _FIT_MARGIN) * u_grid.dx))
+        s = _annulus(g, r_min, r_read)[side]
         if s.start < s.stop:  # a half-line with no sample in the annulus is not read
             r = np.abs(g._span_points(s.start, s.stop))
             values = cubic_interpolate(u_grid, h, np.log(r))
@@ -460,7 +507,7 @@ def correlation_inverse(spec: CorrelationSpectrum, g: Grid) -> Wavefunction:
             del r, values
     # The output is allocated once both reads are done and the u-lattice sums
     # freed; each read is freed once placed, before the state's copy.
-    del h_diff, h_even, h
+    del h_diff, h_even, h, sizes, size, above
     out = np.zeros(g.n, dtype=complex)
     while reads:
         s, values = reads.pop()

@@ -38,9 +38,9 @@ from qrep import (
 )
 from qrep.grid import Grid, _spline_window, cubic_interpolate, fourier_sum, inverse_fourier_sum
 from qrep.kernels import _chirp_resolved, _interp_chirp, _rotation_chirp
-from qrep.transforms import (_DU_REFINE, _FAMILIES, _default_n_gamma, _default_u_window,
-                             _exp_minus_i, _plane_wave_sums, _state_n_gamma, _tail_mass,
-                             _tail_radius)
+from qrep.transforms import (_DU_REFINE, _FAMILIES, _annulus, _default_n_gamma,
+                             _default_u_window, _exp_minus_i, _plane_wave_sums, _state_n_gamma,
+                             _tail_mass, _tail_radius)
 from qrep.verify import _factory_states, _oracle_grid, _readback_checks
 
 # the default correlation window at length 40
@@ -488,6 +488,15 @@ def _correlation_inverse_reference(spec, g):
     return out
 
 
+def _noise_spectrum(spec, seed):
+    # seeded complex-normal channels on spec's lattice: their inverse sums
+    # exceed correlation_inverse's read floor at every knot, so it reads the
+    # whole annulus, out to e^u_max
+    noise = np.random.default_rng(seed).normal(size=(4, spec.u_grid.n))
+    return dataclasses.replace(spec, even=noise[0] + 1j * noise[1], odd=noise[2] + 1j * noise[3],
+                               tail_mass=0.0)
+
+
 @pytest.mark.parametrize("offset", [None, 0.37, -30.0])
 def test_windowed_correlation_inverse_is_bit_identical_to_whole_sum_reference(offset):
     # offset 0.37: the target grid is [0.37, 160.37), so the annulus meets
@@ -499,6 +508,7 @@ def test_windowed_correlation_inverse_is_bit_identical_to_whole_sum_reference(of
     # one of x < 0 is not the window that both half-lines' queries span.
     g = make_grid(4096, 160.0)
     spec = correlation_transform(gaussian(g, GaussianSpec(s=1.0, x0=0.7, p0=-0.3, c=0.5)))
+    spec = _noise_spectrum(spec, 4096)
     target = g if offset is None else Grid(g.n, g.dx, offset)
     x = target.points
     windows = []
@@ -520,6 +530,7 @@ def test_read_back_fits_and_reads_only_the_queried_half_lines(offset, half_lines
     # the channels, which x < 0 would read, is neither fitted nor read
     g = make_grid(1024, 40.0)
     spec = correlation_transform(gaussian(g, GaussianSpec(s=1.0, x0=0.7, p0=-0.3, c=0.5)))
+    spec = _noise_spectrum(spec, 1024)
     target = g if offset is None else Grid(g.n, g.dx, offset)
     calls = {"_spline_coeffs": 0, "_spline_eval": 0}
     for name in calls:
@@ -554,7 +565,7 @@ def test_annulus_edge_on_a_lattice_sample(edge, n, m):
     # both half-lines, as the masks do
     g = make_grid(1024, 40.0)
     psi = gaussian(g, GaussianSpec(s=1.0, x0=0.7, p0=-0.3, c=0.5))
-    spec = correlation_transform(psi, (-14.5, float(np.log(18.0))))
+    spec = _noise_spectrum(correlation_transform(psi, (-14.5, float(np.log(18.0)))), n)
     r_min, r_max = np.exp(spec.u_grid.x_min), np.exp(spec.u_grid.x_max)
     r = r_max if edge == "u_max" else r_min
     target = Grid(n, 2.0 * r / m, -r)
@@ -566,6 +577,72 @@ def test_annulus_edge_on_a_lattice_sample(edge, n, m):
     noise = np.random.default_rng(n).normal(size=(2, n))
     state = Wavefunction(target, noise[0] + 1j * noise[1], POSITION)
     assert _tail_mass(state, r_min, r_max) == _tail_mass_reference(state, r_min, r_max)
+
+
+def test_annulus_indices_match_the_mask_definition():
+    # _annulus finds its indices from x_min, dx and the radii alone; they must
+    # bound the samples that _correlation_inverse_reference's masks cover and
+    # be the counts _tail_mass_reference takes, on centred and offset
+    # lattices, for radii on samples, between them, and r_min = 0 (e^u_min
+    # underflowed), where x = 0 lies on neither half-line
+    rng = np.random.default_rng(2031)
+    tiny = np.nextafter(0.0, 1.0)
+    for case in range(2000):
+        n = int(2 ** rng.integers(3, 12))
+        dx = float(10.0 ** rng.uniform(-3.0, 1.0))
+        g = make_grid(n, n * dx) if case % 2 else Grid(n, dx, float(rng.uniform(-1.2, 0.2) * n * dx))
+        x = g.points
+        radii = [float(abs(rng.choice(x))), float(abs(rng.choice(x)) + rng.uniform(0.0, dx))]
+        radii.append(0.0 if case % 5 == 0 else float(rng.choice(radii)))
+        r_min, r_max = sorted(rng.choice(radii, 2))
+        neg, pos = _annulus(g, r_min, r_max)
+        lo = max(r_min, tiny)
+        assert (neg.start, neg.stop) == (np.count_nonzero(x < -r_max), np.count_nonzero(x <= -lo))
+        assert (pos.start, pos.stop) == (np.count_nonzero(x < lo), np.count_nonzero(x <= r_max))
+        index = np.arange(n)
+        for s, side in ((neg, -x), (pos, x)):
+            covered = (side >= r_min) & (side <= r_max) & (side > 0.0)
+            assert np.array_equal(index[s], np.flatnonzero(covered)), (g, r_min, r_max)
+
+
+def test_correlation_inverse_reads_only_out_to_where_its_sums_leave_rounding(monkeypatch):
+    # the unit Gaussian on the lib_large lattice and window: its inverse sums
+    # are rounding well inside e^u_max = 288, so each half-line is read only
+    # out to 64 knots past its last knot above the floor
+    g = make_grid(2**14, 640.0)
+    spec = correlation_transform(gaussian(g, GaussianSpec()), (-20.0, float(np.log(288.0))))
+    ref = _correlation_inverse_reference(spec, g)
+    queries = []
+
+    def counted(grid, coeffs, t, out, lo, _real=qrep.grid._spline_eval):
+        queries.append(t.size)
+        return _real(grid, coeffs, t, out, lo)
+
+    monkeypatch.setattr(qrep.grid, "_spline_eval", counted)
+    rec = correlation_inverse(spec, g).samples
+    read = np.flatnonzero(rec)
+    first, stop = read[0], read[-1] + 1
+    assert np.array_equal(rec[first:stop].view(np.uint64), ref[first:stop].view(np.uint64))
+    assert not np.concatenate((rec[:first], rec[stop:])).view(np.uint64).any()  # +0
+    # what the whole-annulus read gives beyond is rounding: 3.3e-17 of its
+    # peak, and 2.4e-15 if the reads stopped at the last knot above the floor
+    dropped = np.concatenate((ref[:first], ref[stop:]))
+    assert np.abs(dropped).max() <= 1e-15 * np.abs(ref).max()
+    r = np.abs(g.points)
+    annulus = np.count_nonzero((r >= np.exp(spec.u_grid.x_min)) & (r <= np.exp(spec.u_grid.x_max)))
+    assert len(queries) == 2 and sum(queries) < annulus / 10
+
+
+@pytest.mark.parametrize("channel", ["even", "odd"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_correlation_inverse_refuses_a_non_finite_channel(g1024, unit_gaussian, channel, bad):
+    # NaN sums exceed no read floor: unrefused, they would read as the valid
+    # all-zero state
+    spec = correlation_transform(unit_gaussian)
+    values = getattr(spec, channel).copy()
+    values[7] = bad
+    with pytest.raises(ValueError, match="sample_finite"):
+        correlation_inverse(dataclasses.replace(spec, **{channel: values}), g1024)
 
 
 @pytest.mark.parametrize("k_min,k_max", [(3, 400), (3, None), (None, 400)])
